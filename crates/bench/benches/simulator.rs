@@ -93,10 +93,9 @@ fn simulator(c: &mut Criterion) {
     });
     g.finish();
 
-    // Scheduler stress for the slab flight table + calendar queue: many
-    // tokens in flight at once keeps the slab populated (free-list
-    // recycling on every delivery) and spreads arrivals across calendar
-    // buckets, unlike the single-token ring where the queue depth is 1.
+    // Scheduler stress: many tokens in flight at once keep the in-flight
+    // table and the event queue populated, unlike the single-token ring
+    // where the queue depth is 1.
     let mut g = c.benchmark_group("scheduler_fanout");
     for &tokens in &[8u32, 64] {
         g.bench_with_input(

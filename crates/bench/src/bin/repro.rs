@@ -640,11 +640,10 @@ fn scale() -> Result<(), String> {
     println!("SCALE — checker, simulator and pipeline throughput (tiers up to {cap} events)");
     println!("Checker: incremental CausalChecker vs the legacy dense-closure oracle");
     println!("(legacy measured at a small anchor tier only — it is cubic — so the");
-    println!("quoted speedups are underestimates). Simulator: an 8-process ring");
-    println!("through the slab flight table and calendar queue. Pipeline: the");
-    println!("simulation overlapped with sharded incremental checking, sealed");
-    println!("trace segments recycled mid-run. All digests are pinned against");
-    println!("committed fixtures.\n");
+    println!("quoted speedups are underestimates). Simulator: an 8-process ring.");
+    println!("Pipeline: the simulation overlapped with sharded incremental");
+    println!("checking, sealed trace segments recycled mid-run. All digests are");
+    println!("pinned against committed fixtures.\n");
 
     let report = cbf_bench::scale::scale_report(cap)?;
     print!("{}", cbf_bench::scale::render_scale(&report));

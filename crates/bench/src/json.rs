@@ -323,7 +323,6 @@ impl ToJson for crate::scale::WorldScaleRow {
             .f64("wall_ms", self.wall_ms)
             .f64("events_per_sec", self.events_per_sec)
             .u64("trace_events", self.trace_events)
-            .u64("trace_capacity", self.trace_capacity)
             .str("digest", &format!("{:016x}", self.digest))
             .render(indent)
     }
@@ -365,7 +364,7 @@ impl ToJson for crate::scale::ScaleReport {
         Obj::new()
             // v2 added the streaming-pipeline tier array; v3 the shared
             // memory sample and per-row checker resident sizes.
-            .str("schema", "snowbound-scale-v3")
+            .str("schema", "snowbound-scale-v4")
             .raw("memory", self.memory.to_json(indent + 1))
             .raw("checker", self.checker.to_json(indent + 1))
             .raw("world", self.world.to_json(indent + 1))

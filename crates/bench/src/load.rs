@@ -561,7 +561,6 @@ fn run_swarm_shard(shard: u32, clients: u32, ops: u64, keys_per_shard: u32, seed
                 service_time: SWARM_SERVICE_US * MICROS,
             }),
             max_events: u64::MAX,
-            trace_capacity_hint: 6 * batch_ops,
             ..SimConfig::default()
         },
     );
@@ -683,11 +682,10 @@ fn run_swarm_shard(shard: u32, clients: u32, ops: u64, keys_per_shard: u32, seed
     }
     peak_segments = peak_segments.max(w.trace.resident_segments());
     w.trace.drain_rest(&mut sink);
-    let stats = w.stats_snapshot();
     ShardRun {
         digest: w.trace.digest(),
-        events: stats.events,
-        trace_events: stats.trace_events,
+        events: w.stats().events,
+        trace_events: w.trace.len() as u64,
         peak_segments: peak_segments as u64,
         recycled_segments: sink.segments as u64,
         ss: w.service_stats(),

@@ -261,7 +261,7 @@ impl Actor for KvServer {
                 KvMsg::Repl { key, val } => {
                     // Absorbed: visible to nobody's reads, so shards
                     // stay isolated; the message still exercised the
-                    // flight slab, the calendar queue and the trace.
+                    // in-flight table, the event queue and the trace.
                     self.shadow[key as usize] = Some(val);
                 }
             }
@@ -399,13 +399,7 @@ pub fn run_pipeline(ops: usize, keys: u32, seed: u64) -> PipelineOutcome {
         let mut w = World::new(
             actors,
             LatencyModel::constant_default(),
-            SimConfig {
-                record_trace: true,
-                // ~1 inject + ~1 step per op, plus gossip triples for a
-                // quarter of the writes: hint one batch generously.
-                trace_capacity_hint: 4 * BATCH_OPS,
-                ..SimConfig::default()
-            },
+            SimConfig::default(),
         );
         let mut sink = CountingSink::default();
         let mut peak_segments = 0usize;
@@ -432,11 +426,10 @@ pub fn run_pipeline(ops: usize, keys: u32, seed: u64) -> PipelineOutcome {
         peak_segments = peak_segments.max(w.trace.resident_segments());
         w.trace.drain_rest(&mut sink);
         drop(sender); // close the channel: the consumer's recv loop ends
-        let stats = w.stats_snapshot();
         (
             w.trace.digest(),
-            stats.events,
-            stats.trace_events,
+            w.stats().events,
+            w.trace.len() as u64,
             peak_segments as u64,
             sink.segments as u64,
             t0.elapsed().as_secs_f64() * 1e3,
@@ -500,11 +493,7 @@ pub fn run_offline(ops: usize, keys: u32, seed: u64) -> PipelineOutcome {
     let mut w = World::new(
         actors,
         LatencyModel::constant_default(),
-        SimConfig {
-            record_trace: true,
-            trace_capacity_hint: 3 * ops,
-            ..SimConfig::default()
-        },
+        SimConfig::default(),
     );
     // Identical batch structure to the streaming producer — the trace
     // digest comparison is only meaningful over the same event schedule.
@@ -534,12 +523,11 @@ pub fn run_offline(ops: usize, keys: u32, seed: u64) -> PipelineOutcome {
     let verdict = checker.verdict();
     let resident = checker.resident_stats();
     let check_span_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let stats = w.stats_snapshot();
 
     PipelineOutcome {
         txs: checker.len() as u64,
-        events: stats.events,
-        trace_events: stats.trace_events,
+        events: w.stats().events,
+        trace_events: w.trace.len() as u64,
         digest: w.trace.digest(),
         peak_segments_resident: w.trace.resident_segments() as u64,
         recycled_segments: 0,

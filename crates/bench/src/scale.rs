@@ -13,12 +13,11 @@
 //!   tier*. Legacy per-transaction cost grows with history length, so
 //!   the quoted speedups at 100k/1M are **underestimates**.
 //! * **Scheduler scaling** — a ring [`World`] forwards a token
-//!   10k/100k/1M hops through the slab-backed flight table and the
-//!   calendar event queue. Each tier records its trace digest (checked
-//!   against the committed fixture `fixtures/scale_digests.txt`), the
-//!   trace length and the pre-sized capacity, so a scheduler change
-//!   that perturbs event order fails `repro scale` — and the fixture
-//!   unit test — before it reaches any protocol suite.
+//!   10k/100k/1M hops. Each tier records its trace digest (checked
+//!   against the committed fixture `fixtures/scale_digests.txt`) and
+//!   the trace length, so a scheduler change that perturbs event order
+//!   fails `repro scale` — and the fixture unit test — before it
+//!   reaches any protocol suite.
 //! * **Streaming pipeline** — [`crate::pipeline::run_pipeline`] drives a
 //!   key-value world and checks it *while it runs*: committed
 //!   transactions flow through a channel into a sharded incremental
@@ -111,10 +110,8 @@ pub struct WorldScaleRow {
     pub wall_ms: f64,
     /// Events per second of wall-clock.
     pub events_per_sec: f64,
-    /// Trace length, from [`World::stats_snapshot`].
+    /// Trace length.
     pub trace_events: u64,
-    /// Trace capacity (pre-sized via `trace_capacity_hint`).
-    pub trace_capacity: u64,
     /// The run's trace digest — must match the committed fixture.
     pub digest: u64,
 }
@@ -298,7 +295,7 @@ impl Actor for Ring {
 }
 
 /// Measure one simulator tier: `hops` token hops around an 8-process
-/// ring, trace recording on, capacity pre-sized from the tier.
+/// ring, trace recording on.
 pub fn world_row(hops: u32) -> WorldScaleRow {
     let actors: Vec<Ring> = (0..8)
         .map(|i| Ring {
@@ -309,31 +306,29 @@ pub fn world_row(hops: u32) -> WorldScaleRow {
     let mut w = World::new(
         actors,
         LatencyModel::constant_default(),
-        SimConfig {
-            record_trace: true,
-            // Each hop records a send, a delivery and a step: 3 events.
-            trace_capacity_hint: 3 * hops as usize + 8,
-            ..SimConfig::default()
-        },
+        SimConfig::default(),
     );
     let t0 = Instant::now();
     w.inject(ProcessId(0), 0);
     w.run_until_quiescent();
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let stats = w.stats_snapshot();
+    let events = w.stats().events;
     WorldScaleRow {
         tier: hops as u64,
-        events: stats.events,
+        events,
         wall_ms,
-        events_per_sec: stats.events as f64 / (wall_ms / 1e3),
-        trace_events: stats.trace_events,
-        trace_capacity: stats.trace_capacity,
+        events_per_sec: events as f64 / (wall_ms / 1e3),
+        trace_events: w.trace.len() as u64,
         digest: w.trace.digest(),
     }
 }
 
 /// Measure the simulator tiers up to `max_tier` hops.
 pub fn world_scale(max_tier: u64) -> Vec<WorldScaleRow> {
+    // Untimed warm-up: the first sizeable allocation after the checker
+    // tiers makes the allocator consolidate everything they freed
+    // (~8 ms after the 1M tier), which would land in the first row.
+    world_row(1_000);
     WORLD_TIERS
         .iter()
         .filter(|&&hops| hops as u64 <= max_tier)
@@ -487,19 +482,13 @@ pub fn render_scale(report: &ScaleReport) -> String {
     }
     out.push_str("\n-- simulator (8-process ring, trace recorded, digest pinned)\n");
     out.push_str(&format!(
-        "   {:>9} {:>9} {:>10} {:>14} {:>11} {:>11}  digest\n",
-        "hops", "events", "wall ms", "events/s", "trace len", "trace cap"
+        "   {:>9} {:>9} {:>10} {:>14} {:>11}  digest\n",
+        "hops", "events", "wall ms", "events/s", "trace len"
     ));
     for r in &report.world {
         out.push_str(&format!(
-            "   {:>9} {:>9} {:>10.1} {:>14.0} {:>11} {:>11}  {:016x}\n",
-            r.tier,
-            r.events,
-            r.wall_ms,
-            r.events_per_sec,
-            r.trace_events,
-            r.trace_capacity,
-            r.digest
+            "   {:>9} {:>9} {:>10.1} {:>14.0} {:>11}  {:016x}\n",
+            r.tier, r.events, r.wall_ms, r.events_per_sec, r.trace_events, r.digest
         ));
     }
     out.push_str(
@@ -582,10 +571,6 @@ mod tests {
         assert!(
             row.trace_events >= row.events,
             "trace must cover every event"
-        );
-        assert!(
-            row.trace_capacity >= row.trace_events,
-            "pre-sizing must cover the recorded trace"
         );
     }
 

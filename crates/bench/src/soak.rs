@@ -183,7 +183,6 @@ pub fn run_soak_gc(target_events: u64, seed: u64, gc: bool) -> SoakReport {
         LatencyModel::constant_default(),
         SimConfig {
             record_trace: true,
-            trace_capacity_hint: 4 * BATCH_OPS,
             fault: Some(soak_fault_plan(seed)),
             ..SimConfig::default()
         },
@@ -226,7 +225,7 @@ pub fn run_soak_gc(target_events: u64, seed: u64, gc: bool) -> SoakReport {
                 gc_blocked_passes += 1;
             }
         }
-        events = w.stats_snapshot().events;
+        events = w.stats().events;
         if batch.is_multiple_of(SAMPLE_EVERY_BATCHES) || events >= target_events {
             let resident = checker.resident_stats();
             samples.push(SoakSample {

@@ -39,16 +39,14 @@
 //! assert_eq!(w.actor(ProcessId(0)).0, 5);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod actor;
-mod calendar;
 mod fault;
 mod latency;
 mod sink;
-mod slab;
-mod smallvec;
 mod trace;
 mod types;
 mod world;
@@ -57,7 +55,6 @@ pub use actor::{Actor, Ctx, Envelope};
 pub use fault::{Crash, FaultPlan, Partition};
 pub use latency::{LatencyKind, LatencyModel};
 pub use sink::{CountingSink, FnSink, SegmentSink};
-pub use smallvec::SmallVec;
 pub use trace::{Trace, TraceEvent, TraceView, SEAL_CAP};
 pub use types::{
     Link, MsgId, ProcessId, RunOutcome, ServiceModel, ServiceStats, SimConfig, Time, MICROS,

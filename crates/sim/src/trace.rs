@@ -292,27 +292,6 @@ impl<M: Clone + fmt::Debug> Trace<M> {
         }
     }
 
-    /// A new trace pre-sized for roughly `hint` events (a workload
-    /// hint, see [`crate::SimConfig::trace_capacity_hint`]). The tail
-    /// never grows past [`SEAL_CAP`], so the hint sizes the tail up to
-    /// that cap and reserves segment-pointer slots for the rest.
-    pub fn with_capacity(enabled: bool, hint: usize) -> Self {
-        let mut t = Trace::new(enabled);
-        if enabled && hint > 0 {
-            t.tail.reserve(hint.min(SEAL_CAP));
-            t.segments.reserve(hint / SEAL_CAP);
-        }
-        t
-    }
-
-    /// Number of events the trace can hold before its *tail* must
-    /// reallocate: sealed events plus the tail's allocated capacity.
-    /// Reported via `WorldStats` so perf exhibits can show allocation
-    /// behaviour.
-    pub fn capacity(&self) -> usize {
-        self.sealed_len() + self.tail.capacity()
-    }
-
     /// Number of events logically before the tail: recycled events plus
     /// events in resident sealed segments.
     #[inline]

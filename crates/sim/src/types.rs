@@ -132,12 +132,6 @@ pub struct SimConfig {
     /// duplicates, link partitions and process crashes. `None` (the
     /// default) is a fault-free network.
     pub fault: Option<FaultPlan>,
-    /// Workload hint: expected number of trace events this run will
-    /// record. Pre-sizes the trace's buffers so long recorded runs do
-    /// not pay repeated reallocation; `0` (the default) means "no
-    /// hint". Purely an allocation hint — it never affects scheduling,
-    /// trace contents or digests.
-    pub trace_capacity_hint: usize,
     /// Optional per-server service-time/queueing model. `None` (the
     /// default) delivers at the sampled network latency with no
     /// queueing, exactly as before the model existed.
@@ -159,7 +153,6 @@ impl Default for SimConfig {
             fifo_links: false,
             max_events: 10_000_000,
             fault: None,
-            trace_capacity_hint: 0,
             service: None,
             trace_injects: true,
         }

@@ -21,15 +21,12 @@
 //!   is what the theorem machinery in `cbf-core` drives.
 
 use crate::actor::{Actor, Ctx, Envelope};
-use crate::calendar::{CalendarQueue, Scheduled};
 use crate::latency::LatencyModel;
-use crate::slab::{FlightSlab, SlotRef};
-use crate::smallvec::SmallVec;
 use crate::trace::{Trace, TraceEvent};
 use crate::types::{Link, MsgId, ProcessId, RunOutcome, ServiceStats, SimConfig, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -57,10 +54,9 @@ pub struct Flight<M> {
 #[derive(Clone, Debug)]
 enum EvKind<M> {
     /// Move a message into the destination's income buffer, then step it.
-    /// Carries the message's slab slot so the hot path resolves it in
-    /// O(1); the generation check makes a stale event (message already
-    /// delivered by the adversary) a cheap miss.
-    Deliver(MsgId, SlotRef),
+    /// Stale (a miss in the in-flight table) once the adversary has
+    /// delivered the message by hand.
+    Deliver(MsgId),
     /// A timer set by `pid` fires, carrying `msg`.
     Timer(ProcessId, M),
     /// A step is due (after an injection or an explicit schedule).
@@ -121,12 +117,6 @@ impl<M> Ord for QueuedEvent<M> {
     }
 }
 
-impl<M> Scheduled for QueuedEvent<M> {
-    fn time(&self) -> Time {
-        self.time
-    }
-}
-
 /// Per-process counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProcStats {
@@ -148,12 +138,6 @@ pub struct WorldStats {
     /// kind was already deferred to the same process's recovery instant
     /// (see the crash-deferral coalescing in the event loop).
     pub timers_coalesced: u64,
-    /// Events recorded in the trace. Zero on the live counters; filled
-    /// by [`World::stats_snapshot`] (perf exhibits report it).
-    pub trace_events: u64,
-    /// Allocated trace capacity, in events (see [`Trace::capacity`]).
-    /// Zero on the live counters; filled by [`World::stats_snapshot`].
-    pub trace_capacity: u64,
 }
 
 impl WorldStats {
@@ -179,18 +163,16 @@ pub struct World<A: Actor> {
     /// Display labels; immutable per run in practice, so forks share
     /// them through the `Arc` (copy-on-write via [`World::set_label`]).
     labels: Arc<Vec<String>>,
-    inboxes: Vec<SmallVec<Envelope<A::Msg>, 2>>,
-    /// Messages in transit, in a generation-indexed slab (flat storage,
-    /// O(1) insert/remove, stale-event detection via generations). All
-    /// observable iteration over it is `MsgId`-sorted — the order of the
-    /// `BTreeMap` it replaced.
-    in_flight: FlightSlab<Flight<A::Msg>>,
-    /// Pending events in a bucketed calendar queue whose pop order is
-    /// exactly a `(time, seq)` min-heap's.
-    queue: CalendarQueue<QueuedEvent<A::Msg>>,
+    inboxes: Vec<Vec<Envelope<A::Msg>>>,
+    /// Messages in transit. Ids are minted in send order and never
+    /// reused, so iteration is send order and a delivered message's id
+    /// simply stops resolving.
+    in_flight: BTreeMap<MsgId, Flight<A::Msg>>,
+    /// Pending events, earliest `(time, seq)` on top.
+    queue: BinaryHeap<QueuedEvent<A::Msg>>,
     /// Messages whose Deliver event fired while their link was held; they
     /// wait here until the link is released.
-    frozen: BTreeMap<Link, SmallVec<(MsgId, SlotRef), 2>>,
+    frozen: BTreeMap<Link, Vec<MsgId>>,
     /// With [`SimConfig::fifo_links`]: the latest scheduled arrival per
     /// directed link, so later sends never overtake earlier ones.
     last_arrival: BTreeMap<Link, Time>,
@@ -245,9 +227,9 @@ impl<A: Actor> World<A> {
         let mut w = World {
             actors: actors.into_iter().map(Some).collect(),
             labels: Arc::new((0..n).map(|i| format!("P{i}")).collect()),
-            inboxes: (0..n).map(|_| SmallVec::new()).collect(),
-            in_flight: FlightSlab::new(),
-            queue: CalendarQueue::new(),
+            inboxes: vec![Vec::new(); n],
+            in_flight: BTreeMap::new(),
+            queue: BinaryHeap::new(),
             frozen: BTreeMap::new(),
             last_arrival: BTreeMap::new(),
             held: BTreeSet::new(),
@@ -256,7 +238,7 @@ impl<A: Actor> World<A> {
             next_msg: 0,
             next_seq: 0,
             latency,
-            trace: Trace::with_capacity(config.record_trace, config.trace_capacity_hint),
+            trace: Trace::new(config.record_trace),
             config,
             stats: WorldStats {
                 events: 0,
@@ -403,16 +385,6 @@ impl<A: Actor> World<A> {
         self.service_stats
     }
 
-    /// A copy of the counters with the trace's length and allocated
-    /// capacity filled in (the live [`World::stats`] keeps those at
-    /// zero; the trace owns the authoritative numbers).
-    pub fn stats_snapshot(&self) -> WorldStats {
-        let mut s = self.stats.clone();
-        s.trace_events = self.trace.len() as u64;
-        s.trace_capacity = self.trace.capacity() as u64;
-        s
-    }
-
     // ------------------------------------------------------------------
     // Internal mechanics
     // ------------------------------------------------------------------
@@ -492,7 +464,7 @@ impl<A: Actor> World<A> {
                 *free = arrival;
             }
         }
-        let slot = self.in_flight.insert(
+        self.in_flight.insert(
             id,
             Flight {
                 from,
@@ -501,7 +473,7 @@ impl<A: Actor> World<A> {
                 sent_at: self.now,
             },
         );
-        self.push_event(arrival, EvKind::Deliver(id, slot));
+        self.push_event(arrival, EvKind::Deliver(id));
     }
 
     fn send_from(&mut self, from: ProcessId, to: ProcessId, msg: A::Msg) {
@@ -544,9 +516,9 @@ impl<A: Actor> World<A> {
 
     /// Move an in-flight message into its destination's income buffer.
     /// Returns the destination, or `None` if the message was already
-    /// delivered (stale slot reference).
-    fn do_deliver(&mut self, id: MsgId, slot: SlotRef) -> Option<ProcessId> {
-        let flight = self.in_flight.remove(slot, id)?;
+    /// delivered.
+    fn do_deliver(&mut self, id: MsgId) -> Option<ProcessId> {
+        let flight = self.in_flight.remove(&id)?;
         self.trace.push(TraceEvent::Deliver {
             at: self.now,
             id,
@@ -562,15 +534,8 @@ impl<A: Actor> World<A> {
         Some(flight.to)
     }
 
-    /// [`World::do_deliver`] for callers that only know the id (the
-    /// adversary APIs): resolves the slot with a scan first.
-    fn do_deliver_by_id(&mut self, id: MsgId) -> Option<ProcessId> {
-        let slot = self.in_flight.find(id)?;
-        self.do_deliver(id, slot)
-    }
-
     fn do_step(&mut self, pid: ProcessId) {
-        let inbox = self.inboxes[pid.index()].take().into_vec();
+        let inbox = std::mem::take(&mut self.inboxes[pid.index()]);
         let mut ctx = Ctx::recycled(
             pid,
             self.now,
@@ -623,7 +588,7 @@ impl<A: Actor> World<A> {
                 self.crashed.insert(pid, recover_at);
                 // Undelivered mail in the income buffer dies with the
                 // process; in-flight messages die on arrival instead.
-                let _ = self.inboxes[pid.index()].take();
+                self.inboxes[pid.index()].clear();
                 if lose_volatile {
                     self.actors[pid.index()]
                         .as_mut()
@@ -654,10 +619,7 @@ impl<A: Actor> World<A> {
 
     /// All messages currently in transit, in send order.
     pub fn in_flight(&self) -> impl Iterator<Item = (MsgId, &Flight<A::Msg>)> {
-        self.in_flight
-            .iter_sorted()
-            .into_iter()
-            .map(|(id, _, f)| (id, f))
+        self.in_flight.iter().map(|(id, f)| (*id, f))
     }
 
     /// Number of messages sent but neither delivered nor dropped. A
@@ -675,22 +637,21 @@ impl<A: Actor> World<A> {
     /// run ended?"
     pub fn drain_undelivered(&mut self) -> Vec<(MsgId, Flight<A::Msg>)> {
         self.frozen.clear();
-        self.in_flight.drain_sorted()
+        std::mem::take(&mut self.in_flight).into_iter().collect()
     }
 
     /// In-transit messages on the directed link `src → dst`.
     pub fn in_flight_on(&self, src: ProcessId, dst: ProcessId) -> Vec<MsgId> {
         self.in_flight
-            .iter_sorted()
-            .into_iter()
-            .filter(|(_, _, f)| f.from == src && f.to == dst)
-            .map(|(id, _, _)| id)
+            .iter()
+            .filter(|(_, f)| f.from == src && f.to == dst)
+            .map(|(id, _)| *id)
             .collect()
     }
 
     /// Inspect one in-flight message.
     pub fn peek(&self, id: MsgId) -> Option<&Flight<A::Msg>> {
-        self.in_flight.get_by_id(id)
+        self.in_flight.get(&id)
     }
 
     /// Adversary: deliver a specific in-flight message *now*, ignoring its
@@ -698,7 +659,7 @@ impl<A: Actor> World<A> {
     /// destination — pair with [`World::step_now`]. Returns the
     /// destination process.
     pub fn deliver_now(&mut self, id: MsgId) -> Option<ProcessId> {
-        self.do_deliver_by_id(id)
+        self.do_deliver(id)
     }
 
     /// Adversary: make `pid` take one computation step now.
@@ -728,7 +689,7 @@ impl<A: Actor> World<A> {
         // `in_flight_on` returns MsgId-ascending order; ids are minted in
         // send order, so the head is the oldest undelivered message.
         let id = self.in_flight_on(src, dst).into_iter().next()?;
-        self.do_deliver_by_id(id)?;
+        self.do_deliver(id)?;
         Some(id)
     }
 
@@ -756,9 +717,8 @@ impl<A: Actor> World<A> {
         let link = Link::new(src, dst);
         self.held.remove(&link);
         if let Some(ids) = self.frozen.remove(&link) {
-            for (id, slot) in ids {
-                let at = self.now;
-                self.push_event(at, EvKind::Deliver(id, slot));
+            for id in ids {
+                self.push_event(self.now, EvKind::Deliver(id));
             }
         }
     }
@@ -841,9 +801,7 @@ impl<A: Actor> World<A> {
         horizon: Option<Time>,
         mut pred: Option<&mut dyn FnMut(&Self) -> bool>,
     ) -> RunOutcome {
-        // Most restricted runs defer only a handful of events; keep
-        // them inline.
-        let mut deferred: SmallVec<QueuedEvent<A::Msg>, 2> = SmallVec::new();
+        let mut deferred: Vec<QueuedEvent<A::Msg>> = Vec::new();
         let mut processed: u64 = 0;
         let outcome = loop {
             if let Some(p) = pred.as_mut() {
@@ -868,20 +826,20 @@ impl<A: Actor> World<A> {
             processed += 1;
             self.stats.events += 1;
             match ev.kind {
-                EvKind::Deliver(id, slot) => {
-                    let Some(flight) = self.in_flight.get(slot, id) else {
+                EvKind::Deliver(id) => {
+                    let Some(flight) = self.in_flight.get(&id) else {
                         continue; // stale: adversary already delivered it
                     };
                     let link = Link::new(flight.from, flight.to);
                     if self.held.contains(&link) {
-                        self.frozen.entry(link).or_default().push((id, slot));
+                        self.frozen.entry(link).or_default().push(id);
                         continue;
                     }
                     if self.crashed.contains_key(&flight.to) {
                         // Arrived at a dark process: lost.
                         self.now = self.now.max(ev.time);
                         let (from, to) = (flight.from, flight.to);
-                        self.in_flight.remove(slot, id);
+                        self.in_flight.remove(&id);
                         self.trace.push(TraceEvent::Drop {
                             at: self.now,
                             id,
@@ -896,7 +854,7 @@ impl<A: Actor> World<A> {
                         continue;
                     }
                     self.now = self.now.max(ev.time);
-                    if let Some(dst) = self.do_deliver(id, slot) {
+                    if let Some(dst) = self.do_deliver(id) {
                         self.do_step(dst);
                     }
                 }
@@ -1035,19 +993,16 @@ impl<A: Actor> World<A> {
     // Chaotic (schedule-exploring) scheduling
     // ------------------------------------------------------------------
 
-    /// Run under a random adversary: at each point, uniformly choose among
-    /// every enabled action (deliver any in-flight message, fire any
-    /// pending timer, step any process with mail). Explores schedules the
-    /// latency model would never produce; used by the safety property
-    /// tests. Deterministic in `seed`.
-    pub fn run_chaotic(&mut self, seed: u64, max_actions: u64) -> RunOutcome {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Pull timers and due-steps out of the time-ordered queue; the
-        // chaotic adversary dispatches them at will.
-        let mut timers: Vec<(Time, ProcessId, A::Msg)> = Vec::new();
-        let mut due: Vec<(Time, ProcessId)> = Vec::new();
-        let drained: Vec<_> = self.queue.drain_sorted();
-        for ev in drained {
+    /// Empty the event queue in schedule order into the chaotic
+    /// adversary's own pools: it dispatches timers and due steps at will.
+    fn absorb_queue(
+        &mut self,
+        timers: &mut Vec<(Time, ProcessId, A::Msg)>,
+        due: &mut Vec<(Time, ProcessId)>,
+    ) {
+        // `Ord` is reversed (time, seq), so ascending order is latest first.
+        let drained = std::mem::take(&mut self.queue).into_sorted_vec();
+        for ev in drained.into_iter().rev() {
             match ev.kind {
                 EvKind::Deliver(..) => {} // represented by in_flight
                 EvKind::Timer(p, m) => timers.push((ev.time, p, m)),
@@ -1057,16 +1012,27 @@ impl<A: Actor> World<A> {
                 EvKind::Fault(f) => self.push_event(ev.time, EvKind::Fault(f)),
             }
         }
+    }
+
+    /// Run under a random adversary: at each point, uniformly choose among
+    /// every enabled action (deliver any in-flight message, fire any
+    /// pending timer, step any process with mail). Explores schedules the
+    /// latency model would never produce; used by the safety property
+    /// tests. Deterministic in `seed`.
+    pub fn run_chaotic(&mut self, seed: u64, max_actions: u64) -> RunOutcome {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut timers: Vec<(Time, ProcessId, A::Msg)> = Vec::new();
+        let mut due: Vec<(Time, ProcessId)> = Vec::new();
+        self.absorb_queue(&mut timers, &mut due);
         for actions in 0..max_actions {
             // Enabled actions. 0..d: deliver in-flight message i (held
             // links excluded); d..d+t: fire timer; d+t..d+t+s: due step;
             // then: step process with mail.
-            let deliverable: Vec<(MsgId, SlotRef)> = self
+            let deliverable: Vec<MsgId> = self
                 .in_flight
-                .iter_sorted()
-                .into_iter()
-                .filter(|(_, _, f)| !self.held.contains(&Link::new(f.from, f.to)))
-                .map(|(id, slot, _)| (id, slot))
+                .iter()
+                .filter(|(_, f)| !self.held.contains(&Link::new(f.from, f.to)))
+                .map(|(id, _)| *id)
                 .collect();
             let mailful: Vec<ProcessId> = (0..self.actors.len())
                 .map(|i| ProcessId(i as u32))
@@ -1081,9 +1047,9 @@ impl<A: Actor> World<A> {
             let pick = rng.gen_range(0..total);
             self.stats.events += 1;
             if pick < deliverable.len() {
-                let (id, slot) = deliverable[pick];
+                let id = deliverable[pick];
                 self.now += 1;
-                if let Some(dst) = self.do_deliver(id, slot) {
+                if let Some(dst) = self.do_deliver(id) {
                     self.do_step(dst);
                 }
             } else if pick < deliverable.len() + timers.len() {
@@ -1093,16 +1059,6 @@ impl<A: Actor> World<A> {
                 let id = self.fresh_msg_id();
                 self.inboxes[pid.index()].push(Envelope { from: pid, id, msg });
                 self.do_step(pid);
-                // Steps may set new timers; absorb them from the queue.
-                let drained: Vec<_> = self.queue.drain_sorted();
-                for ev in drained {
-                    match ev.kind {
-                        EvKind::Deliver(..) => {}
-                        EvKind::Timer(p, m) => timers.push((ev.time, p, m)),
-                        EvKind::StepDue(p) => due.push((ev.time, p)),
-                        EvKind::Fault(f) => self.push_event(ev.time, EvKind::Fault(f)),
-                    }
-                }
             } else if pick < deliverable.len() + timers.len() + due.len() {
                 let (t, pid) = due.swap_remove(pick - deliverable.len() - timers.len());
                 self.now = self.now.max(t) + 1;
@@ -1113,15 +1069,7 @@ impl<A: Actor> World<A> {
                 self.do_step(pid);
             }
             // Absorb any timers/step-dues generated by this action.
-            let drained: Vec<_> = self.queue.drain_sorted();
-            for ev in drained {
-                match ev.kind {
-                    EvKind::Deliver(..) => {}
-                    EvKind::Timer(p, m) => timers.push((ev.time, p, m)),
-                    EvKind::StepDue(p) => due.push((ev.time, p)),
-                    EvKind::Fault(f) => self.push_event(ev.time, EvKind::Fault(f)),
-                }
-            }
+            self.absorb_queue(&mut timers, &mut due);
         }
         // Put leftovers back for any subsequent automatic run.
         for (t, p, m) in timers {
@@ -1769,7 +1717,7 @@ mod tests {
         assert_eq!(n0.zero_fires, vec![MILLIS]);
         assert_eq!(n0.one_fires, vec![MILLIS]);
         // The other three kind-0 fires were swallowed, and counted.
-        assert_eq!(w.stats_snapshot().timers_coalesced, 3);
+        assert_eq!(w.stats().timers_coalesced, 3);
         // The untouched twin saw all five fires on schedule.
         let n1 = w.actor(ProcessId(1));
         assert_eq!(n1.zero_fires.len(), 4);
@@ -1800,50 +1748,6 @@ mod tests {
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].1.to, ProcessId(1));
         assert_eq!(w.undelivered_count(), 0);
-    }
-
-    /// Satellite: the trace-capacity workload hint is allocation-only —
-    /// same schedule, same digest — while actually pre-sizing the tail.
-    #[test]
-    fn trace_capacity_hint_never_changes_the_digest() {
-        let digest_with_hint = |hint: usize| {
-            let mut w = World::new(
-                vec![
-                    Node::Server { count: 0 },
-                    Node::Client {
-                        server: ProcessId(0),
-                        got: vec![],
-                    },
-                ],
-                LatencyModel::new(LatencyKind::Uniform { lo: 10, hi: 500 }, 9),
-                SimConfig {
-                    trace_capacity_hint: hint,
-                    ..SimConfig::default()
-                },
-            );
-            for i in 0..20 {
-                w.inject(ProcessId(1), Msg::Ping(i));
-            }
-            w.run_until_quiescent();
-            (w.trace.digest(), w.trace.capacity())
-        };
-        let (d0, _) = digest_with_hint(0);
-        let (d1, cap1) = digest_with_hint(300);
-        assert_eq!(d0, d1, "hint must be invisible to the schedule");
-        assert!(cap1 >= 300, "hint should pre-size the tail, got {cap1}");
-    }
-
-    #[test]
-    fn stats_snapshot_reports_trace_len_and_capacity() {
-        let mut w = two_node_world();
-        w.inject(ProcessId(1), Msg::Ping(1));
-        w.run_until_quiescent();
-        assert_eq!(w.stats().trace_events, 0, "live counters stay zero");
-        let snap = w.stats_snapshot();
-        assert_eq!(snap.trace_events, w.trace.len() as u64);
-        assert!(snap.trace_capacity >= snap.trace_events);
-        assert_eq!(snap.events, w.stats().events);
-        assert_eq!(snap.total_sent(), 2);
     }
 
     #[test]

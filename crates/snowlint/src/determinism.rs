@@ -28,8 +28,7 @@
 //!   appear only in `replay.rs`. The event loop must drive actors
 //!   through the public `Ctx::standalone` step API alone; if the hot
 //!   path could consult the sim, a replay match would prove nothing.
-//! - `unsafe-block` — no `unsafe` outside `crates/sim/src/smallvec.rs`,
-//!   the single file allowed to earn it back with Miri coverage.
+//! - `unsafe-block` — no `unsafe` in any file.
 
 use crate::lexer::{Lexed, TokKind};
 use crate::report::Finding;
@@ -40,9 +39,9 @@ pub const RULE_HASH: &str = "hash-collections";
 pub const RULE_CLOCK: &str = "wall-clock";
 /// Rule name: thread spawning outside `cbf-par`.
 pub const RULE_THREAD: &str = "ad-hoc-threads";
-/// Rule name: `unsafe` outside the vetted smallvec file.
+/// Rule name: `unsafe` anywhere.
 pub const RULE_UNSAFE: &str = "unsafe-block";
-/// Rule name: scheduler-core files missing their `#![deny(unsafe_code)]`.
+/// Rule name: guarded files missing their `#![deny(unsafe_code)]`.
 pub const RULE_GUARD: &str = "missing-unsafe-guard";
 /// Rule name: socket types outside the net runtime crate.
 pub const RULE_NET: &str = "net-boundary";
@@ -59,9 +58,6 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     "crates/sim/",
     "crates/workloads/",
 ];
-
-/// The one file allowed to contain `unsafe`.
-const UNSAFE_ALLOWED_FILE: &str = "crates/sim/src/smallvec.rs";
 
 /// The one crate allowed to create threads.
 const THREAD_ALLOWED_CRATE: &str = "crates/par/";
@@ -88,24 +84,18 @@ const SIM_ORACLE_TYPES: &[&str] = &["World", "SimConfig", "LatencyModel", "Trace
 
 /// Modules that promise safety in their docs and must carry their own
 /// `#![deny(unsafe_code)]` even though the crate root is already the
-/// lexer's concern. Two families: the scheduler core (the slab flight
-/// table and the calendar queue traded std collections for index
-/// arithmetic, exactly the terrain where `unsafe` creeps in) and the
-/// streaming pipeline (the sink, the sharded checker and the pipeline
-/// harness move trace segments and transactions across a thread
-/// boundary, where `unsafe` shortcuts would be just as tempting), plus
-/// the bounded-memory tier (the checker's frontier GC compacts arenas
-/// and rebases value ledgers with raw index arithmetic, and the soak
-/// harness is the exhibit that certifies the whole stack's plateau),
-/// plus the workload generators (the alias table, the swarm's time
-/// wheel and the batch emitter are index-arithmetic hot paths feeding
-/// the million-client tiers — the same temptation profile as the slab),
-/// plus the net runtime's codec and event loop (length-prefixed frame
-/// parsing and inbox/timer bookkeeping are exactly where a "fast"
-/// unchecked byte-slice read would creep in).
+/// lexer's concern: the streaming pipeline (the sink, the sharded
+/// checker and the pipeline harness move trace segments and
+/// transactions across a thread boundary, where `unsafe` shortcuts are
+/// tempting), plus the bounded-memory tier (the checker's frontier GC
+/// compacts arenas and rebases value ledgers with raw index arithmetic,
+/// and the soak harness is the exhibit that certifies the whole stack's
+/// plateau), plus the workload generators (the alias table, the swarm's
+/// time wheel and the batch emitter are index-arithmetic hot paths
+/// feeding the million-client tiers), plus the net runtime's codec and
+/// event loop (length-prefixed frame parsing and inbox/timer bookkeeping
+/// are exactly where a "fast" unchecked byte-slice read would creep in).
 const GUARDED_FILES: &[&str] = &[
-    "crates/sim/src/slab.rs",
-    "crates/sim/src/calendar.rs",
     "crates/sim/src/sink.rs",
     "crates/model/src/streaming.rs",
     "crates/model/src/incremental.rs",
@@ -279,19 +269,18 @@ pub fn check(path: &str, lx: &Lexed, out: &mut Vec<Finding>) {
             );
         }
 
-        if t.text == "unsafe" && path != UNSAFE_ALLOWED_FILE {
+        if t.text == "unsafe" {
             out.push(
                 Finding::error(
                     RULE_UNSAFE,
                     path,
                     t.line,
                     t.col,
-                    "new `unsafe` outside crates/sim/src/smallvec.rs".to_string(),
+                    "`unsafe` is allowed in no file of this workspace".to_string(),
                 )
                 .with_help(
-                    "every crate but cbf-sim carries #![deny(unsafe_code)]; \
-                     if unsafe is genuinely needed, move it behind a safe \
-                     abstraction in the sim crate and cover it with Miri"
+                    "every crate root carries #![deny(unsafe_code)]; express \
+                     the structure with indices into a `Vec` or std collections"
                         .to_string(),
                 ),
             );
@@ -392,8 +381,8 @@ mod tests {
 
     #[test]
     fn guarded_modules_must_keep_their_guard() {
-        let guarded = "#![deny(unsafe_code)]\nstruct FlightSlab;";
-        let bare = "struct FlightSlab;";
+        let guarded = "#![deny(unsafe_code)]\nstruct Guarded;";
+        let bare = "struct Guarded;";
         for path in GUARDED_FILES {
             assert!(run(path, guarded).is_empty(), "{path} with guard");
             let out = run(path, bare);
@@ -406,9 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_allowed_only_in_smallvec() {
+    fn unsafe_allowed_nowhere() {
         let src = "unsafe { core::hint::unreachable_unchecked() }";
         assert_eq!(run("crates/model/src/x.rs", src).len(), 1);
-        assert!(run("crates/sim/src/smallvec.rs", src).is_empty());
+        assert_eq!(run("crates/sim/src/world.rs", src).len(), 1);
     }
 }

@@ -86,12 +86,12 @@ fn bad_checker_is_clean_outside_deterministic_crates_except_global_rules() {
 }
 
 #[test]
-fn bad_slab_fails_the_guard_and_determinism_rules() {
-    // The slab/calendar modules are new scheduler core (PR 4): a clone
+fn bad_sink_fails_the_guard_and_determinism_rules() {
+    // The segment sink is the guarded module of the sim crate: a clone
     // that drops its `#![deny(unsafe_code)]` guard and reaches for
     // HashMap/Instant/unsafe must light up every applicable rule.
-    let src = fixture("bad_slab.rs");
-    let path = "crates/sim/src/slab.rs";
+    let src = fixture("bad_sink.rs");
+    let path = "crates/sim/src/sink.rs";
     let mut out = Vec::new();
     determinism::check(path, &lex(&src), &mut out);
 
@@ -137,8 +137,8 @@ fn bad_slab_fails_the_guard_and_determinism_rules() {
 
 #[test]
 fn bad_pipeline_fails_the_guard_and_determinism_rules() {
-    // The streaming-pipeline modules (PR 5) get the slab/calendar
-    // treatment: a clone that drops its `#![deny(unsafe_code)]` guard
+    // The streaming-pipeline modules (PR 5) get the same treatment
+    // as the sink: a clone that drops its `#![deny(unsafe_code)]` guard
     // and reaches for threads/Instant/unsafe must light up every
     // applicable rule at the exact file and line.
     let src = fixture("bad_pipeline.rs");
