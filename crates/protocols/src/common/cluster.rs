@@ -299,9 +299,25 @@ impl<N: ProtocolNode> Cluster<N> {
     /// Run the world until every open transaction has completed (or the
     /// horizon passes). Returns true when all completed.
     pub fn run_open(&mut self, open: &[InFlightTx]) -> bool {
+        // Completion is monotone while the world runs: a client's
+        // `Completed` record is removed only by `take_completed`, which
+        // no actor step and no `on_crash` calls. A prefix of `open` seen
+        // complete therefore stays complete, and the predicate — asked
+        // before every scheduler event — resumes at the first
+        // transaction it has not yet seen complete instead of re-walking
+        // the list.
+        let mut seen_complete = 0;
         let outcome = self.world.run_until_within(self.horizon, |w| {
-            open.iter()
-                .all(|t| w.actor(t.pid).completed(t.id).is_some())
+            let completed = |t: &InFlightTx| w.actor(t.pid).completed(t.id).is_some();
+            seen_complete += open[seen_complete..]
+                .iter()
+                .take_while(|t| completed(t))
+                .count();
+            if seen_complete < open.len() {
+                return false;
+            }
+            debug_assert!(open.iter().all(completed));
+            true
         });
         outcome.is_settled()
     }

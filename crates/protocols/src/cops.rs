@@ -89,7 +89,8 @@ pub enum Msg {
 struct PendingRot {
     keys: Vec<Key>,
     got: HashMap<Key, (Value, u64)>,
-    deps_seen: Vec<(Key, u64, Vec<Dep>)>,
+    /// The stored dependencies of each version round 1 returned.
+    deps_seen: Vec<Vec<Dep>>,
     /// Servers whose round-1 response is still outstanding.
     round1_waiting: BTreeSet<ProcessId>,
     /// Keys whose round-2 exact fetch is still outstanding.
@@ -220,7 +221,7 @@ impl CopsNode {
                     }
                     for it in items {
                         p.got.insert(it.key, (it.value, it.ts));
-                        p.deps_seen.push((it.key, it.ts, it.deps));
+                        p.deps_seen.push(it.deps);
                     }
                     if p.round1_waiting.is_empty() {
                         Self::finish_round_one(c, id, ctx);
@@ -292,28 +293,7 @@ impl CopsNode {
         let Some(p) = c.rots.get_mut(&id) else {
             return;
         };
-        // ccv[k] = newest version of k that anything we saw (returned
-        // versions' deps, or our own context) causally requires.
-        let mut ccv: HashMap<Key, u64> = HashMap::new();
-        for (_, _, deps) in &p.deps_seen {
-            for &(k, t) in deps {
-                let slot = ccv.entry(k).or_insert(0);
-                *slot = (*slot).max(t);
-            }
-        }
-        for (&k, &t) in &c.context {
-            let slot = ccv.entry(k).or_insert(0);
-            *slot = (*slot).max(t);
-        }
-        let mut refetch: Vec<(Key, u64)> = Vec::new();
-        for &k in &p.keys {
-            let have = p.got.get(&k).map_or(0, |&(_, ts)| ts);
-            if let Some(&need) = ccv.get(&k) {
-                if need > have {
-                    refetch.push((k, need));
-                }
-            }
-        }
+        let refetch = torn_reads(&p.keys, &p.got, &p.deps_seen, &c.context);
         if refetch.is_empty() {
             Self::complete_rot(c, id, ctx.now());
             return;
@@ -413,6 +393,35 @@ impl CopsNode {
             }
         }
     }
+}
+
+/// The round-2 fetch list of a ROT, in request order: each requested key
+/// whose causally correct version — the newest one required by the
+/// client's own context or by the dependencies of anything round 1
+/// returned — is newer than the version round 1 returned for it.
+///
+/// Computed per requested key, so a ROT costs O(|keys| · |returned
+/// deps|) however many keys the client's context has accumulated.
+fn torn_reads(
+    keys: &[Key],
+    got: &HashMap<Key, (Value, u64)>,
+    deps_seen: &[Vec<Dep>],
+    context: &HashMap<Key, u64>,
+) -> Vec<(Key, u64)> {
+    let mut refetch = Vec::new();
+    for &k in keys {
+        let have = got.get(&k).map_or(0, |&(_, ts)| ts);
+        let need = deps_seen
+            .iter()
+            .flatten()
+            .filter(|&&(dep_key, _)| dep_key == k)
+            .map(|&(_, ts)| ts)
+            .fold(context.get(&k).copied().unwrap_or(0), u64::max);
+        if need > have {
+            refetch.push((k, need));
+        }
+    }
+    refetch
 }
 
 impl Actor for CopsNode {
@@ -646,6 +655,96 @@ mod tests {
 
     fn minimal() -> Cluster<CopsNode> {
         Cluster::new(Topology::minimal(4))
+    }
+
+    /// The cut as it was computed before it was cut down to the requested
+    /// keys: build the causally-correct-version map over *everything*
+    /// seen — every returned dependency and the client's whole context —
+    /// then look the requested keys up in it. Kept as the reference
+    /// [`torn_reads`] is tested against.
+    fn torn_reads_full_context(
+        keys: &[Key],
+        got: &HashMap<Key, (Value, u64)>,
+        deps_seen: &[Vec<Dep>],
+        context: &HashMap<Key, u64>,
+    ) -> Vec<(Key, u64)> {
+        let mut ccv: HashMap<Key, u64> = HashMap::new();
+        for deps in deps_seen {
+            for &(k, t) in deps {
+                let slot = ccv.entry(k).or_insert(0);
+                *slot = (*slot).max(t);
+            }
+        }
+        for (&k, &t) in context {
+            let slot = ccv.entry(k).or_insert(0);
+            *slot = (*slot).max(t);
+        }
+        let mut refetch: Vec<(Key, u64)> = Vec::new();
+        for &k in keys {
+            let have = got.get(&k).map_or(0, |&(_, ts)| ts);
+            if let Some(&need) = ccv.get(&k) {
+                if need > have {
+                    refetch.push((k, need));
+                }
+            }
+        }
+        refetch
+    }
+
+    #[test]
+    fn per_key_cut_matches_the_full_context_cut() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut torn = 0usize;
+        let mut clean = 0usize;
+        for seed in 0..2_000u64 {
+            let mut rng = StdRng::seed_from_u64(0xC0B5 ^ seed);
+            // Few keys and small timestamps: collisions between the
+            // context, the returned versions and their deps are the
+            // common case, in every order (dep newer than, equal to and
+            // older than the returned version; context likewise).
+            let num_keys = rng.gen_range(1..12u32);
+            let max_ts = rng.gen_range(1..9u64);
+            let context: HashMap<Key, u64> = (0..rng.gen_range(0..num_keys + 1))
+                .map(|_| (Key(rng.gen_range(0..num_keys)), rng.gen_range(0..max_ts)))
+                .collect();
+            // Requested keys: duplicates allowed, some outside the context.
+            let keys: Vec<Key> = (0..rng.gen_range(1..5usize))
+                .map(|_| Key(rng.gen_range(0..num_keys)))
+                .collect();
+            let mut got = HashMap::new();
+            let mut deps_seen = Vec::new();
+            for &k in &keys {
+                // ts = 0 is the `⊥` item a never-written key returns.
+                let ts = rng.gen_range(0..max_ts);
+                let deps: Vec<Dep> = (0..if ts == 0 { 0 } else { rng.gen_range(0..6usize) })
+                    .map(|_| {
+                        (
+                            Key(rng.gen_range(0..num_keys)),
+                            rng.gen_range(0..max_ts + 2),
+                        )
+                    })
+                    .collect();
+                got.insert(k, (Value(ts), ts));
+                deps_seen.push(deps);
+            }
+            // A server that never answered leaves its keys out of `got`.
+            if rng.gen_bool(0.1) {
+                got.remove(&keys[0]);
+            }
+
+            let cut = torn_reads(&keys, &got, &deps_seen, &context);
+            let reference = torn_reads_full_context(&keys, &got, &deps_seen, &context);
+            assert_eq!(cut, reference, "seed {seed}: keys {keys:?}");
+            if cut.is_empty() {
+                clean += 1;
+            } else {
+                torn += 1;
+            }
+        }
+        // The sweep exercises both outcomes, not one of them 2,000 times.
+        assert!(torn > 200 && clean > 200, "torn {torn}, clean {clean}");
     }
 
     #[test]
