@@ -250,6 +250,7 @@ impl ToJson for crate::net::NetRow {
             .u64("replay_steps", self.replay_steps)
             .str("digest", &format!("{:016x}", self.digest))
             .bool("causal_ok", self.causal_ok)
+            .bool("causal_gated", self.causal_gated)
             .bool("replay_ok", self.replay_ok)
             .render(indent)
     }

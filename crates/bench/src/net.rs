@@ -12,11 +12,7 @@
 use crate::hist::LogHist;
 use cbf_model::check_causal;
 use cbf_net::{replay_and_diff, run_cluster, NetConfig};
-use cbf_protocols::common::{ProtocolNode, Topology, Wire};
-use cbf_protocols::cops::CopsNode;
-use cbf_protocols::cops_snow::CopsSnowNode;
-use cbf_protocols::eiger::EigerNode;
-use cbf_protocols::spanner::SpannerNode;
+use cbf_protocols::{all_snow_decls, ProtocolNode, Topology, Wire};
 use cbf_workloads::{Mix, WorkloadSpec};
 use std::time::Duration;
 
@@ -53,6 +49,9 @@ pub struct NetRow {
     pub digest: u64,
     /// The real run's history passed the causal checker.
     pub causal_ok: bool,
+    /// Whether a failed causal check fails the cell (see
+    /// [`CAUSAL_UNGATED`]).
+    pub causal_gated: bool,
     /// Replay reproduced the history bit-identically (twice, with
     /// identical digests).
     pub replay_ok: bool,
@@ -76,16 +75,41 @@ pub struct NetOutcome {
     pub error: Option<String>,
 }
 
+impl NetRow {
+    /// The row's one-word verdict: `acausal` is a causal violation in a
+    /// protocol the gate does not hold to causality.
+    pub fn verdict(&self) -> &'static str {
+        match (self.replay_ok, self.causal_ok, self.causal_gated) {
+            (true, true, _) => "ok",
+            (true, false, false) => "acausal",
+            _ => "FAIL",
+        }
+    }
+}
+
+/// Protocols whose real-socket histories are causally checked and
+/// reported, but not gated on the verdict (DESIGN §2.13): RAMP promises
+/// read atomicity only; `pinned` acks a write transaction while its
+/// `Commit`s are still in flight, which the simulator's equal-latency
+/// links hide and a real kernel's scheduling does not (pinned down in
+/// `tests/net_cluster.rs`).
+pub const CAUSAL_UNGATED: &[&str] = &["pinned", "ramp"];
+
 /// A named workload mix: label plus constructor.
 type NamedMix = (&'static str, fn() -> Mix);
 
-/// A tier's shape: which protocols × mixes, how many transactions.
+/// One cell runner per protocol: `(key, NAME, cell::<Node>)`.
+type Cell = fn(&str, &Tier, &str, Mix) -> Result<NetRow, String>;
+const PROTOCOLS: [(&str, &str, Cell); 14] = cbf_net::protocol_table!(cell);
+
+/// A tier's shape: which mixes, how many transactions, and which rows
+/// of [`PROTOCOLS`] (asked by key and name).
 struct Tier {
     name: &'static str,
     num_servers: u32,
     txs: usize,
     mixes: &'static [NamedMix],
-    protocols: &'static [&'static str],
+    runs: fn(&str, &str) -> bool,
 }
 
 const SMOKE: Tier = Tier {
@@ -93,18 +117,22 @@ const SMOKE: Tier = Tier {
     num_servers: 3,
     txs: 200,
     mixes: &[("ycsb_b", Mix::ycsb_b)],
-    protocols: &["cops", "cops-snow"],
+    runs: |key, _| matches!(key, "cops" | "cops-snow"),
 };
 
-/// `table1` runs every Table-1 corner protocol over two mixes with
-/// ≥1000 transactions each (600 × 2), matching the exhibit the paper's
-/// Table 1 latency claims are judged on.
+/// `table1` runs every protocol with a row in the paper's Table 1 over
+/// two mixes with ≥1000 transactions each (600 × 2), matching the
+/// exhibit the paper's Table 1 latency claims are judged on.
 const TABLE1: Tier = Tier {
     name: "table1",
     num_servers: 3,
     txs: 600,
     mixes: &[("ycsb_a", Mix::ycsb_a), ("ycsb_b", Mix::ycsb_b)],
-    protocols: &["cops", "cops-snow", "eiger", "spanner"],
+    runs: |_, name| {
+        all_snow_decls()
+            .iter()
+            .any(|d| d.system == name && d.paper_row.is_some())
+    },
 };
 
 /// Parse a tier argument.
@@ -125,19 +153,15 @@ pub fn run_net(tier_name: &str) -> NetOutcome {
     };
     let mut rows = Vec::new();
     let mut error = None;
-    'outer: for &proto in tier.protocols {
+    'outer: for (key, name, cell) in PROTOCOLS {
+        if !(tier.runs)(key, name) {
+            continue;
+        }
         for &(mix_name, mix) in tier.mixes {
-            let result = match proto {
-                "cops" => cell::<CopsNode>(proto, tier, mix_name, mix()),
-                "cops-snow" => cell::<CopsSnowNode>(proto, tier, mix_name, mix()),
-                "eiger" => cell::<EigerNode>(proto, tier, mix_name, mix()),
-                "spanner" => cell::<SpannerNode>(proto, tier, mix_name, mix()),
-                other => Err(format!("unknown protocol {other:?}")),
-            };
-            match result {
+            match cell(key, tier, mix_name, mix()) {
                 Ok(row) => rows.push(row),
                 Err(e) => {
-                    error = Some(format!("{proto}:{mix_name}: {e}"));
+                    error = Some(format!("{key}:{mix_name}: {e}"));
                     break 'outer;
                 }
             }
@@ -216,6 +240,7 @@ where
         replay_steps: report.steps as u64,
         digest: report.digest,
         causal_ok,
+        causal_gated: !CAUSAL_UNGATED.contains(&proto),
         replay_ok: true,
     })
 }
@@ -252,11 +277,7 @@ pub fn render_net(report: &NetReport) -> String {
             r.rot_p999_us,
             r.wtx_p50_us,
             r.recorded_steps,
-            if r.replay_ok && r.causal_ok {
-                "ok"
-            } else {
-                "FAIL"
-            },
+            r.verdict(),
             format!("{:016x}", r.digest)
         );
     }

@@ -29,10 +29,10 @@ use std::time::{Duration, Instant};
 /// Everything a cluster run needs.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Protocol key as understood by [`crate::node_main`]:
-    /// `"cops"`, `"cops-snow"`, `"eiger"` or `"spanner"`. Must name the
-    /// same protocol as the `N` type parameter of [`run_cluster`] — the
-    /// servers run the key, the launcher's clients run `N`.
+    /// Protocol key as understood by [`crate::node_main`] — a key of
+    /// [`crate::protocol_table!`]. Must name the same protocol as the `N`
+    /// type parameter of [`run_cluster`] — the servers run the key, the
+    /// launcher's clients run `N`.
     pub protocol: String,
     /// Number of server processes.
     pub num_servers: u32,

@@ -43,11 +43,8 @@ pub use launch::{run_cluster, NetConfig, NetRun};
 pub use record::Recording;
 pub use replay::{replay, replay_and_diff, ReplayReport};
 
-use cbf_protocols::cops::CopsNode;
-use cbf_protocols::cops_snow::CopsSnowNode;
-use cbf_protocols::eiger::EigerNode;
-use cbf_protocols::spanner::SpannerNode;
-use cbf_protocols::WireError;
+use cbf_protocols::{Topology, WireError};
+use std::path::Path;
 
 /// Everything that can go wrong between `fork` and verdict.
 #[derive(Debug)]
@@ -100,11 +97,45 @@ impl From<std::io::Error> for NetError {
     }
 }
 
+/// Every protocol with a `Wire` codec — all 14 — as an array of rows
+/// `(key, ProtocolNode::NAME, f::<Node>)` for a function `f` generic
+/// over the node type. The one list both sides of a deployment dispatch
+/// on: [`node_main`] builds its table of [`node::serve`]s from it, a
+/// launcher its table of whatever drives [`run_cluster`]. A macro, not
+/// a `const`, so that each binary instantiates only the `f` it names.
+#[macro_export]
+macro_rules! protocol_table {
+    ($($f:ident)::+) => {
+        $crate::protocol_table!(@rows ($($f)::+)
+            "calvin" => calvin::CalvinNode,
+            "contrarian" => contrarian::ContrarianNode,
+            "cops" => cops::CopsNode,
+            "cops-rw" => cops_rw::CopsRwNode,
+            "cops-snow" => cops_snow::CopsSnowNode,
+            "cure" => cure::CureNode,
+            "eiger" => eiger::EigerNode,
+            "gentlerain" => gentlerain::GentleRainNode,
+            "naive" => naive::NaiveFast,
+            "occult" => occult::OccultNode,
+            "pinned" => pinned::PinnedNode,
+            "ramp" => ramp::RampNode,
+            "spanner" => spanner::SpannerNode,
+            "wren" => wren::WrenNode,
+        )
+    };
+    (@rows $f:tt $($key:literal => $module:ident :: $node:ident),* $(,)?) => {
+        [$($crate::protocol_table!(@row $f $key ::cbf_protocols::$module::$node)),*]
+    };
+    (@row ($($f:ident)::+) $key:literal $node:path) => {
+        ($key, <$node as ::cbf_protocols::ProtocolNode>::NAME, $($f)::+::<$node>)
+    };
+}
+
 /// Entry point for a server child process (`repro net-node …`).
 ///
 /// `args` are the words after the subcommand:
 /// `<protocol> <pid> <num_servers> <num_clients> <num_keys> <epoch_ns> <record_path>`.
-/// Dispatches on the protocol name and runs [`node::serve`] until the
+/// Dispatches on the protocol key and runs [`node::serve`] until the
 /// launcher sends `SHUTDOWN`.
 pub fn node_main(args: &[String]) -> Result<(), NetError> {
     if args.len() != 7 {
@@ -118,18 +149,17 @@ pub fn node_main(args: &[String]) -> Result<(), NetError> {
             .parse::<u64>()
             .map_err(|_| NetError::Handshake(format!("bad {what}: {}", args[i])))
     };
+    type Serve = fn(&Topology, u32, u64, &Path) -> Result<(), NetError>;
+    let table: [(&str, &str, Serve); 14] = protocol_table!(node::serve);
+    let (_, _, serve) = table
+        .into_iter()
+        .find(|&(key, _, _)| key == args[0])
+        .ok_or_else(|| NetError::Handshake(format!("unknown protocol {:?}", args[0])))?;
     let pid = parse(1, "pid")? as u32;
     let num_servers = parse(2, "num_servers")? as u32;
     let num_clients = parse(3, "num_clients")? as u32;
     let num_keys = parse(4, "num_keys")? as u32;
     let epoch_ns = parse(5, "epoch_ns")?;
-    let record_path = std::path::PathBuf::from(&args[6]);
-    let topo = cbf_protocols::Topology::sharded(num_servers, num_clients, num_keys);
-    match args[0].as_str() {
-        "cops" => node::serve::<CopsNode>(&topo, pid, epoch_ns, &record_path),
-        "cops-snow" => node::serve::<CopsSnowNode>(&topo, pid, epoch_ns, &record_path),
-        "eiger" => node::serve::<EigerNode>(&topo, pid, epoch_ns, &record_path),
-        "spanner" => node::serve::<SpannerNode>(&topo, pid, epoch_ns, &record_path),
-        other => Err(NetError::Handshake(format!("unknown protocol {other:?}"))),
-    }
+    let topo = Topology::sharded(num_servers, num_clients, num_keys);
+    serve(&topo, pid, epoch_ns, Path::new(&args[6]))
 }

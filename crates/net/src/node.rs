@@ -115,7 +115,14 @@ pub fn spawn_reader(host: u32, stream: TcpStream, tx: Sender<Event>) {
                     });
                     return;
                 }
-                Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
+                // A reset is how a close looks when the peer exited with
+                // our frames still unread in its socket buffer.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
+                    ) =>
+                {
                     let _ = tx.send(Event::Closed { host });
                     return;
                 }
@@ -162,13 +169,30 @@ impl Router {
     }
 
     /// Send one protocol message toward `m.to`'s host.
+    ///
+    /// A server's message to a peer *server* that has already exited is
+    /// dropped, as its read side treats that peer's close as benign:
+    /// servers learn of `SHUTDOWN` at different instants, and one with
+    /// periodic server-to-server traffic (stabilisation broadcasts,
+    /// commit re-sends) would otherwise die writing to a peer that
+    /// finished first. The launcher stays the failure detector — it
+    /// fails the run if any server closes early or exits nonzero.
     pub fn send_msg(&mut self, m: &NetMsg) -> Result<(), NetError> {
         let host = self.host_of(m.to);
         let conn = self
             .conns
             .get_mut(&host)
             .ok_or_else(|| NetError::Route(format!("no connection to host {host} for {m:?}")))?;
-        write_frame(conn, &Frame::Msg(m.clone())).map_err(NetError::from)
+        match write_frame(conn, &Frame::Msg(m.clone())) {
+            Err(e)
+                if host != CLIENT_HOST
+                    && self.host_of(m.from) != CLIENT_HOST
+                    && matches!(e.kind(), ErrorKind::BrokenPipe | ErrorKind::ConnectionReset) =>
+            {
+                Ok(())
+            }
+            r => r.map_err(NetError::from),
+        }
     }
 
     /// Broadcast `SHUTDOWN` to every connected peer (launcher side).
@@ -300,11 +324,7 @@ where
             .inboxes
             .get_mut(&m.to)
             .ok_or_else(|| NetError::Route(format!("{:?} is not hosted here", m.to)))?;
-        let mut bytes = m.bytes.as_slice();
-        let msg = N::Msg::decode(&mut bytes).map_err(NetError::Codec)?;
-        if !bytes.is_empty() {
-            return Err(NetError::Codec(cbf_protocols::WireError::Truncated));
-        }
+        let msg = N::Msg::from_bytes(&m.bytes).map_err(NetError::Codec)?;
         inbox.push(Envelope {
             from: m.from,
             id: link_msg_id(m.from, m.to, m.seq),

@@ -17,7 +17,8 @@
 //! per-process logs into one [`Recording`] after the run.
 
 use crate::NetError;
-use cbf_protocols::common::{Wire, WireError};
+use cbf_protocols::common::Wire;
+use cbf_protocols::{wire_enum, wire_struct};
 use cbf_sim::ProcessId;
 use std::collections::HashMap;
 use std::path::Path;
@@ -74,71 +75,13 @@ pub struct Recording {
     pub logs: Vec<ProcessLog>,
 }
 
-impl Wire for StepInput {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            StepInput::Deliver { from, seq } => {
-                out.push(0);
-                from.encode(out);
-                seq.encode(out);
-            }
-            StepInput::Timer { bytes } => {
-                out.push(1);
-                bytes.encode(out);
-            }
-            StepInput::Inject { bytes } => {
-                out.push(2);
-                bytes.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => StepInput::Deliver {
-                from: ProcessId::decode(buf)?,
-                seq: u64::decode(buf)?,
-            },
-            1 => StepInput::Timer {
-                bytes: Vec::decode(buf)?,
-            },
-            2 => StepInput::Inject {
-                bytes: Vec::decode(buf)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "StepInput",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-impl Wire for StepRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.now.encode(out);
-        self.inputs.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(StepRecord {
-            now: u64::decode(buf)?,
-            inputs: Vec::decode(buf)?,
-        })
-    }
-}
-
-impl Wire for ProcessLog {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pid.encode(out);
-        self.steps.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ProcessLog {
-            pid: ProcessId::decode(buf)?,
-            steps: Vec::decode(buf)?,
-        })
-    }
-}
+wire_enum!(StepInput as "StepInput" {
+    0 => Deliver { from, seq },
+    1 => Timer { bytes },
+    2 => Inject { bytes },
+});
+wire_struct!(StepRecord { now, inputs });
+wire_struct!(ProcessLog { pid, steps });
 
 impl Recording {
     /// Absorb another recording's logs (e.g. a server's file into the

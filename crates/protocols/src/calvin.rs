@@ -350,6 +350,15 @@ impl ProtocolNode for CalvinNode {
     }
 }
 
+crate::wire_enum!(Msg as "calvin::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => SeqReq { id, reads, writes },
+    3 => SeqResp { id, slot },
+    4 => Dispatch { id, slot, reads, writes, client },
+    5 => ShardResp { id, reads },
+});
+
 crate::snow_properties! {
     system: "Calvin",
     consistency: StrictSerializable,

@@ -1,6 +1,6 @@
-//! `Wire` — the hand-rolled, dependency-free binary codec the cbf-net
-//! socket runtime uses to move each protocol's `Msg` alphabet across
-//! real TCP connections.
+//! `Wire` — the dependency-free binary codec the cbf-net socket runtime
+//! uses to move each protocol's `Msg` alphabet across real TCP
+//! connections.
 //!
 //! Design rules, in order of importance:
 //!
@@ -9,13 +9,18 @@
 //!    framing layer hands this function bytes straight off a socket;
 //!    a malformed frame must be a diagnosable error, not a crash.
 //! 2. **Encode∘decode is the identity** for every message a protocol
-//!    can construct — property-tested per variant in
-//!    `tests/wire_roundtrip.rs`.
-//! 3. **No derives, no reflection.** Each `Msg` enum writes an explicit
-//!    one-byte variant tag followed by its fields; integers are
-//!    fixed-width little-endian. The format is versioned socially (the
-//!    launcher always spawns peers from the same binary), so there is
-//!    no negotiation or evolution machinery.
+//!    can construct — property-tested per variant and over real traces
+//!    of all 14 protocols in `tests/wire_roundtrip.rs`.
+//! 3. **One table row per variant, and nothing else.** This module
+//!    writes out the primitives and containers (fixed-width
+//!    little-endian integers, `u32` length prefixes); every other impl
+//!    is a [`wire_enum!`](crate::wire_enum) or
+//!    [`wire_struct!`](crate::wire_struct) table beside the type it
+//!    encodes: a one-byte tag and the fields in wire order, from which
+//!    `encode` and `decode` are both generated. Tags and field order
+//!    *are* the format — `tests/wire_golden.rs` pins the bytes — and it
+//!    is versioned socially: the launcher always spawns peers from the
+//!    same binary, so there is no negotiation or evolution machinery.
 
 use cbf_model::{ClientId, Key, TxId, Value};
 use cbf_sim::ProcessId;
@@ -32,6 +37,11 @@ pub enum WireError {
         /// The offending tag byte.
         tag: u8,
     },
+    /// The value decoded, but `extra` bytes of the frame were left over.
+    Trailing {
+        /// How many bytes followed the value.
+        extra: usize,
+    },
     /// A length prefix exceeded the sanity cap — either corruption or
     /// a hostile frame; decoding stops before allocating.
     Oversize {
@@ -46,6 +56,7 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::Truncated => write!(f, "buffer truncated mid-value"),
+            WireError::Trailing { extra } => write!(f, "{extra} trailing bytes after the value"),
             WireError::BadTag { what, tag } => write!(f, "unknown tag {tag} for {what}"),
             WireError::Oversize { what, len } => {
                 write!(f, "length prefix {len} for {what} exceeds the sanity cap")
@@ -86,9 +97,9 @@ pub trait Wire: Sized {
         if buf.is_empty() {
             Ok(v)
         } else {
-            // Trailing garbage means the frame does not contain exactly
-            // one value: corruption, not a shorter encoding.
-            Err(WireError::Truncated)
+            // The frame does not contain exactly one value: corruption,
+            // not a shorter encoding.
+            Err(WireError::Trailing { extra: buf.len() })
         }
     }
 }
@@ -214,50 +225,68 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
 }
 
-impl Wire for Key {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Key(u32::decode(buf)?))
-    }
+/// `impl Wire` for an enum from one row per variant — `tag => Variant
+/// { fields in wire order }`, or `tag => Variant` for a unit variant.
+/// `what` names the type in [`WireError::BadTag`]. A variant without a
+/// row fails to compile (the generated `match` is not exhaustive), and
+/// so does a tag used twice.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident as $what:literal {
+        $($tag:literal => $variant:ident $({ $($field:ident),* $(,)? })?),* $(,)?
+    }) => {
+        impl $crate::common::Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $({ $($field),* })? => {
+                        out.push($tag);
+                        $($($crate::common::Wire::encode($field, out);)*)?
+                    })*
+                }
+            }
+            #[deny(unreachable_patterns)]
+            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::common::WireError> {
+                Ok(match <u8 as $crate::common::Wire>::decode(buf)? {
+                    $($tag => $ty::$variant $({
+                        $($field: $crate::common::Wire::decode(buf)?),*
+                    })?,)*
+                    tag => return Err($crate::common::WireError::BadTag { what: $what, tag }),
+                })
+            }
+        }
+    };
 }
 
-impl Wire for Value {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Value(u64::decode(buf)?))
-    }
+/// `impl Wire` for a struct: its fields, in wire order.
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::common::Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::common::Wire::encode(&self.$field, out);)*
+            }
+            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::common::WireError> {
+                Ok($ty { $($field: $crate::common::Wire::decode(buf)?),* })
+            }
+        }
+    };
 }
 
-impl Wire for TxId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(TxId(u64::decode(buf)?))
-    }
+/// `impl Wire` for id newtypes: encoded as the integer they wrap.
+macro_rules! wire_newtype {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                self.0.encode(out);
+            }
+            fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+                Ok($ty(Wire::decode(buf)?))
+            }
+        }
+    )*};
 }
 
-impl Wire for ClientId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ClientId(u32::decode(buf)?))
-    }
-}
-
-impl Wire for ProcessId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ProcessId(u32::decode(buf)?))
-    }
-}
+wire_newtype!(Key, Value, TxId, ClientId, ProcessId);
 
 #[cfg(test)]
 mod tests {
@@ -308,7 +337,10 @@ mod tests {
     fn trailing_bytes_fail_from_bytes() {
         let mut bytes = 7u32.to_bytes();
         bytes.push(0);
-        assert!(u32::from_bytes(&bytes).is_err());
+        assert_eq!(
+            u32::from_bytes(&bytes),
+            Err(WireError::Trailing { extra: 1 })
+        );
     }
 
     #[test]

@@ -358,6 +358,19 @@ impl ProtocolNode for ContrarianNode {
     }
 }
 
+crate::wire_enum!(Msg as "contrarian::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => StableTick,
+    3 => LstBcast { lst },
+    4 => GssReq { id },
+    5 => GssResp { id, gss },
+    6 => ReadAt { id, keys, at },
+    7 => ReadAtResp { id, reads },
+    8 => PutReq { id, key, value, dep_ts },
+    9 => PutAck { id, key, ts },
+});
+
 crate::snow_properties! {
     system: "Contrarian",
     consistency: Causal,

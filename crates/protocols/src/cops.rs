@@ -23,7 +23,7 @@
 //! message pattern (rounds, values, blocking) the theorem is about.
 
 use crate::common::{
-    Completed, LamportClock, MvStore, ProtocolNode, Topology, Version, Wire, WireError, MAX_RETRIES,
+    Completed, LamportClock, MvStore, ProtocolNode, Topology, Version, MAX_RETRIES,
 };
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
@@ -501,138 +501,24 @@ impl ProtocolNode for CopsNode {
     }
 }
 
-impl Wire for Item {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.key.encode(out);
-        self.value.encode(out);
-        self.ts.encode(out);
-        self.deps.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Item {
-            key: Key::decode(buf)?,
-            value: Value::decode(buf)?,
-            ts: u64::decode(buf)?,
-            deps: Vec::decode(buf)?,
-        })
-    }
-}
+crate::wire_struct!(Item {
+    key,
+    value,
+    ts,
+    deps
+});
 
-impl Wire for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::InvokeRot { id, keys } => {
-                out.push(0);
-                id.encode(out);
-                keys.encode(out);
-            }
-            Msg::InvokeWtx { id, writes } => {
-                out.push(1);
-                id.encode(out);
-                writes.encode(out);
-            }
-            Msg::PutReq {
-                id,
-                key,
-                value,
-                deps,
-            } => {
-                out.push(2);
-                id.encode(out);
-                key.encode(out);
-                value.encode(out);
-                deps.encode(out);
-            }
-            Msg::PutAck { id, key, ts } => {
-                out.push(3);
-                id.encode(out);
-                key.encode(out);
-                ts.encode(out);
-            }
-            Msg::GetReq { id, keys } => {
-                out.push(4);
-                id.encode(out);
-                keys.encode(out);
-            }
-            Msg::GetResp { id, items } => {
-                out.push(5);
-                id.encode(out);
-                items.encode(out);
-            }
-            Msg::GetExactReq { id, key, ts } => {
-                out.push(6);
-                id.encode(out);
-                key.encode(out);
-                ts.encode(out);
-            }
-            Msg::GetExactResp { id, key, value, ts } => {
-                out.push(7);
-                id.encode(out);
-                key.encode(out);
-                value.encode(out);
-                ts.encode(out);
-            }
-            Msg::RetryTick { id, attempt } => {
-                out.push(8);
-                id.encode(out);
-                attempt.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => Msg::InvokeRot {
-                id: TxId::decode(buf)?,
-                keys: Vec::decode(buf)?,
-            },
-            1 => Msg::InvokeWtx {
-                id: TxId::decode(buf)?,
-                writes: Vec::decode(buf)?,
-            },
-            2 => Msg::PutReq {
-                id: TxId::decode(buf)?,
-                key: Key::decode(buf)?,
-                value: Value::decode(buf)?,
-                deps: Vec::decode(buf)?,
-            },
-            3 => Msg::PutAck {
-                id: TxId::decode(buf)?,
-                key: Key::decode(buf)?,
-                ts: u64::decode(buf)?,
-            },
-            4 => Msg::GetReq {
-                id: TxId::decode(buf)?,
-                keys: Vec::decode(buf)?,
-            },
-            5 => Msg::GetResp {
-                id: TxId::decode(buf)?,
-                items: Vec::decode(buf)?,
-            },
-            6 => Msg::GetExactReq {
-                id: TxId::decode(buf)?,
-                key: Key::decode(buf)?,
-                ts: u64::decode(buf)?,
-            },
-            7 => Msg::GetExactResp {
-                id: TxId::decode(buf)?,
-                key: Key::decode(buf)?,
-                value: Value::decode(buf)?,
-                ts: u64::decode(buf)?,
-            },
-            8 => Msg::RetryTick {
-                id: TxId::decode(buf)?,
-                attempt: u32::decode(buf)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "cops::Msg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+crate::wire_enum!(Msg as "cops::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => PutReq { id, key, value, deps },
+    3 => PutAck { id, key, ts },
+    4 => GetReq { id, keys },
+    5 => GetResp { id, items },
+    6 => GetExactReq { id, key, ts },
+    7 => GetExactResp { id, key, value, ts },
+    8 => RetryTick { id, attempt },
+});
 
 crate::snow_properties! {
     system: "COPS",

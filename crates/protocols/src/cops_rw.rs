@@ -385,6 +385,18 @@ pub fn session_log_len(node: &CopsRwNode) -> usize {
     }
 }
 
+crate::wire_struct!(TxDep { tx, ts, writes });
+crate::wire_struct!(FatItem { key, record, deps });
+
+crate::wire_enum!(Msg as "cops_rw::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => FatRead { id, keys },
+    3 => FatReadResp { id, items },
+    4 => FatWrite { record, deps },
+    5 => FatWriteAck { id },
+});
+
 crate::snow_properties! {
     system: "COPS-RW (§3.4)",
     consistency: Causal,

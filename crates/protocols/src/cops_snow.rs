@@ -17,7 +17,7 @@
 //! `≤ ts` of `k`.
 
 use crate::common::{
-    Completed, LamportClock, MvStore, ProtocolNode, Topology, Version, Wire, WireError, MAX_RETRIES,
+    Completed, LamportClock, MvStore, ProtocolNode, Topology, Version, MAX_RETRIES,
 };
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
@@ -530,115 +530,17 @@ impl ProtocolNode for CopsSnowNode {
     }
 }
 
-impl Wire for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::InvokeRot { id, keys } => {
-                out.push(0);
-                id.encode(out);
-                keys.encode(out);
-            }
-            Msg::InvokeWtx { id, writes } => {
-                out.push(1);
-                id.encode(out);
-                writes.encode(out);
-            }
-            Msg::RotReq { id, keys } => {
-                out.push(2);
-                id.encode(out);
-                keys.encode(out);
-            }
-            Msg::RotResp { id, reads } => {
-                out.push(3);
-                id.encode(out);
-                reads.encode(out);
-            }
-            Msg::PutReq {
-                id,
-                key,
-                value,
-                deps,
-            } => {
-                out.push(4);
-                id.encode(out);
-                key.encode(out);
-                value.encode(out);
-                deps.encode(out);
-            }
-            Msg::OldReaderQuery { put, deps } => {
-                out.push(5);
-                put.encode(out);
-                deps.encode(out);
-            }
-            Msg::OldReaderResp { put, readers } => {
-                out.push(6);
-                put.encode(out);
-                readers.encode(out);
-            }
-            Msg::PutAck { id, key, ts } => {
-                out.push(7);
-                id.encode(out);
-                key.encode(out);
-                ts.encode(out);
-            }
-            Msg::RetryTick { id, attempt } => {
-                out.push(8);
-                id.encode(out);
-                attempt.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => Msg::InvokeRot {
-                id: TxId::decode(buf)?,
-                keys: Vec::decode(buf)?,
-            },
-            1 => Msg::InvokeWtx {
-                id: TxId::decode(buf)?,
-                writes: Vec::decode(buf)?,
-            },
-            2 => Msg::RotReq {
-                id: TxId::decode(buf)?,
-                keys: Vec::decode(buf)?,
-            },
-            3 => Msg::RotResp {
-                id: TxId::decode(buf)?,
-                reads: Vec::decode(buf)?,
-            },
-            4 => Msg::PutReq {
-                id: TxId::decode(buf)?,
-                key: Key::decode(buf)?,
-                value: Value::decode(buf)?,
-                deps: Vec::decode(buf)?,
-            },
-            5 => Msg::OldReaderQuery {
-                put: TxId::decode(buf)?,
-                deps: Vec::decode(buf)?,
-            },
-            6 => Msg::OldReaderResp {
-                put: TxId::decode(buf)?,
-                readers: Vec::decode(buf)?,
-            },
-            7 => Msg::PutAck {
-                id: TxId::decode(buf)?,
-                key: Key::decode(buf)?,
-                ts: u64::decode(buf)?,
-            },
-            8 => Msg::RetryTick {
-                id: TxId::decode(buf)?,
-                attempt: u32::decode(buf)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "cops_snow::Msg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+crate::wire_enum!(Msg as "cops_snow::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => RotReq { id, keys },
+    3 => RotResp { id, reads },
+    4 => PutReq { id, key, value, deps },
+    5 => OldReaderQuery { put, deps },
+    6 => OldReaderResp { put, readers },
+    7 => PutAck { id, key, ts },
+    8 => RetryTick { id, attempt },
+});
 
 crate::snow_properties! {
     system: "COPS-SNOW",

@@ -480,6 +480,22 @@ impl ProtocolNode for CureNode {
     }
 }
 
+crate::wire_enum!(Msg as "cure::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => StableTick,
+    3 => LstBcast { lst },
+    4 => GstReq { id },
+    5 => GstResp { id, gst },
+    6 => ReadAt { id, keys, at },
+    7 => ReadAtResp { id, reads },
+    8 => WtxReq { id, writes, dep_ts },
+    9 => Prepare { id, writes, dep_ts, coordinator },
+    10 => PrepareResp { id, proposed },
+    11 => Commit { id, ts },
+    12 => WtxAck { id, ts },
+});
+
 crate::snow_properties! {
     system: "Cure",
     consistency: Causal,

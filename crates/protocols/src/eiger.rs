@@ -28,7 +28,7 @@
 //! No server ever defers a response: non-blocking throughout.
 
 use crate::common::{
-    Completed, LamportClock, MvStore, ProtocolNode, Topology, Version, Wire, WireError, MAX_RETRIES,
+    Completed, LamportClock, MvStore, ProtocolNode, Topology, Version, MAX_RETRIES,
 };
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
@@ -831,194 +831,29 @@ pub fn pending_count(node: &EigerNode) -> usize {
     }
 }
 
-impl Wire for PendingInfo {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.tx.encode(out);
-        self.proposed.encode(out);
-        self.coordinator.encode(out);
-        self.writes.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(PendingInfo {
-            tx: TxId::decode(buf)?,
-            proposed: u64::decode(buf)?,
-            coordinator: ProcessId::decode(buf)?,
-            writes: Vec::decode(buf)?,
-        })
-    }
-}
+crate::wire_struct!(PendingInfo {
+    tx,
+    proposed,
+    coordinator,
+    writes
+});
 
-impl Wire for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::InvokeRot { id, keys } => {
-                out.push(0);
-                id.encode(out);
-                keys.encode(out);
-            }
-            Msg::InvokeWtx { id, writes } => {
-                out.push(1);
-                id.encode(out);
-                writes.encode(out);
-            }
-            Msg::WtxReq { id, writes, dep_ts } => {
-                out.push(2);
-                id.encode(out);
-                writes.encode(out);
-                dep_ts.encode(out);
-            }
-            Msg::Prepare {
-                id,
-                writes,
-                dep_ts,
-                coordinator,
-            } => {
-                out.push(3);
-                id.encode(out);
-                writes.encode(out);
-                dep_ts.encode(out);
-                coordinator.encode(out);
-            }
-            Msg::PrepareResp { id, proposed } => {
-                out.push(4);
-                id.encode(out);
-                proposed.encode(out);
-            }
-            Msg::Commit { id, ts } => {
-                out.push(5);
-                id.encode(out);
-                ts.encode(out);
-            }
-            Msg::WtxAck { id, ts } => {
-                out.push(6);
-                id.encode(out);
-                ts.encode(out);
-            }
-            Msg::Read1 { id, keys } => {
-                out.push(7);
-                id.encode(out);
-                keys.encode(out);
-            }
-            Msg::Read1Resp {
-                id,
-                items,
-                promise,
-                min_pending,
-            } => {
-                out.push(8);
-                id.encode(out);
-                items.encode(out);
-                promise.encode(out);
-                min_pending.encode(out);
-            }
-            Msg::Read2 { id, keys, t } => {
-                out.push(9);
-                id.encode(out);
-                keys.encode(out);
-                t.encode(out);
-            }
-            Msg::Read2Resp {
-                id,
-                items,
-                pendings,
-            } => {
-                out.push(10);
-                id.encode(out);
-                items.encode(out);
-                pendings.encode(out);
-            }
-            Msg::CheckTx { id, txs } => {
-                out.push(11);
-                id.encode(out);
-                txs.encode(out);
-            }
-            Msg::CheckResp { id, decisions } => {
-                out.push(12);
-                id.encode(out);
-                decisions.encode(out);
-            }
-            Msg::RetryTick { id, attempt } => {
-                out.push(13);
-                id.encode(out);
-                attempt.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => Msg::InvokeRot {
-                id: TxId::decode(buf)?,
-                keys: Vec::decode(buf)?,
-            },
-            1 => Msg::InvokeWtx {
-                id: TxId::decode(buf)?,
-                writes: Vec::decode(buf)?,
-            },
-            2 => Msg::WtxReq {
-                id: TxId::decode(buf)?,
-                writes: Vec::decode(buf)?,
-                dep_ts: u64::decode(buf)?,
-            },
-            3 => Msg::Prepare {
-                id: TxId::decode(buf)?,
-                writes: Vec::decode(buf)?,
-                dep_ts: u64::decode(buf)?,
-                coordinator: ProcessId::decode(buf)?,
-            },
-            4 => Msg::PrepareResp {
-                id: TxId::decode(buf)?,
-                proposed: u64::decode(buf)?,
-            },
-            5 => Msg::Commit {
-                id: TxId::decode(buf)?,
-                ts: u64::decode(buf)?,
-            },
-            6 => Msg::WtxAck {
-                id: TxId::decode(buf)?,
-                ts: u64::decode(buf)?,
-            },
-            7 => Msg::Read1 {
-                id: TxId::decode(buf)?,
-                keys: Vec::decode(buf)?,
-            },
-            8 => Msg::Read1Resp {
-                id: TxId::decode(buf)?,
-                items: Vec::decode(buf)?,
-                promise: u64::decode(buf)?,
-                min_pending: u64::decode(buf)?,
-            },
-            9 => Msg::Read2 {
-                id: TxId::decode(buf)?,
-                keys: Vec::decode(buf)?,
-                t: u64::decode(buf)?,
-            },
-            10 => Msg::Read2Resp {
-                id: TxId::decode(buf)?,
-                items: Vec::decode(buf)?,
-                pendings: Vec::decode(buf)?,
-            },
-            11 => Msg::CheckTx {
-                id: TxId::decode(buf)?,
-                txs: Vec::decode(buf)?,
-            },
-            12 => Msg::CheckResp {
-                id: TxId::decode(buf)?,
-                decisions: Vec::decode(buf)?,
-            },
-            13 => Msg::RetryTick {
-                id: TxId::decode(buf)?,
-                attempt: u32::decode(buf)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "eiger::Msg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+crate::wire_enum!(Msg as "eiger::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => WtxReq { id, writes, dep_ts },
+    3 => Prepare { id, writes, dep_ts, coordinator },
+    4 => PrepareResp { id, proposed },
+    5 => Commit { id, ts },
+    6 => WtxAck { id, ts },
+    7 => Read1 { id, keys },
+    8 => Read1Resp { id, items, promise, min_pending },
+    9 => Read2 { id, keys, t },
+    10 => Read2Resp { id, items, pendings },
+    11 => CheckTx { id, txs },
+    12 => CheckResp { id, decisions },
+    13 => RetryTick { id, attempt },
+});
 
 crate::snow_properties! {
     system: "Eiger",

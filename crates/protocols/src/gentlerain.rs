@@ -384,6 +384,19 @@ impl ProtocolNode for GentleRainNode {
     }
 }
 
+crate::wire_enum!(Msg as "gentlerain::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => StableTick,
+    3 => LstBcast { lst },
+    4 => GstReq { id },
+    5 => GstResp { id, gst },
+    6 => ReadAt { id, keys, at },
+    7 => ReadAtResp { id, reads },
+    8 => PutReq { id, key, value, dep_ts },
+    9 => PutAck { id, key, ts },
+});
+
 crate::snow_properties! {
     system: "GentleRain",
     consistency: Causal,

@@ -353,6 +353,16 @@ impl<const P: u8, const GOSSIP: bool> ProtocolNode for NaiveNode<P, GOSSIP> {
     }
 }
 
+crate::wire_enum!(Msg as "naive::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => ReadReq { id, keys },
+    3 => ReadResp { id, reads },
+    4 => Phase { id, round, writes },
+    5 => PhaseAck { id, round },
+    6 => Gossip,
+});
+
 crate::snow_properties! {
     system: "naive claimant family",
     consistency: Causal,

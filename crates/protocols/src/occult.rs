@@ -519,6 +519,26 @@ impl ProtocolNode for OccultNode {
     }
 }
 
+crate::wire_struct!(Item {
+    key,
+    value,
+    ts,
+    tx_keys
+});
+
+crate::wire_enum!(Msg as "occult::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => Read { id, keys },
+    3 => ReadResp { id, items },
+    4 => WtxReq { id, writes, dep_ts },
+    5 => Prepare { id, writes, tx_keys, dep_ts, coordinator },
+    6 => PrepareResp { id, proposed },
+    7 => Commit { id, ts },
+    8 => WtxAck { id, ts },
+    9 => Replicate { key, value, ts, tx, tx_keys },
+});
+
 crate::snow_properties! {
     system: "Occult",
     consistency: PerClientPSI,

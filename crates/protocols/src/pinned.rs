@@ -387,6 +387,18 @@ impl ProtocolNode for PinnedNode {
     }
 }
 
+crate::wire_enum!(Msg as "pinned::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => ReadAt { id, keys, at },
+    3 => ReadAtResp { id, reads },
+    4 => WtxReq { id, writes, dep_ts },
+    5 => Prepare { id, writes, dep_ts, coordinator },
+    6 => PrepareResp { id, proposed },
+    7 => Commit { id, ts },
+    8 => WtxAck { id, ts },
+});
+
 crate::snow_properties! {
     system: "pinned (†-style)",
     consistency: Causal,

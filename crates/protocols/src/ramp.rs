@@ -451,6 +451,26 @@ impl ProtocolNode for RampNode {
     }
 }
 
+crate::wire_struct!(RampItem {
+    key,
+    value,
+    ts,
+    tx_keys
+});
+
+crate::wire_enum!(Msg as "ramp::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => Prepare { id, ts, writes, tx_keys },
+    3 => PrepareAck { id },
+    4 => Commit { id, ts },
+    5 => CommitAck { id },
+    6 => Read1 { id, keys },
+    7 => Read1Resp { id, items },
+    8 => Read2 { id, key, ts },
+    9 => Read2Resp { id, key, value, ts },
+});
+
 crate::snow_properties! {
     system: "RAMP",
     consistency: ReadAtomicity,

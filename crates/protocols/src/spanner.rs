@@ -24,9 +24,7 @@
 //!   `t_safe = min(local clock, min prepared ts − 1)` has passed
 //!   `s_read`; otherwise it parks the read — that is the blocking.
 
-use crate::common::{
-    Completed, MvStore, ProtocolNode, Topology, TrueTime, Version, Wire, WireError, MAX_RETRIES,
-};
+use crate::common::{Completed, MvStore, ProtocolNode, Topology, TrueTime, Version, MAX_RETRIES};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId, Time, MICROS};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -709,130 +707,20 @@ impl ProtocolNode for SpannerNode {
     }
 }
 
-impl Wire for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::InvokeRot { id, keys } => {
-                out.push(0);
-                id.encode(out);
-                keys.encode(out);
-            }
-            Msg::InvokeWtx { id, writes } => {
-                out.push(1);
-                id.encode(out);
-                writes.encode(out);
-            }
-            Msg::ReadAt { id, keys, at } => {
-                out.push(2);
-                id.encode(out);
-                keys.encode(out);
-                at.encode(out);
-            }
-            Msg::ReadAtResp { id, reads } => {
-                out.push(3);
-                id.encode(out);
-                reads.encode(out);
-            }
-            Msg::WtxReq { id, writes } => {
-                out.push(4);
-                id.encode(out);
-                writes.encode(out);
-            }
-            Msg::Prepare {
-                id,
-                writes,
-                coordinator,
-            } => {
-                out.push(5);
-                id.encode(out);
-                writes.encode(out);
-                coordinator.encode(out);
-            }
-            Msg::PrepareResp { id, ts } => {
-                out.push(6);
-                id.encode(out);
-                ts.encode(out);
-            }
-            Msg::Commit { id, ts } => {
-                out.push(7);
-                id.encode(out);
-                ts.encode(out);
-            }
-            Msg::CommitAck { id } => {
-                out.push(8);
-                id.encode(out);
-            }
-            Msg::WtxAck { id, ts } => {
-                out.push(9);
-                id.encode(out);
-                ts.encode(out);
-            }
-            Msg::Poll => out.push(10),
-            Msg::RetryTick { id, attempt } => {
-                out.push(11);
-                id.encode(out);
-                attempt.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => Msg::InvokeRot {
-                id: TxId::decode(buf)?,
-                keys: Vec::decode(buf)?,
-            },
-            1 => Msg::InvokeWtx {
-                id: TxId::decode(buf)?,
-                writes: Vec::decode(buf)?,
-            },
-            2 => Msg::ReadAt {
-                id: TxId::decode(buf)?,
-                keys: Vec::decode(buf)?,
-                at: u64::decode(buf)?,
-            },
-            3 => Msg::ReadAtResp {
-                id: TxId::decode(buf)?,
-                reads: Vec::decode(buf)?,
-            },
-            4 => Msg::WtxReq {
-                id: TxId::decode(buf)?,
-                writes: Vec::decode(buf)?,
-            },
-            5 => Msg::Prepare {
-                id: TxId::decode(buf)?,
-                writes: Vec::decode(buf)?,
-                coordinator: ProcessId::decode(buf)?,
-            },
-            6 => Msg::PrepareResp {
-                id: TxId::decode(buf)?,
-                ts: u64::decode(buf)?,
-            },
-            7 => Msg::Commit {
-                id: TxId::decode(buf)?,
-                ts: u64::decode(buf)?,
-            },
-            8 => Msg::CommitAck {
-                id: TxId::decode(buf)?,
-            },
-            9 => Msg::WtxAck {
-                id: TxId::decode(buf)?,
-                ts: u64::decode(buf)?,
-            },
-            10 => Msg::Poll,
-            11 => Msg::RetryTick {
-                id: TxId::decode(buf)?,
-                attempt: u32::decode(buf)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "spanner::Msg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+crate::wire_enum!(Msg as "spanner::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => ReadAt { id, keys, at },
+    3 => ReadAtResp { id, reads },
+    4 => WtxReq { id, writes },
+    5 => Prepare { id, writes, coordinator },
+    6 => PrepareResp { id, ts },
+    7 => Commit { id, ts },
+    8 => CommitAck { id },
+    9 => WtxAck { id, ts },
+    10 => Poll,
+    11 => RetryTick { id, attempt },
+});
 
 crate::snow_properties! {
     system: "Spanner-like",

@@ -478,6 +478,22 @@ impl ProtocolNode for WrenNode {
     }
 }
 
+crate::wire_enum!(Msg as "wren::Msg" {
+    0 => InvokeRot { id, keys },
+    1 => InvokeWtx { id, writes },
+    2 => StableTick,
+    3 => LstBcast { lst },
+    4 => GssReq { id },
+    5 => GssResp { id, gss },
+    6 => ReadAt { id, keys, at },
+    7 => ReadAtResp { id, reads },
+    8 => WtxReq { id, writes, dep_ts },
+    9 => Prepare { id, writes, dep_ts, coordinator },
+    10 => PrepareResp { id, proposed },
+    11 => Commit { id, ts },
+    12 => WtxAck { id, ts },
+});
+
 crate::snow_properties! {
     system: "Wren",
     consistency: Causal,

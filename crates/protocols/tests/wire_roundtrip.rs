@@ -4,15 +4,26 @@
 //! `Err`, never panic. These are the guarantees cbf-net's framing layer
 //! leans on when it feeds socket bytes into `Wire::from_bytes`.
 //!
+//! Four alphabets get per-variant proptest strategies; all 14 get the
+//! trace-driven case at the bottom, which needs no strategy: the
+//! messages are whatever the protocol sends under a seeded workload.
+//!
 //! The `Msg` enums deliberately do not implement `PartialEq` (they are
 //! protocol alphabets, not values), so identity is checked on `Debug`
 //! renderings, which print every field of every variant.
 
-use cbf_model::{Key, TxId, Value};
-use cbf_protocols::common::Wire;
+use cbf_model::{ClientId, Key, TxId, Value};
+use cbf_protocols::common::{Wire, WireError};
 use cbf_protocols::{cops, cops_snow, eiger, spanner};
-use cbf_sim::ProcessId;
+use cbf_protocols::{Cluster, InFlightTx, ProtocolNode, Topology};
+use cbf_sim::{
+    FaultPlan, LatencyKind, LatencyModel, ProcessId, SimConfig, TraceEvent, World, MICROS, MILLIS,
+    SECONDS,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 256 };
 
@@ -244,4 +255,169 @@ proptest! {
         let _ = eiger::Msg::from_bytes(&bytes);
         let _ = spanner::Msg::from_bytes(&bytes);
     }
+}
+
+// ---------------------------------------------------------------------
+// Trace-driven: every message a protocol actually sends, all 14 of them
+// ---------------------------------------------------------------------
+
+/// Round trip, every strict prefix an error, one appended byte
+/// `Trailing`. Returns the message's tag byte.
+fn assert_codec_holds<M: Wire + std::fmt::Debug>(msg: &M) -> u8 {
+    let mut bytes = msg.to_bytes();
+    let back = M::from_bytes(&bytes).unwrap_or_else(|e| panic!("{e} decoding {msg:?}"));
+    assert_eq!(format!("{msg:?}"), format!("{back:?}"));
+    // Every prefix of a message under 256 bytes; COPS-RW's fat ones (a
+    // whole causal past, tens of kilobytes) are sampled evenly.
+    for cut in (0..bytes.len()).step_by(1 + bytes.len() / 256) {
+        assert!(
+            M::from_bytes(&bytes[..cut]).is_err(),
+            "strict prefix of {cut}/{} bytes decoded for {msg:?}",
+            bytes.len()
+        );
+    }
+    bytes.push(0);
+    assert_eq!(
+        M::from_bytes(&bytes).err(),
+        Some(WireError::Trailing { extra: 1 }),
+        "{msg:?}"
+    );
+    bytes[0]
+}
+
+/// The alphabet's variants, read off the codec itself: a tag is known
+/// iff decoding does not answer `BadTag`, and padding it with zeros
+/// (every field type has an all-zero encoding) yields the variant.
+fn alphabet<M: Wire + std::fmt::Debug>() -> Vec<(u8, M)> {
+    (0..=u8::MAX)
+        .filter(|&tag| !matches!(M::from_bytes(&[tag]), Err(WireError::BadTag { .. })))
+        .map(|tag| {
+            let mut bytes = vec![tag];
+            loop {
+                match M::from_bytes(&bytes) {
+                    Ok(m) => return (tag, m),
+                    Err(_) if bytes.len() < 256 => bytes.push(0),
+                    Err(e) => panic!("tag {tag}: no all-zero body decodes: {e}"),
+                }
+            }
+        })
+        .collect()
+}
+
+fn variant_name<M: std::fmt::Debug>(msg: &M) -> String {
+    let debug = format!("{msg:?}");
+    debug
+        .split(|c: char| !c.is_alphanumeric())
+        .next()
+        .unwrap_or_default()
+        .to_string()
+}
+
+/// Drive `N` through a seeded mixed workload — concurrent clients on a
+/// few hot keys, so reads meet in-flight writes — and hold every
+/// `Send`/`Inject` payload of the trace to the codec contract. `retries`
+/// adds client retries under drops and duplicates (only the alphabets
+/// with a `RetryTick` survive a dropped message). `never_sent` names
+/// the variants the trace cannot contain; those, like every other
+/// variant, are still held to the contract with all-zero fields.
+fn trace_roundtrip<N: ProtocolNode>(topo: Topology, retries: bool, never_sent: &[&str])
+where
+    N::Msg: Wire,
+{
+    const SEED: u64 = 0x5EED_0015;
+    const TXS: usize = 400;
+    let clients = topo.num_clients;
+    let keys = topo.num_keys;
+    let mut config = SimConfig::default();
+    let topo = if retries {
+        config.fault = Some(FaultPlan::new(SEED).with_drops(30).with_dups(150));
+        topo.with_retry(MILLIS)
+    } else {
+        topo
+    };
+    // Latencies an order of magnitude apart, so a read overtakes the
+    // write it depends on and second rounds happen.
+    let latency = LatencyKind::Uniform {
+        lo: 20 * MICROS,
+        hi: 400 * MICROS,
+    };
+    let mut c: Cluster<N> = Cluster::with_network(topo, LatencyModel::new(latency, SEED), config);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    // A closed loop per client, never drained between transactions: a
+    // writer's next write is in flight while readers still hold requests
+    // that predate its previous one.
+    let mut free: Vec<u32> = (0..clients).collect();
+    let mut open = Vec::new();
+    for _ in 0..TXS {
+        if free.is_empty() {
+            let any_done = |w: &World<N>| {
+                open.iter()
+                    .any(|t: &InFlightTx| w.actor(t.pid).completed(t.id).is_some())
+            };
+            let outcome = c.world.run_until_within(SECONDS, any_done);
+            assert!(outcome.is_settled(), "{}: horizon", N::NAME);
+            for t in std::mem::take(&mut open) {
+                if c.world.actor(t.pid).completed(t.id).is_some() {
+                    free.push(t.client.0);
+                    c.finish_tx(t).unwrap();
+                } else {
+                    open.push(t);
+                }
+            }
+        }
+        let client = ClientId(free.pop().expect("a transaction completed"));
+        let a = Key(rng.gen_range(0..keys));
+        let b = Key(rng.gen_range(0..keys));
+        open.push(if rng.gen_range(0..3u32) != 0 {
+            c.begin_read_tx(client, &[a, b])
+        } else if N::SUPPORTS_MULTI_WRITE {
+            c.begin_write_tx(client, &[a, b]).unwrap()
+        } else {
+            c.begin_write_tx(client, &[a]).unwrap()
+        });
+    }
+    assert!(c.run_open(&open), "{}: horizon", N::NAME);
+
+    let mut seen = BTreeSet::new();
+    for ev in c.world.trace.iter() {
+        if let TraceEvent::Send { msg, .. } | TraceEvent::Inject { msg, .. } = ev {
+            seen.insert(assert_codec_holds(msg));
+        }
+    }
+    let mut unseen = Vec::new();
+    for (tag, zeroed) in alphabet::<N::Msg>() {
+        assert_eq!(assert_codec_holds(&zeroed), tag);
+        if !seen.contains(&tag) {
+            unseen.push(variant_name(&zeroed));
+        }
+    }
+    assert_eq!(unseen, never_sent, "{}: variants not in the trace", N::NAME);
+}
+
+fn sharded() -> Topology {
+    Topology::sharded(3, 8, 3)
+}
+
+/// Timer payloads travel through `set_timer`, not `send`: the trace
+/// records that a timer fired, not what it carried.
+const RETRY_TIMER: &[&str] = &["RetryTick"];
+const STABLE_TIMER: &[&str] = &["StableTick"];
+
+#[test]
+fn every_protocol_round_trips_the_messages_it_sends() {
+    use cbf_protocols::*;
+    trace_roundtrip::<calvin::CalvinNode>(sharded(), false, &[]);
+    trace_roundtrip::<contrarian::ContrarianNode>(sharded(), false, STABLE_TIMER);
+    trace_roundtrip::<cops::CopsNode>(sharded(), true, RETRY_TIMER);
+    trace_roundtrip::<cops_rw::CopsRwNode>(sharded(), false, &[]);
+    trace_roundtrip::<cops_snow::CopsSnowNode>(sharded(), true, RETRY_TIMER);
+    trace_roundtrip::<cure::CureNode>(sharded(), false, STABLE_TIMER);
+    trace_roundtrip::<eiger::EigerNode>(sharded(), true, RETRY_TIMER);
+    trace_roundtrip::<gentlerain::GentleRainNode>(sharded(), false, STABLE_TIMER);
+    trace_roundtrip::<naive::NaiveChatty>(sharded(), false, &[]);
+    trace_roundtrip::<occult::OccultNode>(Topology::partially_replicated(3, 8, 3, 2), false, &[]);
+    trace_roundtrip::<pinned::PinnedNode>(sharded(), false, &[]);
+    trace_roundtrip::<ramp::RampNode>(sharded(), false, &[]);
+    trace_roundtrip::<spanner::SpannerNode>(sharded(), true, &["Poll", "RetryTick"]);
+    trace_roundtrip::<wren::WrenNode>(sharded(), false, STABLE_TIMER);
 }

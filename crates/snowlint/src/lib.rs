@@ -125,13 +125,26 @@ fn collect_rs_files(root: &Path) -> Vec<String> {
     out
 }
 
-/// Count the PRs recorded in CHANGES.md; the PR being built is the
-/// next one. Drives allowlist-entry aging.
+/// The PR being built: one past the last PR recorded in CHANGES.md.
+/// Drives allowlist-entry aging.
 pub fn current_pr(root: &Path) -> u32 {
-    let landed = std::fs::read_to_string(root.join("CHANGES.md"))
-        .map(|s| s.lines().filter(|l| !l.trim().is_empty()).count() as u32)
-        .unwrap_or(0);
-    landed + 1
+    let changes = std::fs::read_to_string(root.join("CHANGES.md")).unwrap_or_default();
+    last_landed_pr(&changes) + 1
+}
+
+/// The largest `n` among lines starting `PR <n>`. Not a line count: a PR
+/// that left no line (a re-anchor, one that never landed) or shares a
+/// line with its predecessor must not slow the clock.
+fn last_landed_pr(changes: &str) -> u32 {
+    changes
+        .lines()
+        .filter_map(|line| {
+            let rest = line.strip_prefix("PR ")?;
+            let digits = rest.split(|c: char| !c.is_ascii_digit()).next()?;
+            digits.parse::<u32>().ok()
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 /// Knobs for [`check_workspace_with`].
@@ -363,6 +376,22 @@ mod tests {
         assert!(!is_protocol_module("crates/protocols/src/lib.rs"));
         assert!(!is_protocol_module("crates/protocols/src/common/api.rs"));
         assert!(!is_protocol_module("crates/model/src/checker.rs"));
+    }
+
+    #[test]
+    fn pr_clock_reads_the_largest_prefix_not_the_line_count() {
+        assert_eq!(last_landed_pr(""), 0);
+        // Gaps: PRs 3 and 4 left no line; a blank line is not a PR.
+        assert_eq!(last_landed_pr("PR 1: a\nPR 2: b\n\nPR 5 (c): d\n"), 5);
+        // Glued: PR 3's entry sits on PR 2's line, so no line starts with
+        // it — the next PR's own line still puts the clock right, and a
+        // mention of a later PR inside an entry does not advance it.
+        assert_eq!(
+            last_landed_pr("PR 1: a\nPR 2: b ‖ PR 3: c\nPR 4: d, see PR 9\n"),
+            4
+        );
+        // Two digits beat one: numeric, not lexicographic.
+        assert_eq!(last_landed_pr("PR 9: a\nPR 13: b\nPR 12: c\n"), 13);
     }
 
     #[test]
