@@ -12,10 +12,7 @@
 
 use cbf_bench::chaos::{chaos_table, render_chaos_table, ChaosRow};
 use cbf_bench::json::ToJson;
-use cbf_bench::{
-    baseline, latency_tables, perfbench, render_latency_table, render_table1, table1_rows,
-    LatencyRow,
-};
+use cbf_bench::{latency_tables, render_latency_table, render_table1, table1_rows, LatencyRow};
 use snowbound::prelude::*;
 use snowbound::theorem::{
     general_topologies, minimal_topology, paper_table1, probe_reads, ProbeSchedule, SystemRow,
@@ -70,7 +67,6 @@ fn run(what: &str) -> Result<(), String> {
         "soak" => soak(),
         "load" => load(),
         "net" => net(),
-        "perfbench" => run_perfbench(),
         "all" => {
             for f in [
                 table1 as fn() -> Result<(), String>,
@@ -94,7 +90,7 @@ fn run(what: &str) -> Result<(), String> {
         }
         other => {
             eprintln!("unknown exhibit: {other}");
-            eprintln!("known: table1 table2 fig1 fig2 fig3 theorem1 theorem2 limits latency ablations daggers freshness chaos scale soak load net perfbench all");
+            eprintln!("known: table1 table2 fig1 fig2 fig3 theorem1 theorem2 limits latency ablations daggers freshness chaos scale soak load net all");
             std::process::exit(2);
         }
     }
@@ -105,6 +101,21 @@ fn save_json(name: &str, value: &impl ToJson) -> Result<(), String> {
     std::fs::write(&path, value.to_json(0)).map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("  [written {path}]");
     Ok(())
+}
+
+/// Parse the count argument of `scale`, `load` and `soak`: `100k`, `2m`
+/// (case-insensitive) or a plain integer.
+fn parse_count(arg: &str) -> Result<u64, String> {
+    let s = arg.to_ascii_lowercase();
+    let (num, mult) = match (s.strip_suffix('m'), s.strip_suffix('k')) {
+        (Some(n), _) => (n, 1_000_000u64),
+        (None, Some(n)) => (n, 1_000),
+        (None, None) => (s.as_str(), 1),
+    };
+    num.parse::<u64>()
+        .ok()
+        .and_then(|n| n.checked_mul(mult))
+        .ok_or_else(|| format!("bad count {arg:?}: use e.g. 100k, 2m or a plain integer"))
 }
 
 // ---------------------------------------------------------------------
@@ -450,7 +461,7 @@ fn ablations() -> Result<(), String> {
         let topo = Topology::minimal(4).with_tuning(eps);
         let mut cluster: Cluster<SpannerNode> = Cluster::new(topo);
         let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_a()), 11);
-        let s = drive(&mut cluster, &mut wl, 80, DriveOptions::default()).expect("drive");
+        let s = drive(&mut cluster, &mut wl, 80).expect("drive");
         let mean = s.profile.mean_rot_latency() / 1_000.0;
         println!(
             "    {:>8} {:>12} {:>12} {:>12.1}",
@@ -634,7 +645,7 @@ fn scale() -> Result<(), String> {
     // `repro scale [tier]` caps the tiers: CI runs `repro scale 100k`
     // to skip the million-event tier on shared runners.
     let cap = match std::env::args().nth(2) {
-        Some(arg) => cbf_bench::scale::parse_tier(&arg)?,
+        Some(arg) => parse_count(&arg)?,
         None => 1_000_000,
     };
     println!("SCALE — checker, simulator and pipeline throughput (tiers up to {cap} events)");
@@ -691,18 +702,7 @@ fn scale() -> Result<(), String> {
         );
     }
     println!("All world- and pipeline-tier digests matched the committed fixtures;");
-    println!("the streaming path replayed bit-identical to its offline twin.\n");
-
-    // Throughput regression gate, tier by tier, against the committed
-    // baseline snapshot (same machinery as the perfbench gate).
-    let args: Vec<String> = std::env::args().collect();
-    match baseline::load("BENCH_scale.json") {
-        Some(base) => baseline::enforce(
-            &baseline::gate_scale(&base, &report),
-            baseline::report_only(&args),
-        )?,
-        None => println!("regression gate: no baseline committed — skipped"),
-    }
+    println!("the streaming path replayed bit-identical to its offline twin.");
     Ok(())
 }
 
@@ -718,7 +718,7 @@ fn load() -> Result<(), String> {
     // `repro load [tier]` caps the swarm tiers by client count: CI runs
     // `repro load 100k`; plain `repro load` includes the 1M tier.
     let cap = match std::env::args().nth(2) {
-        Some(arg) => cbf_bench::scale::parse_tier(&arg)?,
+        Some(arg) => parse_count(&arg)?,
         None => 1_000_000,
     };
     println!("LOAD — latency under contention, and the million-client swarm");
@@ -828,10 +828,6 @@ fn load() -> Result<(), String> {
     let report = LoadReport { cells, tiers };
     save_json("BENCH_load", &report)?;
 
-    // Wall-clock throughput gate: the swarm engine must sustain ≥1M
-    // generated+simulated+checked ops/sec at its largest tier. Demoted
-    // to a warning with --report-only / SNOWBOUND_GATE=report (CI).
-    let args: Vec<String> = std::env::args().collect();
     if let Some(t) = report.tiers.last() {
         println!(
             "\nSwarm engine at {} clients: {:.2}M ops/sec wall-clock ({} ops in {:.0} ms), \
@@ -845,17 +841,6 @@ fn load() -> Result<(), String> {
             t.resident.txs,
             t.gc_passes
         );
-        if t.ops_per_sec < 1e6 {
-            let msg = format!(
-                "load: swarm throughput {:.2}M ops/sec below the 1M ops/sec floor",
-                t.ops_per_sec / 1e6
-            );
-            if baseline::report_only(&args) {
-                println!("WARNING (report-only): {msg}");
-            } else {
-                return Err(msg);
-            }
-        }
     }
     println!("\nEvery cell and tier passed its sharded causal check; digests are");
     println!("replay fingerprints (same seed ⇒ same digest, bit-for-bit).");
@@ -915,24 +900,11 @@ fn net() -> Result<(), String> {
 // Soak — the bounded-memory forever-run
 // ---------------------------------------------------------------------
 
-/// Parse a soak event target: `100m`, `500k`, `2m`, or a plain integer.
-fn parse_events(arg: &str) -> Result<u64, String> {
-    let s = arg.to_ascii_lowercase();
-    let (num, mult) = match (s.strip_suffix('m'), s.strip_suffix('k')) {
-        (Some(n), _) => (n, 1_000_000u64),
-        (None, Some(n)) => (n, 1_000),
-        (None, None) => (s.as_str(), 1),
-    };
-    num.parse::<u64>().map(|n| n * mult).map_err(|_| {
-        format!("bad event target {arg:?}: use e.g. 100m, 2m, 500k or a plain integer")
-    })
-}
-
 fn soak() -> Result<(), String> {
     // `repro soak [events]`: the forever-run tier. Defaults to the full
     // 100M-event soak; CI runs `repro soak 2m` on shared runners.
     let target = match std::env::args().nth(2) {
-        Some(arg) => parse_events(&arg)?,
+        Some(arg) => parse_count(&arg)?,
         None => 100_000_000,
     };
     println!("SOAK — bounded-memory forever-run under the rolling nemesis");
@@ -976,116 +948,6 @@ fn soak() -> Result<(), String> {
         "causal verdicts, and {} transactions retired behind the frontier.",
         report.retired
     );
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Perfbench — the harness measuring itself
-// ---------------------------------------------------------------------
-
-/// A perfbench exhibit: name + the renderer measured serial vs parallel.
-type Exhibit = (&'static str, fn() -> String);
-
-fn run_perfbench() -> Result<(), String> {
-    println!("PERFBENCH — harness self-measurement: serial vs parallel exhibits");
-    println!(
-        "thread budget: {} (override with {}=N)\n",
-        cbf_par::thread_budget(),
-        cbf_par::THREADS_ENV
-    );
-
-    let mut exhibits = Vec::new();
-    let spec: &[Exhibit] = &[
-        ("table1", || render_table1(&table1_rows())),
-        ("latency", || {
-            let mixes = [
-                (Mix::ycsb_c(), "YCSB-C (100% read)"),
-                (Mix::ycsb_b(), "YCSB-B (95% read)"),
-                (Mix::ycsb_a(), "YCSB-A (50% read)"),
-            ];
-            let mut out = String::new();
-            for ((_, name), rows) in mixes.iter().zip(latency_tables(&mixes, 120, 42)) {
-                out.push_str(&render_latency_table(name, &rows));
-            }
-            out
-        }),
-        // The induction itself: fork-heavy (every visibility probe runs
-        // on a fresh fork) and exercises the parallel probe family.
-        ("theorem", || {
-            format!(
-                "{}\n{}",
-                run_theorem::<NaiveFast>(8).render(),
-                run_theorem::<NaiveTwoPhase>(8).render()
-            )
-        }),
-    ];
-    for (name, f) in spec {
-        let perf = perfbench::measure_exhibit(name, f);
-        println!(
-            "  {:<10} serial {:>9.1} ms  parallel {:>9.1} ms  speedup {:>5.2}x  forks {}→{}  identical: {}",
-            perf.exhibit,
-            perf.serial_ms,
-            perf.parallel_ms,
-            perf.speedup,
-            perf.forks_serial,
-            perf.forks_parallel,
-            perf.outputs_identical
-        );
-        assert!(
-            perf.outputs_identical,
-            "{name}: parallel output diverged from serial — determinism bug"
-        );
-        exhibits.push(perf);
-    }
-
-    // The swarm tiers' op source, measured bare: 100k clients, 4M ops,
-    // no simulator attached. The tiers budget ~1 µs/op end to end, so
-    // the generator must stay an order of magnitude faster.
-    let generator = perfbench::measure_generator(100_000, 4_000_000, 42);
-    println!(
-        "\n  generator  {} clients  {} ops  {:>7.1} ms  {:>6.1}M ops/sec  checksum {:016x}",
-        generator.clients,
-        generator.ops,
-        generator.wall_ms,
-        generator.ops_per_sec / 1e6,
-        generator.checksum
-    );
-    let args: Vec<String> = std::env::args().collect();
-    if generator.ops_per_sec < 10_000_000.0 {
-        let msg = format!(
-            "perfbench: generator at {:.2}M ops/sec fell below the 10M ops/sec floor",
-            generator.ops_per_sec / 1e6
-        );
-        if baseline::report_only(&args) {
-            println!("  WARNING (report-only): {msg}");
-        } else {
-            return Err(msg);
-        }
-    }
-
-    let mem = cbf_bench::memstats::MemStats::sample();
-    let report = perfbench::PerfReport {
-        threads: cbf_par::thread_budget(),
-        peak_rss_kb: mem.peak_rss_kb,
-        current_rss_kb: mem.current_rss_kb,
-        exhibits,
-        generator,
-    };
-    let path = "results/BENCH_harness.json";
-    std::fs::write(path, report.to_json(0)).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("\n  [written {path}]\n");
-
-    // The regression gate: fail (non-zero exit) if any exhibit's
-    // speedup fell more than the tolerance below the committed
-    // baseline. `--report-only` / SNOWBOUND_GATE=report demote to a
-    // warning on noisy runners.
-    match baseline::load("BENCH_harness.json") {
-        Some(base) => baseline::enforce(
-            &baseline::gate_perfbench(&base, &report),
-            baseline::report_only(&args),
-        )?,
-        None => println!("regression gate: no baseline committed — skipped"),
-    }
     Ok(())
 }
 
@@ -1172,7 +1034,7 @@ fn freshness() -> Result<(), String> {
     fn row<N: ProtocolNode>(tuning: u64) -> (String, snowbound::model::FreshnessReport) {
         let mut cluster: Cluster<N> = Cluster::new(Topology::minimal(4).with_tuning(tuning));
         let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_a()), 33);
-        drive(&mut cluster, &mut wl, 150, DriveOptions::default()).expect("drive");
+        drive(&mut cluster, &mut wl, 150).expect("drive");
         (N::NAME.to_string(), measure_freshness(cluster.history()))
     }
 
@@ -1206,4 +1068,19 @@ fn freshness() -> Result<(), String> {
     println!("protocol — \"fast\" reads with W — is maximally stale, which is the");
     println!("degenerate end of exactly this trade-off.");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_count;
+
+    #[test]
+    fn counts_take_k_and_m_suffixes_and_never_wrap() {
+        assert_eq!(parse_count("50k"), Ok(50_000));
+        assert_eq!(parse_count("2M"), Ok(2_000_000));
+        assert_eq!(parse_count("7"), Ok(7));
+        for bad in ["12x", "k", "", "-1", "99999999999999999m"] {
+            assert!(parse_count(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }

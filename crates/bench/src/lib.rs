@@ -1,14 +1,10 @@
-//! # cbf-bench — shared harness code for the `repro` binary and the
-//! criterion benchmarks.
+//! # cbf-bench — the exhibit code behind the `repro` binary.
 //!
-//! The quantitative exhibits live in two places:
-//!
-//! * `cargo run --release -p cbf-bench --bin repro -- <exhibit>` —
-//!   regenerates the paper's tables and figures (virtual-time results,
-//!   deterministic);
-//! * `cargo bench` — criterion wall-clock performance of the artifact
-//!   itself (simulator event throughput, checker scaling, per-protocol
-//!   simulation cost).
+//! `cargo run --release -p cbf-bench --bin repro -- <exhibit>`
+//! regenerates the paper's tables and figures (virtual-time results,
+//! deterministic). Wall-clock performance of the artifact itself is
+//! measured by the repo benchmark (`benchmark/`, `BENCHMARK.json`), not
+//! here.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,14 +13,12 @@
 use snowbound::prelude::*;
 use snowbound::theorem;
 
-pub mod baseline;
 pub mod chaos;
 pub mod hist;
 pub mod json;
 pub mod load;
 pub mod memstats;
 pub mod net;
-pub mod perfbench;
 pub mod pipeline;
 pub mod scale;
 pub mod soak;
@@ -69,8 +63,7 @@ pub fn latency_row<N: ProtocolNode>(mix: Mix, mix_name: &str, ops: usize, seed: 
     let mut cluster: Cluster<N> = Cluster::new(Topology::minimal(4));
     let mut wl = Workload::new(WorkloadSpec::minimal(mix), seed);
     let before_msgs = cluster.world.stats().total_sent();
-    let summary = drive(&mut cluster, &mut wl, ops, DriveOptions::default())
-        .unwrap_or_else(|e| panic!("{}: {e}", N::NAME));
+    let summary = drive(&mut cluster, &mut wl, ops).unwrap_or_else(|e| panic!("{}: {e}", N::NAME));
     let sent = cluster.world.stats().total_sent() - before_msgs;
     let mut h = hist::LogHist::new();
     for &ns in &summary.rot_latencies {

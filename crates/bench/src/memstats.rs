@@ -4,10 +4,9 @@
 //! peak RSS (`VmHWM`, a high-water mark over the whole process
 //! lifetime) and the *current* RSS (`VmRSS`, the number that must stay
 //! flat for the bounded-memory claim) — plus the checker's own resident
-//! state sizes. They used to live only in `perfbench.rs`; this module
-//! is the one place they are read and rendered so `BENCH_harness.json`,
-//! `BENCH_chaos.json`, `BENCH_scale.json` and `BENCH_soak.json` all
-//! speak the same schema.
+//! state sizes. This module is the one place they are read and
+//! rendered so `BENCH_chaos.json`, `BENCH_scale.json` and
+//! `BENCH_soak.json` all speak the same schema.
 //!
 //! Peak RSS is a process-lifetime maximum, so it is only a *proxy* for
 //! any single exhibit's footprint; current RSS sampled over time is the
@@ -68,12 +67,6 @@ fn proc_status_kb(prefix: &str) -> u64 {
     0
 }
 
-/// Peak resident set size in kB (`VmHWM`). Kept as a named helper
-/// because several reports carry it as a flat scalar.
-pub fn peak_rss_kb() -> u64 {
-    proc_status_kb("VmHWM:")
-}
-
 /// Render the checker's resident-state sizes as a JSON object — the
 /// "checker state sizes" half of every memory sample.
 pub fn resident_json(r: &ResidentStats, indent: usize) -> String {
@@ -99,7 +92,6 @@ mod tests {
             assert!(m.current_rss_kb > 0);
             // The high-water mark can never sit below the current size.
             assert!(m.peak_rss_kb >= m.current_rss_kb);
-            assert_eq!(peak_rss_kb(), MemStats::sample().peak_rss_kb);
         }
     }
 

@@ -274,9 +274,7 @@ pub fn checker_scale(max_tier: u64) -> Vec<CheckerScaleRow> {
         .collect()
 }
 
-/// A ring of actors forwarding a hot-potato token `hops` times — the
-/// same shape the criterion event-loop benchmark uses, so the two
-/// measurements corroborate each other.
+/// A ring of actors forwarding a hot-potato token `hops` times.
 #[derive(Clone)]
 struct Ring {
     next: ProcessId,
@@ -515,20 +513,6 @@ pub fn render_scale(report: &ScaleReport) -> String {
     out
 }
 
-/// Parse a tier cap argument: `10k`, `100k`, `1m` (case-insensitive) or
-/// a plain number.
-pub fn parse_tier(s: &str) -> Result<u64, String> {
-    let lower = s.to_ascii_lowercase();
-    match lower.as_str() {
-        "10k" => Ok(10_000),
-        "100k" => Ok(100_000),
-        "1m" => Ok(1_000_000),
-        other => other
-            .parse::<u64>()
-            .map_err(|_| format!("bad tier {s:?}: expected 10k, 100k, 1m or a number")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,15 +528,6 @@ mod tests {
         );
         assert!(check_causal(&a).is_ok());
         assert_eq!(check_causal(&a), check_causal_legacy(&a));
-    }
-
-    #[test]
-    fn tier_parser_accepts_the_ci_spellings() {
-        assert_eq!(parse_tier("10k").unwrap(), 10_000);
-        assert_eq!(parse_tier("100K").unwrap(), 100_000);
-        assert_eq!(parse_tier("1M").unwrap(), 1_000_000);
-        assert_eq!(parse_tier("12345").unwrap(), 12_345);
-        assert!(parse_tier("huge").is_err());
     }
 
     #[test]

@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Global count of [`World::fork`] calls across all worlds, ever. The
-/// theorem machinery's inner-loop currency; `repro perfbench` reports
-/// deltas of this counter per exhibit.
+/// theorem machinery's inner-loop currency; the repo benchmark reports
+/// deltas of this counter as `core.forks_per_rep`.
 static FORKS: AtomicU64 = AtomicU64::new(0);
 
 /// Total [`World::fork`] calls taken by this process so far.

@@ -130,7 +130,7 @@ mod tests {
             "# comment\n\
              [[allow]]\n\
              rule = \"wall-clock\"\n\
-             path = \"crates/bench/src/perfbench.rs\"\n\
+             path = \"crates/bench/src/scale.rs\"\n\
              justification = \"measures real time\"\n\
              since = \"2\"\n\
              [[allow]]\n\
@@ -138,7 +138,7 @@ mod tests {
              path = \"y\"\n",
         );
         assert_eq!(cfg.allows.len(), 1);
-        assert!(cfg.allows[0].covers("wall-clock", "crates/bench/src/perfbench.rs"));
+        assert!(cfg.allows[0].covers("wall-clock", "crates/bench/src/scale.rs"));
         assert!(!cfg.allows[0].covers("wall-clock", "crates/bench/src/lib.rs"));
         assert_eq!(cfg.allows[0].since, Some(2));
         assert_eq!(cfg.problems.len(), 1, "missing justification flagged");

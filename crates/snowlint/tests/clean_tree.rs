@@ -54,8 +54,8 @@ fn head_is_clean_and_fully_covered() {
         report
             .suppressed
             .iter()
-            .any(|s| s.finding.path == "crates/bench/src/perfbench.rs"),
-        "perfbench wall-clock suppression active"
+            .any(|s| s.finding.path == "crates/bench/src/scale.rs"),
+        "scale wall-clock suppression active"
     );
     for exhibit in ["naive.rs", "pinned.rs"] {
         assert!(

@@ -42,7 +42,7 @@ fn main() {
     // Run a generated read-dominated workload on top.
     println!("\n== workload ==");
     let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_b()), 42);
-    let summary = drive(&mut db, &mut wl, 200, DriveOptions::default()).expect("workload");
+    let summary = drive(&mut db, &mut wl, 200).expect("workload");
     println!(
         "completed {} ops; mean ROT latency {:.0} µs, p99 {} µs",
         summary.completed,

@@ -12,8 +12,8 @@ use cbf_workloads::{Op, Workload};
 pub struct RunSummary {
     /// Operations successfully completed.
     pub completed: u64,
-    /// Multi-writes rejected by single-object protocols (down-converted
-    /// to single writes when `downgrade_writes` is set).
+    /// Multi-writes rejected by single-object protocols and
+    /// down-converted to single writes.
     pub rejected_multi_writes: u64,
     /// Aggregated fast-ROT measurements.
     pub profile: PropertyProfile,
@@ -38,35 +38,18 @@ impl RunSummary {
     }
 }
 
-/// Options for [`drive`].
-#[derive(Clone, Copy, Debug)]
-pub struct DriveOptions {
-    /// Convert multi-object writes into single-object writes for
-    /// protocols without W (so the same stream runs everywhere).
-    pub downgrade_writes: bool,
-    /// Let background machinery (stabilization timers) run this much
-    /// virtual time every `settle_every` operations.
-    pub settle_every: u64,
-    /// Virtual settle duration (ns).
-    pub settle_for: u64,
-}
+// Background machinery (stabilization timers) runs for `SETTLE_FOR`
+// virtual ns after every `SETTLE_EVERY` operations.
+const SETTLE_EVERY: usize = 16;
+const SETTLE_FOR: u64 = cbf_sim::MILLIS;
 
-impl Default for DriveOptions {
-    fn default() -> Self {
-        DriveOptions {
-            downgrade_writes: true,
-            settle_every: 16,
-            settle_for: cbf_sim::MILLIS,
-        }
-    }
-}
-
-/// Run `n_ops` operations from `workload` against `cluster`.
+/// Run `n_ops` operations from `workload` against `cluster`. A
+/// multi-object write that a protocol without W rejects is retried as a
+/// single-object write, so the same stream runs everywhere.
 pub fn drive<N: ProtocolNode>(
     cluster: &mut Cluster<N>,
     workload: &mut Workload,
     n_ops: usize,
-    opts: DriveOptions,
 ) -> Result<RunSummary, TxError> {
     let start = cluster.world.now();
     let mut completed = 0u64;
@@ -86,7 +69,7 @@ pub fn drive<N: ProtocolNode>(
             }
             Op::MultiWrite { client, keys } => match cluster.write_tx_auto(client, &keys) {
                 Ok(_) => completed += 1,
-                Err(TxError::MultiWriteUnsupported) if opts.downgrade_writes => {
+                Err(TxError::MultiWriteUnsupported) => {
                     rejected += 1;
                     cluster.write_tx_auto(client, &keys[..1])?;
                     completed += 1;
@@ -94,8 +77,8 @@ pub fn drive<N: ProtocolNode>(
                 Err(e) => return Err(e),
             },
         }
-        if opts.settle_every > 0 && (i as u64 + 1).is_multiple_of(opts.settle_every) {
-            cluster.world.run_for(opts.settle_for);
+        if (i + 1).is_multiple_of(SETTLE_EVERY) {
+            cluster.world.run_for(SETTLE_FOR);
         }
     }
     Ok(RunSummary {
@@ -120,7 +103,7 @@ mod tests {
     fn drives_a_mixed_workload_and_stays_causal() {
         let mut cluster: Cluster<WrenNode> = Cluster::new(Topology::minimal(4));
         let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_a()), 42);
-        let s = drive(&mut cluster, &mut wl, 60, DriveOptions::default()).unwrap();
+        let s = drive(&mut cluster, &mut wl, 60).unwrap();
         assert_eq!(s.completed, 60);
         assert!(s.verdict.is_ok(), "{:?}", s.verdict.violations);
         assert!(s.profile.multi_write_supported);
@@ -132,7 +115,7 @@ mod tests {
     fn downgrades_multi_writes_for_single_object_protocols() {
         let mut cluster: Cluster<CopsSnowNode> = Cluster::new(Topology::minimal(4));
         let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_a()), 42);
-        let s = drive(&mut cluster, &mut wl, 60, DriveOptions::default()).unwrap();
+        let s = drive(&mut cluster, &mut wl, 60).unwrap();
         assert_eq!(s.completed, 60);
         assert!(s.rejected_multi_writes > 0);
         assert!(!s.profile.multi_write_supported);
@@ -144,7 +127,7 @@ mod tests {
     fn percentiles_are_monotone() {
         let mut cluster: Cluster<WrenNode> = Cluster::new(Topology::minimal(4));
         let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_b()), 1);
-        let s = drive(&mut cluster, &mut wl, 40, DriveOptions::default()).unwrap();
+        let s = drive(&mut cluster, &mut wl, 40).unwrap();
         let p50 = s.rot_latency_percentile(50.0);
         let p99 = s.rot_latency_percentile(99.0);
         assert!(p50 <= p99);

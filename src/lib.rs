@@ -53,7 +53,7 @@ pub use cbf_workloads as workloads;
 
 /// Everything most programs need, in one import.
 pub mod prelude {
-    pub use crate::driver::{drive, DriveOptions, RunSummary};
+    pub use crate::driver::{drive, RunSummary};
     pub use cbf_core::{
         attack_all_servers, audit_protocol, audit_protocol_on, is_visible, mixed_snapshot_attack,
         run_general, run_theorem, setup_c0, Conclusion, SnapshotKind,

@@ -7,7 +7,7 @@ use snowbound::prelude::*;
 fn run_once<N: ProtocolNode>(seed: u64) -> (String, String) {
     let mut cluster: Cluster<N> = Cluster::new(Topology::minimal(4));
     let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_a()), seed);
-    drive(&mut cluster, &mut wl, 40, DriveOptions::default()).unwrap();
+    drive(&mut cluster, &mut wl, 40).unwrap();
     let history = format!("{:?}", cluster.history().transactions());
     let trace = cluster.render_trace_len();
     (history, trace)

@@ -10,7 +10,7 @@ fn sweep<N: ProtocolNode>(seeds: std::ops::Range<u64>, ops: usize) {
     for seed in seeds {
         let mut cluster: Cluster<N> = Cluster::new(Topology::minimal(4));
         let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_a()), seed);
-        let summary = drive(&mut cluster, &mut wl, ops, DriveOptions::default())
+        let summary = drive(&mut cluster, &mut wl, ops)
             .unwrap_or_else(|e| panic!("{}: seed {seed}: {e}", N::NAME));
         assert!(
             summary.verdict.is_ok(),
@@ -76,7 +76,7 @@ fn ramp_provides_read_atomicity_across_seeds() {
     for seed in 0..8u64 {
         let mut cluster: Cluster<RampNode> = Cluster::new(Topology::minimal(4));
         let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_a()), seed);
-        drive(&mut cluster, &mut wl, 40, DriveOptions::default()).unwrap();
+        drive(&mut cluster, &mut wl, 40).unwrap();
         cluster.world.run_chaotic(seed, 200_000);
         assert!(
             check_read_atomicity(cluster.history()).is_empty(),
@@ -103,7 +103,7 @@ fn occult_is_causal_across_seeds() {
         let mut cluster: Cluster<OccultNode> =
             Cluster::new(Topology::partially_replicated(3, 4, 2, 2));
         let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_a()), seed);
-        let s = drive(&mut cluster, &mut wl, 30, DriveOptions::default()).unwrap();
+        let s = drive(&mut cluster, &mut wl, 30).unwrap();
         assert!(s.verdict.is_ok(), "seed {seed}: {:?}", s.verdict.violations);
         cluster.world.run_chaotic(seed, 200_000);
         assert!(cluster.check().is_ok(), "seed {seed} post-chaos");
@@ -122,7 +122,7 @@ fn session_guarantees_hold_for_causal_protocols() {
     fn session_check<N: ProtocolNode>() {
         let mut cluster: Cluster<N> = Cluster::new(Topology::minimal(4));
         let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_a()), 77);
-        drive(&mut cluster, &mut wl, 50, DriveOptions::default()).unwrap();
+        drive(&mut cluster, &mut wl, 50).unwrap();
         let h = cluster.history();
         assert!(
             check_read_your_writes(h).is_empty(),
@@ -164,7 +164,7 @@ fn write_transactions_are_never_fractured() {
             },
             3,
         );
-        drive(&mut cluster, &mut wl, 40, DriveOptions::default()).unwrap();
+        drive(&mut cluster, &mut wl, 40).unwrap();
         assert!(
             check_read_atomicity(cluster.history()).is_empty(),
             "{}: fractured reads",
@@ -193,7 +193,7 @@ fn bigger_deployments_stay_causal() {
             },
             seed,
         );
-        let s = drive(&mut cluster, &mut wl, 60, DriveOptions::default()).unwrap();
+        let s = drive(&mut cluster, &mut wl, 60).unwrap();
         assert!(s.verdict.is_ok(), "seed {seed}: {:?}", s.verdict.violations);
     }
 }

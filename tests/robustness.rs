@@ -97,7 +97,7 @@ fn protocols_stay_causal_on_skewed_slow_networks() {
             SimConfig::default(),
         );
         let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_a()), seed);
-        let s = drive(&mut cluster, &mut wl, 40, DriveOptions::default()).unwrap();
+        let s = drive(&mut cluster, &mut wl, 40).unwrap();
         assert!(s.verdict.is_ok(), "{kind:?}: {:?}", s.verdict.violations);
     }
 }
@@ -117,7 +117,7 @@ fn wide_deployments_stay_causal_and_audited() {
         },
         13,
     );
-    let s = drive(&mut cluster, &mut wl, 100, DriveOptions::default()).unwrap();
+    let s = drive(&mut cluster, &mut wl, 100).unwrap();
     assert!(s.verdict.is_ok(), "{:?}", s.verdict.violations);
     // Wren's audit envelope holds at scale too.
     assert!(s.profile.max_rounds <= 2);
@@ -141,7 +141,7 @@ fn the_checker_scales_to_long_histories() {
         },
         21,
     );
-    let s = drive(&mut cluster, &mut wl, 500, DriveOptions::default()).unwrap();
+    let s = drive(&mut cluster, &mut wl, 500).unwrap();
     assert_eq!(s.completed, 500);
     assert!(s.verdict.is_ok());
     assert!(cluster.history().len() >= 500);
@@ -167,7 +167,7 @@ fn fifo_links_change_nothing_for_dep_carrying_protocols() {
             },
         );
         let mut wl = Workload::new(WorkloadSpec::minimal(Mix::ycsb_a()), 17);
-        let s = drive(&mut cluster, &mut wl, 40, DriveOptions::default()).unwrap();
+        let s = drive(&mut cluster, &mut wl, 40).unwrap();
         assert!(s.verdict.is_ok(), "fifo={fifo}: {:?}", s.verdict.violations);
     }
 }
