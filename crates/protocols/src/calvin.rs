@@ -359,19 +359,6 @@ crate::wire_enum!(Msg as "calvin::Msg" {
     5 => ShardResp { id, reads },
 });
 
-crate::snow_properties! {
-    system: "Calvin",
-    consistency: StrictSerializable,
-    rounds: 2,
-    values: 1,
-    nonblocking: false,
-    write_tx: true,
-    requests: [SeqReq],
-    value_replies: [ShardResp],
-    paper_row: "Calvin",
-    escape_hatch: none,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

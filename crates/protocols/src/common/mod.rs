@@ -11,7 +11,7 @@ pub mod topology;
 pub mod wire;
 
 pub use api::{Completed, ProtocolNode, TxError};
-pub use snow::SnowDecl;
+pub use snow::SnowLink;
 pub use wire::{Wire, WireError, MAX_SEQ_LEN};
 
 /// Maximum client retry attempts when [`Topology::retry_after`] is set.

@@ -1,204 +1,38 @@
-//! Machine-readable SNOW property declarations.
+//! The link from each protocol to its row in the paper's Table 1.
 //!
-//! Every protocol module declares the `(R, V, N, W)` tuple it claims —
-//! the same four properties the paper's Table 1 tabulates — in a
-//! [`snow_properties!`] block. The declaration is consumed three times:
-//!
-//! 1. **Statically** by `snowlint` (`cargo run -p snowlint`), which
-//!    re-derives the message-round structure from the module's `Msg`
-//!    enum and `ProtocolNode` handler signatures and cross-checks both
-//!    the declaration and the Table 1 exhibit data in
-//!    `crates/core/src/audit.rs`.
-//! 2. **At runtime** by the `snow_decls` test suites, which compare the
-//!    declaration against the `ProtocolNode` associated consts.
-//! 3. **By the theorem shape check**: a declaration that claims fast
-//!    ROTs (R=1, V=1, N) *and* multi-object write transactions under a
-//!    causal-or-stronger level contradicts the paper's Theorem 1 and
-//!    must carry an explicit `escape_hatch` justification (the naive
-//!    claimant family, the †-style pinned protocol).
+//! A protocol's `(R, V, N, W)` tuple is never written down: `snowlint`
+//! derives it from the handler code and `audit_rot` measures it at
+//! runtime. What neither can recover is *which* published row a module
+//! reproduces, so that — and only that — is recorded here, once.
+//! `snowlint` parses these literals, keyed by the module's literal
+//! `ProtocolNode::NAME`; the Table 1 audits read them at runtime.
 
-use cbf_model::ConsistencyLevel;
-
-/// The declared SNOW tuple of one protocol module, plus the message
-/// vocabulary the tuple is claimed over. Produced by
-/// [`snow_properties!`]; see the macro for field semantics.
+/// One protocol's Table 1 link.
 #[derive(Clone, Copy, Debug)]
-pub struct SnowDecl {
-    /// Protocol name; must equal `ProtocolNode::NAME`.
+pub struct SnowLink {
+    /// `ProtocolNode::NAME` (the naive family's NAME varies per phase
+    /// count, so its claimants share one row).
     pub system: &'static str,
-    /// Designed-for consistency level; must equal
-    /// `ProtocolNode::CONSISTENCY`.
-    pub consistency: ConsistencyLevel,
-    /// R: worst-case client rounds per read-only transaction.
-    /// `None` means unbounded (client-retry designs such as Occult).
-    pub rounds: Option<u32>,
-    /// V: worst-case written values per object per server→client
-    /// message. `None` means unbounded (fat-message designs).
-    pub values: Option<u32>,
-    /// N: no server ever defers a ROT response.
-    pub nonblocking: bool,
-    /// W: multi-object write transactions are supported.
-    pub write_tx: bool,
-    /// The client→server request variants of the `Msg` enum — exactly
-    /// the variants `ProtocolNode::msg_is_request` matches.
-    pub requests: &'static [&'static str],
-    /// The server→client reply variants that carry written values —
-    /// exactly the variants `ProtocolNode::msg_values` counts.
-    pub value_replies: &'static [&'static str],
-    /// The system's row in the paper's Table 1 (`paper_table1()` in
-    /// `cbf-core`), or `None` for artifacts with no published row.
+    /// The system's row in `cbf_core::paper_table1()`, or `None` for
+    /// artifacts with no published row.
     pub paper_row: Option<&'static str>,
-    /// Why this declaration may legally claim the impossible corner
-    /// (fast + W + causal), or `None` for protocols inside the
-    /// theorem's scope.
-    pub escape_hatch: Option<&'static str>,
 }
 
-impl SnowDecl {
-    /// Definition 4 over the declaration: one round, one value,
-    /// non-blocking.
-    pub fn fast(&self) -> bool {
-        self.rounds == Some(1) && self.values == Some(1) && self.nonblocking
-    }
-
-    /// Does the declaration claim the combination Theorem 1 forbids?
-    pub fn claims_the_impossible(&self) -> bool {
-        self.fast() && self.write_tx && self.consistency.implies_causal()
-    }
-}
-
-/// Declare a protocol module's SNOW tuple (see [`SnowDecl`]).
-///
-/// Fields are given in fixed order. `rounds`/`values` accept an integer
-/// literal or `unbounded`; `paper_row`/`escape_hatch` accept a string
-/// literal or `none`. The macro expands to a `pub static SNOW_DECL`,
-/// which `crate::all_snow_decls` collects.
-#[macro_export]
-macro_rules! snow_properties {
-    (
-        system: $system:literal,
-        consistency: $cons:ident,
-        rounds: $rounds:tt,
-        values: $values:tt,
-        nonblocking: $nb:literal,
-        write_tx: $w:literal,
-        requests: [$($req:ident),* $(,)?],
-        value_replies: [$($rep:ident),* $(,)?],
-        paper_row: $paper:tt,
-        escape_hatch: $escape:tt $(,)?
-    ) => {
-        /// Machine-readable SNOW `(R, V, N, W)` declaration for this
-        /// protocol module. Cross-checked statically by `snowlint` and
-        /// at runtime by the `snow_decls` tests.
-        pub static SNOW_DECL: $crate::common::snow::SnowDecl = $crate::common::snow::SnowDecl {
-            system: $system,
-            consistency: $crate::snow_consistency!($cons),
-            rounds: $crate::snow_bound!($rounds),
-            values: $crate::snow_bound!($values),
-            nonblocking: $nb,
-            write_tx: $w,
-            requests: &[$(stringify!($req)),*],
-            value_replies: &[$(stringify!($rep)),*],
-            paper_row: $crate::snow_opt_str!($paper),
-            escape_hatch: $crate::snow_opt_str!($escape),
-        };
-    };
-}
-
-/// Helper for [`snow_properties!`]: `unbounded` or an integer bound.
-#[macro_export]
-macro_rules! snow_bound {
-    (unbounded) => {
-        None
-    };
-    ($n:literal) => {
-        Some($n)
-    };
-}
-
-/// Helper for [`snow_properties!`]: `none` or a string literal.
-#[macro_export]
-macro_rules! snow_opt_str {
-    (none) => {
-        None
-    };
-    ($s:literal) => {
-        Some($s)
-    };
-}
-
-/// Helper for [`snow_properties!`]: a [`ConsistencyLevel`] variant name.
-#[macro_export]
-macro_rules! snow_consistency {
-    ($cons:ident) => {
-        $crate::common::snow::DeclConsistency::$cons.level()
-    };
-}
-
-/// The consistency vocabulary [`snow_properties!`] accepts — a mirror of
-/// [`ConsistencyLevel`] that lets the macro resolve a bare variant ident
-/// in a `static` initializer without the caller importing `cbf_model`.
-#[derive(Clone, Copy, Debug)]
-#[allow(missing_docs)] // variants mirror `ConsistencyLevel` one-to-one
-pub enum DeclConsistency {
-    ReadAtomicity,
-    Causal,
-    SnapshotIsolation,
-    PerClientPSI,
-    Serializable,
-    ProcessOrderedSerializable,
-    StrictSerializable,
-}
-
-impl DeclConsistency {
-    /// The `cbf_model` level this vocabulary entry names.
-    pub const fn level(self) -> ConsistencyLevel {
-        match self {
-            DeclConsistency::ReadAtomicity => ConsistencyLevel::ReadAtomicity,
-            DeclConsistency::Causal => ConsistencyLevel::Causal,
-            DeclConsistency::SnapshotIsolation => ConsistencyLevel::SnapshotIsolation,
-            DeclConsistency::PerClientPSI => ConsistencyLevel::PerClientPSI,
-            DeclConsistency::Serializable => ConsistencyLevel::Serializable,
-            DeclConsistency::ProcessOrderedSerializable => {
-                ConsistencyLevel::ProcessOrderedSerializable
-            }
-            DeclConsistency::StrictSerializable => ConsistencyLevel::StrictSerializable,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fast_and_impossible_predicates() {
-        let mut d = SnowDecl {
-            system: "t",
-            consistency: ConsistencyLevel::Causal,
-            rounds: Some(1),
-            values: Some(1),
-            nonblocking: true,
-            write_tx: true,
-            requests: &[],
-            value_replies: &[],
-            paper_row: None,
-            escape_hatch: None,
-        };
-        assert!(d.fast());
-        assert!(d.claims_the_impossible());
-        d.write_tx = false;
-        assert!(!d.claims_the_impossible());
-        d.rounds = None;
-        assert!(!d.fast());
-    }
-
-    #[test]
-    fn decl_consistency_mirrors_model() {
-        assert_eq!(DeclConsistency::Causal.level(), ConsistencyLevel::Causal);
-        assert_eq!(
-            DeclConsistency::StrictSerializable.level(),
-            ConsistencyLevel::StrictSerializable
-        );
-    }
-}
+/// Every protocol module's link, in module order.
+#[rustfmt::skip]
+pub static SNOW_LINKS: [SnowLink; 14] = [
+    SnowLink { system: "Calvin", paper_row: Some("Calvin") },
+    SnowLink { system: "Contrarian", paper_row: Some("Contrarian") },
+    SnowLink { system: "COPS", paper_row: Some("COPS") },
+    SnowLink { system: "COPS-RW (§3.4)", paper_row: None },
+    SnowLink { system: "COPS-SNOW", paper_row: Some("COPS-SNOW") },
+    SnowLink { system: "Cure", paper_row: Some("Cure") },
+    SnowLink { system: "Eiger", paper_row: Some("Eiger") },
+    SnowLink { system: "GentleRain", paper_row: Some("GentleRain") },
+    SnowLink { system: "naive claimant family", paper_row: None },
+    SnowLink { system: "Occult", paper_row: Some("Occult") },
+    SnowLink { system: "pinned (†-style)", paper_row: Some("SwiftCloud") },
+    SnowLink { system: "RAMP", paper_row: Some("RAMP") },
+    SnowLink { system: "Spanner-like", paper_row: Some("Spanner") },
+    SnowLink { system: "Wren", paper_row: Some("Wren") },
+];

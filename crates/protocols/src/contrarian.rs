@@ -371,19 +371,6 @@ crate::wire_enum!(Msg as "contrarian::Msg" {
     9 => PutAck { id, key, ts },
 });
 
-crate::snow_properties! {
-    system: "Contrarian",
-    consistency: Causal,
-    rounds: 2,
-    values: 1,
-    nonblocking: true,
-    write_tx: false,
-    requests: [GssReq, ReadAt, PutReq],
-    value_replies: [ReadAtResp],
-    paper_row: "Contrarian",
-    escape_hatch: none,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

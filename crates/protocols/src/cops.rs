@@ -520,19 +520,6 @@ crate::wire_enum!(Msg as "cops::Msg" {
     8 => RetryTick { id, attempt },
 });
 
-crate::snow_properties! {
-    system: "COPS",
-    consistency: Causal,
-    rounds: 2,
-    values: 2,
-    nonblocking: true,
-    write_tx: false,
-    requests: [GetReq, GetExactReq, PutReq],
-    value_replies: [GetResp, GetExactResp],
-    paper_row: "COPS",
-    escape_hatch: none,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

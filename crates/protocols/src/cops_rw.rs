@@ -397,19 +397,6 @@ crate::wire_enum!(Msg as "cops_rw::Msg" {
     5 => FatWriteAck { id },
 });
 
-crate::snow_properties! {
-    system: "COPS-RW (§3.4)",
-    consistency: Causal,
-    rounds: 1,
-    values: unbounded,
-    nonblocking: true,
-    write_tx: true,
-    requests: [FatRead, FatWrite],
-    value_replies: [FatReadResp],
-    paper_row: none,
-    escape_hatch: none,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -542,19 +542,6 @@ crate::wire_enum!(Msg as "cops_snow::Msg" {
     8 => RetryTick { id, attempt },
 });
 
-crate::snow_properties! {
-    system: "COPS-SNOW",
-    consistency: Causal,
-    rounds: 1,
-    values: 1,
-    nonblocking: true,
-    write_tx: false,
-    requests: [RotReq, PutReq],
-    value_replies: [RotResp],
-    paper_row: "COPS-SNOW",
-    escape_hatch: none,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

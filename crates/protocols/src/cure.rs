@@ -496,19 +496,6 @@ crate::wire_enum!(Msg as "cure::Msg" {
     12 => WtxAck { id, ts },
 });
 
-crate::snow_properties! {
-    system: "Cure",
-    consistency: Causal,
-    rounds: 2,
-    values: 1,
-    nonblocking: false,
-    write_tx: true,
-    requests: [GstReq, ReadAt, WtxReq],
-    value_replies: [ReadAtResp],
-    paper_row: "Cure",
-    escape_hatch: none,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -855,19 +855,6 @@ crate::wire_enum!(Msg as "eiger::Msg" {
     13 => RetryTick { id, attempt },
 });
 
-crate::snow_properties! {
-    system: "Eiger",
-    consistency: Causal,
-    rounds: 3,
-    values: 2,
-    nonblocking: true,
-    write_tx: true,
-    requests: [Read1, Read2, CheckTx, WtxReq],
-    value_replies: [Read1Resp, Read2Resp],
-    paper_row: "Eiger",
-    escape_hatch: none,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -397,19 +397,6 @@ crate::wire_enum!(Msg as "gentlerain::Msg" {
     9 => PutAck { id, key, ts },
 });
 
-crate::snow_properties! {
-    system: "GentleRain",
-    consistency: Causal,
-    rounds: 2,
-    values: 1,
-    nonblocking: false,
-    write_tx: false,
-    requests: [GstReq, ReadAt, PutReq],
-    value_replies: [ReadAtResp],
-    paper_row: "GentleRain",
-    escape_hatch: none,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

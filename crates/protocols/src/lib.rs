@@ -42,29 +42,13 @@ pub mod spanner;
 pub mod wren;
 
 pub use common::{
-    Cluster, Completed, InFlightTx, ProtocolNode, RotResult, SnowDecl, Topology, TxError, Wire,
+    Cluster, Completed, InFlightTx, ProtocolNode, RotResult, SnowLink, Topology, TxError, Wire,
     WireError, WtxResult,
 };
 pub use naive::{NaiveFast, NaiveFourPhase, NaiveNode, NaiveThreePhase, NaiveTwoPhase};
 
-/// Every protocol module's [`SnowDecl`], in module order. The `snowlint`
-/// static pass and the `snow_decls` runtime tests both treat this as the
-/// registry of claimed `(R, V, N, W)` tuples.
-pub fn all_snow_decls() -> Vec<&'static SnowDecl> {
-    vec![
-        &calvin::SNOW_DECL,
-        &contrarian::SNOW_DECL,
-        &cops::SNOW_DECL,
-        &cops_rw::SNOW_DECL,
-        &cops_snow::SNOW_DECL,
-        &cure::SNOW_DECL,
-        &eiger::SNOW_DECL,
-        &gentlerain::SNOW_DECL,
-        &naive::SNOW_DECL,
-        &occult::SNOW_DECL,
-        &pinned::SNOW_DECL,
-        &ramp::SNOW_DECL,
-        &spanner::SNOW_DECL,
-        &wren::SNOW_DECL,
-    ]
+/// Every protocol module's Table 1 link ([`SnowLink`]), in module
+/// order: the one table `snowlint` and the Table 1 audits both read.
+pub fn all_snow_decls() -> &'static [SnowLink] {
+    &common::snow::SNOW_LINKS
 }

@@ -363,19 +363,6 @@ crate::wire_enum!(Msg as "naive::Msg" {
     6 => Gossip,
 });
 
-crate::snow_properties! {
-    system: "naive claimant family",
-    consistency: Causal,
-    rounds: 1,
-    values: 1,
-    nonblocking: true,
-    write_tx: true,
-    requests: [ReadReq, Phase],
-    value_replies: [ReadResp],
-    paper_row: none,
-    escape_hatch: "claimant: deliberately impossible (fast + W + causal); exists so the theorem machinery has something to catch",
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

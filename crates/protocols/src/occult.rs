@@ -539,19 +539,6 @@ crate::wire_enum!(Msg as "occult::Msg" {
     9 => Replicate { key, value, ts, tx, tx_keys },
 });
 
-crate::snow_properties! {
-    system: "Occult",
-    consistency: PerClientPSI,
-    rounds: unbounded,
-    values: unbounded,
-    nonblocking: true,
-    write_tx: true,
-    requests: [Read, WtxReq],
-    value_replies: [ReadResp],
-    paper_row: "Occult",
-    escape_hatch: none,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -399,19 +399,6 @@ crate::wire_enum!(Msg as "pinned::Msg" {
     8 => WtxAck { id, ts },
 });
 
-crate::snow_properties! {
-    system: "pinned (†-style)",
-    consistency: Causal,
-    rounds: 1,
-    values: 1,
-    nonblocking: true,
-    write_tx: true,
-    requests: [ReadAt, WtxReq],
-    value_replies: [ReadAtResp],
-    paper_row: "SwiftCloud",
-    escape_hatch: "dagger: forsakes minimal progress (Definition 3) — writes may stay invisible to other clients indefinitely, which takes the design out of the theorem's scope",
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

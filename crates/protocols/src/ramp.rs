@@ -471,19 +471,6 @@ crate::wire_enum!(Msg as "ramp::Msg" {
     9 => Read2Resp { id, key, value, ts },
 });
 
-crate::snow_properties! {
-    system: "RAMP",
-    consistency: ReadAtomicity,
-    rounds: 2,
-    values: 2,
-    nonblocking: true,
-    write_tx: true,
-    requests: [Read1, Read2, Prepare, Commit],
-    value_replies: [Read1Resp, Read2Resp],
-    paper_row: "RAMP",
-    escape_hatch: none,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

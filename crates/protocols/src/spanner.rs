@@ -722,19 +722,6 @@ crate::wire_enum!(Msg as "spanner::Msg" {
     11 => RetryTick { id, attempt },
 });
 
-crate::snow_properties! {
-    system: "Spanner-like",
-    consistency: StrictSerializable,
-    rounds: 1,
-    values: 1,
-    nonblocking: false,
-    write_tx: true,
-    requests: [ReadAt, WtxReq],
-    value_replies: [ReadAtResp],
-    paper_row: "Spanner",
-    escape_hatch: none,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -494,19 +494,6 @@ crate::wire_enum!(Msg as "wren::Msg" {
     12 => WtxAck { id, ts },
 });
 
-crate::snow_properties! {
-    system: "Wren",
-    consistency: Causal,
-    rounds: 2,
-    values: 1,
-    nonblocking: true,
-    write_tx: true,
-    requests: [GssReq, ReadAt, WtxReq],
-    value_replies: [ReadAtResp],
-    paper_row: "Wren",
-    escape_hatch: none,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

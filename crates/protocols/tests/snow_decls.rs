@@ -1,93 +1,56 @@
-//! Runtime cross-check of every module's `snow_properties!` declaration
-//! against the `ProtocolNode` associated consts it claims to describe.
-//! (The static half of this check — message enums, handler signatures,
-//! Table 1 bounds — lives in `snowlint`.)
+//! Every protocol node type has exactly one Table 1 link row, found by
+//! its `ProtocolNode::NAME`. (What the handlers of each module *do* —
+//! the `(R, V, N, W)` tuple — is derived statically by `snowlint` and
+//! measured at runtime by `audit_rot`; nothing declares it.)
 
-use cbf_protocols::{all_snow_decls, ProtocolNode, SnowDecl};
+use cbf_protocols::{self as p, all_snow_decls, ProtocolNode};
 
-/// Pair a declaration with the node type it describes.
-fn decl_matches_node<N: ProtocolNode>(decl: &SnowDecl) {
-    assert_eq!(
-        decl.system,
-        N::NAME,
-        "snow_properties! system must equal ProtocolNode::NAME"
-    );
-    assert_eq!(
-        decl.consistency,
-        N::CONSISTENCY,
-        "{}: declared consistency diverges from ProtocolNode::CONSISTENCY",
-        decl.system
-    );
-    assert_eq!(
-        decl.write_tx,
-        N::SUPPORTS_MULTI_WRITE,
-        "{}: declared W diverges from ProtocolNode::SUPPORTS_MULTI_WRITE",
-        decl.system
-    );
+/// The link row's `system` for node type `N`.
+fn linked<N: ProtocolNode>() -> &'static str {
+    let rows: Vec<_> = all_snow_decls()
+        .iter()
+        .filter(|d| d.system == N::NAME)
+        .collect();
+    assert_eq!(rows.len(), 1, "{}: exactly one link row", N::NAME);
+    rows[0].system
 }
 
 #[test]
-fn every_decl_matches_its_node_consts() {
-    use cbf_protocols as p;
-    decl_matches_node::<p::calvin::CalvinNode>(&p::calvin::SNOW_DECL);
-    decl_matches_node::<p::contrarian::ContrarianNode>(&p::contrarian::SNOW_DECL);
-    decl_matches_node::<p::cops::CopsNode>(&p::cops::SNOW_DECL);
-    decl_matches_node::<p::cops_rw::CopsRwNode>(&p::cops_rw::SNOW_DECL);
-    decl_matches_node::<p::cops_snow::CopsSnowNode>(&p::cops_snow::SNOW_DECL);
-    decl_matches_node::<p::cure::CureNode>(&p::cure::SNOW_DECL);
-    decl_matches_node::<p::eiger::EigerNode>(&p::eiger::SNOW_DECL);
-    decl_matches_node::<p::gentlerain::GentleRainNode>(&p::gentlerain::SNOW_DECL);
-    decl_matches_node::<p::occult::OccultNode>(&p::occult::SNOW_DECL);
-    decl_matches_node::<p::pinned::PinnedNode>(&p::pinned::SNOW_DECL);
-    decl_matches_node::<p::ramp::RampNode>(&p::ramp::SNOW_DECL);
-    decl_matches_node::<p::spanner::SpannerNode>(&p::spanner::SNOW_DECL);
-    decl_matches_node::<p::wren::WrenNode>(&p::wren::SNOW_DECL);
-    // The naive family shares one declaration across its claimant node
-    // types; NAME varies per phase count, so only the property halves
-    // are comparable.
-    let naive = &p::naive::SNOW_DECL;
-    assert_eq!(
-        naive.consistency,
-        <p::NaiveFast as ProtocolNode>::CONSISTENCY
-    );
-    assert_eq!(
-        naive.write_tx,
-        <p::NaiveFast as ProtocolNode>::SUPPORTS_MULTI_WRITE
-    );
-}
-
-#[test]
-fn registry_is_complete_and_unique() {
-    let decls = all_snow_decls();
-    assert_eq!(decls.len(), 14, "one declaration per protocol module");
-    let mut names: Vec<&str> = decls.iter().map(|d| d.system).collect();
-    names.sort_unstable();
-    names.dedup();
-    assert_eq!(names.len(), 14, "system names must be unique");
-}
-
-#[test]
-fn impossible_claims_carry_an_escape_hatch() {
-    for d in all_snow_decls() {
-        if d.claims_the_impossible() {
-            assert!(
-                d.escape_hatch.is_some(),
-                "{} claims fast + W + causal without an escape hatch — \
-                 Theorem 1 says this combination cannot exist",
-                d.system
-            );
-        }
+fn every_node_type_has_exactly_one_link_row() {
+    let mut systems = vec![
+        linked::<p::calvin::CalvinNode>(),
+        linked::<p::contrarian::ContrarianNode>(),
+        linked::<p::cops::CopsNode>(),
+        linked::<p::cops_rw::CopsRwNode>(),
+        linked::<p::cops_snow::CopsSnowNode>(),
+        linked::<p::cure::CureNode>(),
+        linked::<p::eiger::EigerNode>(),
+        linked::<p::gentlerain::GentleRainNode>(),
+        linked::<p::occult::OccultNode>(),
+        linked::<p::pinned::PinnedNode>(),
+        linked::<p::ramp::RampNode>(),
+        linked::<p::spanner::SpannerNode>(),
+        linked::<p::wren::WrenNode>(),
+    ];
+    // The naive family's NAME varies per phase count, so its claimant
+    // node types share the one row no NAME equals.
+    for naive in [
+        <p::NaiveFast as ProtocolNode>::NAME,
+        <p::NaiveTwoPhase as ProtocolNode>::NAME,
+        <p::NaiveThreePhase as ProtocolNode>::NAME,
+        <p::NaiveFourPhase as ProtocolNode>::NAME,
+    ] {
+        assert!(naive.starts_with("naive-"), "{naive}");
+        assert!(all_snow_decls().iter().all(|d| d.system != naive));
     }
-}
+    systems.push("naive claimant family");
 
-#[test]
-fn request_and_reply_vocabularies_are_nonempty() {
-    for d in all_snow_decls() {
-        assert!(!d.requests.is_empty(), "{}: no request variants", d.system);
-        assert!(
-            !d.value_replies.is_empty(),
-            "{}: no value-carrying replies",
-            d.system
-        );
-    }
+    let mut all: Vec<&str> = all_snow_decls().iter().map(|d| d.system).collect();
+    assert_eq!(all.len(), 14, "one link row per protocol module");
+    all.sort_unstable();
+    systems.sort_unstable();
+    assert_eq!(
+        all, systems,
+        "every row belongs to a node type, names unique"
+    );
 }

@@ -1,5 +1,5 @@
-//! Known-bad fixture: a protocol that declares non-blocking reads but
-//! parks requests server-side — the read arm stashes the client pid
+//! Known-bad fixture: a protocol linked to a non-blocking Table 1 row
+//! that parks requests server-side — the read arm stashes the client pid
 //! and a drain helper replies to the *stored* pid once the version is
 //! ready. Never compiled — lexed by `tests/fixtures.rs` as
 //! `crates/protocols/src/bad_flow_blocking.rs`; `flow-blocking` must
@@ -73,17 +73,4 @@ fn drain_ready(s: &mut ServerState, ctx: &mut Ctx<Msg>) {
         }
     }
     s.waiting = still;
-}
-
-crate::snow_properties! { // line: decl
-    system: "BAD-FLOW-BLOCKING",
-    consistency: Causal,
-    rounds: 1,
-    values: 1,
-    nonblocking: true,
-    write_tx: false,
-    requests: [Read],
-    value_replies: [ReadResp],
-    paper_row: none,
-    escape_hatch: none,
 }

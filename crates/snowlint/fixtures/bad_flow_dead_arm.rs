@@ -61,16 +61,3 @@ impl ProtocolNode for BadFlowDeadArmNode {
         matches!(msg, Msg::Read { .. })
     }
 }
-
-crate::snow_properties! { // line: decl
-    system: "BAD-FLOW-DEAD-ARM",
-    consistency: Causal,
-    rounds: 1,
-    values: 1,
-    nonblocking: true,
-    write_tx: false,
-    requests: [Read],
-    value_replies: [ReadResp],
-    paper_row: none,
-    escape_hatch: none,
-}

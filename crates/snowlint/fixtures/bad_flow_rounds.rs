@@ -1,9 +1,9 @@
-//! Known-bad fixture: a protocol that declares one-round reads but
+//! Known-bad fixture: a protocol linked to a one-round Table 1 row
 //! whose handler graph performs two — the `Read1Resp` arm fires a
 //! second server-bound request before completing. Never compiled —
 //! lexed by `tests/fixtures.rs` as
 //! `crates/protocols/src/bad_flow_rounds.rs`; `flow-rounds` must fire
-//! on the extra-round send site, not the declaration.
+//! on the extra-round send site, not the `const NAME` line.
 
 pub enum Msg {
     InvokeRot { id: u64 },
@@ -65,17 +65,4 @@ impl ProtocolNode for BadFlowRoundsNode {
     fn msg_is_request(msg: &Msg) -> bool {
         matches!(msg, Msg::Read1 { .. } | Msg::Read2 { .. })
     }
-}
-
-crate::snow_properties! { // line: decl
-    system: "BAD-FLOW-ROUNDS",
-    consistency: Causal,
-    rounds: 1,
-    values: 1,
-    nonblocking: true,
-    write_tx: false,
-    requests: [Read1, Read2],
-    value_replies: [Read2Resp],
-    paper_row: none,
-    escape_hatch: none,
 }

@@ -68,16 +68,3 @@ fn seed_from_os() -> u64 {
     let mut rng = thread_rng(); // line: taint-source
     rng.next_u64()
 }
-
-crate::snow_properties! { // line: decl
-    system: "BAD-FLOW-TAINT",
-    consistency: Causal,
-    rounds: 1,
-    values: 1,
-    nonblocking: true,
-    write_tx: false,
-    requests: [Read],
-    value_replies: [ReadResp],
-    paper_row: none,
-    escape_hatch: none,
-}

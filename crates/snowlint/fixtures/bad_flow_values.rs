@@ -1,9 +1,9 @@
-//! Known-bad fixture: a protocol that declares one value per read but
+//! Known-bad fixture: a protocol linked to a one-value Table 1 row
 //! whose read path accumulates two — each of the two rounds returns a
 //! committed version. Never compiled — lexed by `tests/fixtures.rs` as
 //! `crates/protocols/src/bad_flow_values.rs`; `flow-values` must fire
-//! on the send of the version *beyond* the declared budget (the second
-//! value reply), not the declaration.
+//! on the send of the version *beyond* the row's budget (the second
+//! value reply), not the `const NAME` line.
 
 pub enum Msg {
     InvokeRot { id: u64 },
@@ -66,17 +66,4 @@ impl ProtocolNode for BadFlowValuesNode {
     fn msg_is_request(msg: &Msg) -> bool {
         matches!(msg, Msg::ReadA { .. } | Msg::ReadB { .. })
     }
-}
-
-crate::snow_properties! { // line: decl
-    system: "BAD-FLOW-VALUES",
-    consistency: Causal,
-    rounds: 2,
-    values: 1,
-    nonblocking: true,
-    write_tx: false,
-    requests: [ReadA, ReadB],
-    value_replies: [RespA, RespB],
-    paper_row: none,
-    escape_hatch: none,
 }

@@ -1,11 +1,11 @@
-//! snowflow — the message-flow rule family.
+//! snowflow — the message-flow rule family, and the one place a
+//! protocol's SNOW tuple comes from.
 //!
-//! Where [`crate::properties`] cross-checks a protocol's *declared*
-//! SNOW tuple against its message vocabulary, this pass re-derives the
-//! tuple from what the handlers actually *do*. It parses each protocol
-//! module's `client_step`/`server_step` dispatch match into a handler
-//! graph ([`crate::graph`]), closes every arm over the module's own
-//! call graph, and walks the graph to bound:
+//! Nothing declares `(R, V, N, W)`: this pass derives it from what the
+//! handlers *do*. It parses each protocol module's
+//! `client_step`/`server_step` dispatch match into a handler graph
+//! ([`crate::graph`]), closes every arm over the module's own call
+//! graph, and walks the graph to bound:
 //!
 //! - **R (rounds)** — the maximum number of server-bound messages on
 //!   any acyclic fault-free read path from the `rot_invoke` entry arm.
@@ -21,32 +21,41 @@
 //!   `env.from` happens inside the request's own activation and cannot
 //!   be deferred; replying to a stashed pid means the response was
 //!   parked and re-driven later — the definition of blocking.
+//! - **W, consistency** — read off `const SUPPORTS_MULTI_WRITE` and
+//!   `const CONSISTENCY`, which the cluster and the auditor branch on.
 //! - **msgs/op** — the longest acyclic path's total non-timer edge
 //!   count, for both the read and the direct write path (report-only).
 //!
-//! The derivation is checked against the `snow_properties!` declaration
-//! and the module's `paper_table1()` row, and a derived
-//! (R=1, V=1, N) + write-tx + causal tuple — Theorem-1 impossible —
-//! must hit a `snowlint.toml` escape hatch even when the declaration
-//! already carries one: the whole point is that code, not prose, makes
-//! the claim. The same graph feeds a determinism taint pass (ambient
-//! randomness/clocks reachable from handlers) and a dead-arm check
-//! (consumed variants nothing emits).
+//! The derived tuple is checked against the `paper_table1()` row the
+//! module's literal `const NAME` links to ([`crate::table1`]) — R, V
+//! and N each point at the evidence line, W and consistency at the
+//! `const NAME` — and `msg_is_request`, which the runtime auditor counts
+//! rounds with, must name exactly the variants client arms send to
+//! servers. A derived (R=1, V=1, N) + write-tx + causal tuple —
+//! Theorem-1 impossible — must hit a `snowlint.toml` entry: code makes
+//! the claim, so the hatch lives where it ages and gets re-audited.
+//! Modules with no linked row are pinned by `tests/clean_tree.rs` and
+//! the CI-diffed `results/LINT_report.json` alone. The same graph feeds
+//! a determinism taint pass (ambient randomness/clocks reachable from
+//! handlers) and a dead-arm check (consumed variants nothing emits).
 
 use crate::graph::{Arm, Derived, DestClass, Emission, HandlerGraph, Role};
 use crate::lexer::{Hint, Lexed, TokKind, Token};
-use crate::properties::{self, PaperRowData};
 use crate::report::Finding;
 use crate::syntax::{block_end, find_match_on, match_arms, split_arms};
+use crate::table1::{
+    consistency_matches, implies_causal, Bound, Table1, LINK_TABLE_FILE, RULE_UNKNOWN_ROW,
+};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Rule: derived rounds-per-read diverges from the declaration.
+/// Rule: derived rounds-per-read fall outside the Table 1 row's bound.
 pub const RULE_FLOW_ROUNDS: &str = "flow-rounds";
-/// Rule: derived values-per-read diverges from the declaration.
+/// Rule: derived values-per-read fall outside the Table 1 row's bound.
 pub const RULE_FLOW_VALUES: &str = "flow-values";
-/// Rule: derived blocking behaviour diverges from the declaration.
+/// Rule: derived blocking behaviour diverges from the Table 1 row.
 pub const RULE_FLOW_BLOCKING: &str = "flow-blocking";
-/// Rule: derived tuple falls outside the Table 1 row's bounds.
+/// Rule: `SUPPORTS_MULTI_WRITE` or `CONSISTENCY` diverges from the row.
 pub const RULE_FLOW_PAPER: &str = "flow-paper";
 /// Rule: derived tuple is Theorem-1 impossible (needs a toml hatch).
 pub const RULE_FLOW_IMPOSSIBLE: &str = "flow-impossible";
@@ -56,6 +65,8 @@ pub const RULE_FLOW_DEAD_ARM: &str = "flow-dead-arm";
 pub const RULE_FLOW_TAINT: &str = "flow-taint";
 /// Rule: inference needs (or got a malformed) `// snowflow:` hint.
 pub const RULE_FLOW_HINT: &str = "flow-hint";
+/// Rule: `msg_is_request` diverges from what clients send to servers.
+pub const RULE_FLOW_REQUESTS: &str = "flow-requests";
 
 /// Destination idents that name a server-class process (matched
 /// case-insensitively against the first `ctx.send` argument).
@@ -106,6 +117,8 @@ struct Scan<'a> {
     path: &'a str,
     toks: &'a [Token],
     hints: &'a [Hint],
+    /// Indices into `hints` of the ones an inference consumed.
+    used_hints: RefCell<BTreeSet<usize>>,
     fns: Vec<FnDef>,
     by_name: BTreeMap<String, Vec<usize>>,
 }
@@ -169,17 +182,47 @@ impl<'a> Scan<'a> {
             path,
             toks,
             hints,
+            used_hints: RefCell::default(),
             fns,
             by_name,
         }
     }
 
+    /// An error finding in this module.
+    fn err(&self, rule: &str, line: u32, message: String) -> Finding {
+        Finding::error(rule, self.path, line, 1, message)
+    }
+
     /// The value of hint `key` covering `line` (its own or the next).
+    /// Every hint an inference leans on is soundness debt, so the ones
+    /// consumed are remembered for the report.
     fn hint(&self, key: &str, line: u32) -> Option<&str> {
-        self.hints
+        let (i, h) = self
+            .hints
             .iter()
-            .find(|h| h.key == key && (h.line == line || h.line + 1 == line))
-            .map(|h| h.value.as_str())
+            .enumerate()
+            .find(|(_, h)| h.key == key && (h.line == line || h.line + 1 == line))?;
+        self.used_hints.borrow_mut().insert(i);
+        Some(h.value.as_str())
+    }
+
+    /// The body tokens of the first module fn called `name`.
+    fn body_of(&self, name: &str) -> Option<(&FnDef, &'a [Token])> {
+        let f = &self.fns[*self.by_name.get(name)?.first()?];
+        Some((f, &self.toks[f.body.0..f.body.1]))
+    }
+
+    /// `(line, value tokens)` of every `const <name>: .. = value;` item.
+    fn consts(&self, name: &str) -> Vec<(u32, &'a [Token])> {
+        let toks = self.toks;
+        let end_of = |i: usize| (i..toks.len()).find(|&j| toks[j].is_punct(";"));
+        (0..toks.len().saturating_sub(1))
+            .filter(|&i| toks[i].is_ident("const") && toks[i + 1].is_ident(name))
+            .filter_map(|i| {
+                let eq = (i..end_of(i)?).find(|&j| toks[j].is_punct("="))?;
+                Some((toks[i].line, &toks[eq + 1..end_of(eq)?]))
+            })
+            .collect()
     }
 
     /// Classify the first `ctx.send` argument.
@@ -190,13 +233,8 @@ impl<'a> Scan<'a> {
                 "client" | "stored-client" => DestClass::StoredClient,
                 "server" => DestClass::Server,
                 other => {
-                    out.push(Finding::error(
-                        RULE_FLOW_HINT,
-                        self.path,
-                        line,
-                        1,
-                        format!("unknown dest hint `{other}` (want server|client|sender)"),
-                    ));
+                    let why = format!("unknown dest hint `{other}` (want server|client|sender)");
+                    out.push(self.err(RULE_FLOW_HINT, line, why));
                     DestClass::Unknown
                 }
             };
@@ -218,17 +256,9 @@ impl<'a> Scan<'a> {
         {
             return DestClass::Server;
         }
-        let expr: String = idents.join(".");
-        out.push(
-            Finding::error(
-                RULE_FLOW_HINT,
-                self.path,
-                line,
-                1,
-                format!("cannot classify send destination `{expr}`"),
-            )
-            .with_help("add a `// snowflow: dest(server|client|sender): why` hint".into()),
-        );
+        let why = format!("cannot classify send destination `{}`", idents.join("."));
+        let help = "add a `// snowflow: dest(server|client|sender): why` hint";
+        out.push(self.err(RULE_FLOW_HINT, line, why).with_help(help.into()));
         DestClass::Unknown
     }
 
@@ -283,13 +313,10 @@ impl<'a> Scan<'a> {
                                 via: Vec::new(),
                             });
                         }
-                        None => out.push(Finding::error(
-                            RULE_FLOW_HINT,
-                            self.path,
-                            line,
-                            1,
-                            "send without a literal Msg:: variant in its payload".into(),
-                        )),
+                        None => {
+                            let why = "send without a literal Msg:: variant in its payload";
+                            out.push(self.err(RULE_FLOW_HINT, line, why.into()));
+                        }
                     }
                     i = open + 1;
                     continue;
@@ -374,10 +401,9 @@ impl<'a> Scan<'a> {
     /// variants are not value replies.
     fn value_weights(&self, out: &mut Vec<Finding>) -> BTreeMap<String, u32> {
         let mut weights = BTreeMap::new();
-        let Some(idxs) = self.by_name.get("msg_values") else {
+        let Some((f, _)) = self.body_of("msg_values") else {
             return weights;
         };
-        let f = &self.fns[idxs[0]];
         for (pat, body) in match_arms(self.toks, f.body.0, f.body.1) {
             let vars = msg_variants_in(pat);
             let Some(first) = pat.first() else { continue };
@@ -392,32 +418,18 @@ impl<'a> Scan<'a> {
                 match self.hint("values", pline) {
                     Some("unbounded") => UNBOUNDED,
                     Some(v) => v.parse().unwrap_or_else(|_| {
-                        out.push(Finding::error(
-                            RULE_FLOW_HINT,
-                            self.path,
-                            pline,
-                            1,
-                            format!("bad values hint `{v}` (want a number or `unbounded`)"),
-                        ));
+                        let why = format!("bad values hint `{v}` (want a number or `unbounded`)");
+                        out.push(self.err(RULE_FLOW_HINT, pline, why));
                         1
                     }),
                     None => {
-                        out.push(
-                            Finding::error(
-                                RULE_FLOW_HINT,
-                                self.path,
-                                pline,
-                                1,
-                                format!(
-                                    "msg_values arm for {} aggregates across records; \
-                                     its per-object version count is ambiguous",
-                                    vars.join("|")
-                                ),
-                            )
-                            .with_help(
-                                "add `// snowflow: values(N|unbounded): why` above the arm".into(),
-                            ),
+                        let why = format!(
+                            "msg_values arm for {} aggregates across records; \
+                             its per-object version count is ambiguous",
+                            vars.join("|")
                         );
+                        let help = "add `// snowflow: values(N|unbounded): why` above the arm";
+                        out.push(self.err(RULE_FLOW_HINT, pline, why).with_help(help.into()));
                         1
                     }
                 }
@@ -518,21 +530,51 @@ fn walk(adj: &[Vec<Edge>], entries: &[usize]) -> Best {
 }
 
 /// Derive the handler graph and SNOW tuple for one protocol module and
-/// cross-check them against the declaration and the paper table.
-/// Returns None when the module has no declaration or no recognisable
+/// check them against the Table 1 row its `const NAME` links to.
+/// Returns None when the module has no recognisable handler arms or
 /// read entry (each already reported).
 pub fn check_protocol(
     path: &str,
     lx: &Lexed,
-    paper: &[PaperRowData],
+    table: &Table1,
     out: &mut Vec<Finding>,
 ) -> Option<HandlerGraph> {
-    let mut decl_noise = Vec::new(); // properties re-reports these
-    let decl = properties::parse_decls(path, lx, &mut decl_noise)
-        .into_iter()
-        .next()?;
     let toks = cut_tests(&lx.tokens);
     let scan = Scan::new(path, toks, &lx.hints);
+    // What the walk cannot see: the `ProtocolNode` consts the cluster
+    // and the auditor branch on, and the `msg_is_request` vocabulary.
+    let names = scan.consts("NAME");
+    let name_line = names.first().map_or(1, |c| c.0);
+    let name = match names[..] {
+        [(_, [v])] if v.kind == TokKind::Str => Some(v.text.as_str()),
+        _ => None,
+    };
+    let last_text = |consts: Vec<(u32, &[Token])>| -> Option<String> {
+        Some(consts.first()?.1.last()?.text.clone())
+    };
+    let write_tx = last_text(scan.consts("SUPPORTS_MULTI_WRITE")).as_deref() == Some("true");
+    let consistency = last_text(scan.consts("CONSISTENCY")).unwrap_or_default();
+    let (requests_line, requests) = match scan.body_of("msg_is_request") {
+        Some((f, body)) => (f.line, msg_variants_in(body).into_iter().collect()),
+        None => (name_line, BTreeSet::new()),
+    };
+    // The graph is called what the module calls itself; a module whose
+    // NAME is computed (the naive family) goes by its file stem and has
+    // no link to look up.
+    let stem = path.rsplit('/').next().unwrap_or(path);
+    let system = name
+        .unwrap_or(stem.strip_suffix(".rs").unwrap_or(stem))
+        .to_string();
+    let link = name.and_then(|name| table.link(name));
+    if name.is_some() && link.is_none() {
+        let why = format!(
+            "{system:?} has no row in the link table behind all_snow_decls() ({LINK_TABLE_FILE})"
+        );
+        out.push(scan.err(RULE_UNKNOWN_ROW, name_line, why));
+    }
+    // A link to a row that does not exist is reported at the link.
+    let paper_row = link.and_then(|l| l.paper_row.clone());
+    let row = paper_row.as_deref().and_then(|name| table.row(name));
 
     // Straight-line facts for every fn, then the value-weight table.
     let mut facts = Vec::with_capacity(scan.fns.len());
@@ -543,12 +585,8 @@ pub fn check_protocol(
 
     // Workload-injected variants: what rot_invoke / wtx_invoke return.
     let invoked = |name: &str| -> Vec<String> {
-        scan.by_name
-            .get(name)
-            .map(|idxs| {
-                let b = scan.fns[idxs[0]].body;
-                msg_variants_in(&toks[b.0..b.1])
-            })
+        scan.body_of(name)
+            .map(|(_, body)| msg_variants_in(body))
             .unwrap_or_default()
     };
     let rot_variants = invoked("rot_invoke");
@@ -585,31 +623,19 @@ pub fn check_protocol(
                 Some("client") => Role::Client,
                 Some("server") => Role::Server,
                 _ => {
-                    out.push(
-                        Finding::error(
-                            RULE_FLOW_HINT,
-                            path,
-                            f.line,
-                            1,
-                            format!("cannot infer the role of handler fn `{}`", f.name),
-                        )
-                        .with_help("add `// snowflow: role(client|server): why`".into()),
-                    );
+                    let why = format!("cannot infer the role of handler fn `{}`", f.name);
+                    let help = "add `// snowflow: role(client|server): why`";
+                    out.push(scan.err(RULE_FLOW_HINT, f.line, why).with_help(help.into()));
                     continue;
                 }
             }
         };
         let Some(open) = find_match_on(toks, k, hi, &binding, "msg") else {
-            out.push(Finding::error(
-                RULE_FLOW_HINT,
-                path,
-                f.line,
-                1,
-                format!(
-                    "handler fn `{}` has no `match {binding}.msg` dispatch",
-                    f.name
-                ),
-            ));
+            let why = format!(
+                "handler fn `{}` has no `match {binding}.msg` dispatch",
+                f.name
+            );
+            out.push(scan.err(RULE_FLOW_HINT, f.line, why));
             continue;
         };
         for (pat, body) in split_arms(toks, open) {
@@ -630,13 +656,8 @@ pub fn check_protocol(
         }
     }
     if arms.is_empty() {
-        out.push(Finding::error(
-            RULE_FLOW_HINT,
-            path,
-            decl.line,
-            1,
-            format!("no handler arms found for {}", decl.system),
-        ));
+        let why = format!("no handler arms found for {system}");
+        out.push(scan.err(RULE_FLOW_HINT, name_line, why));
         return None;
     }
 
@@ -644,37 +665,22 @@ pub fn check_protocol(
     let mut taint_reported: BTreeSet<u32> = BTreeSet::new();
     for &fi in &handler_fns {
         let (_, reached) = scan.close(&facts[fi], &facts);
-        let own: Vec<(String, u32, String)> = facts[fi]
-            .taints
-            .iter()
-            .map(|(n, l)| (n.clone(), *l, String::new()))
-            .collect();
-        let via: Vec<(String, u32, String)> = reached
-            .iter()
-            .flat_map(|(idx, chain)| {
-                facts[*idx]
-                    .taints
-                    .iter()
-                    .map(move |(n, l)| (n.clone(), *l, format!(" via {}", chain.join(" -> "))))
-            })
-            .collect();
-        for (name, line, chain) in own.into_iter().chain(via) {
-            if taint_reported.insert(line) {
-                out.push(
-                    Finding::error(
-                        RULE_FLOW_TAINT,
-                        path,
-                        line,
-                        1,
-                        format!(
-                            "nondeterminism source `{name}` reachable from handler `{}`{chain}",
-                            scan.fns[fi].name
-                        ),
-                    )
-                    .with_help(
-                        "protocol code must draw randomness and time from the sim only".into(),
-                    ),
+        for (idx, chain) in std::iter::once((fi, Vec::new())).chain(reached) {
+            for (name, line) in &facts[idx].taints {
+                if !taint_reported.insert(*line) {
+                    continue;
+                }
+                let via = if chain.is_empty() {
+                    String::new()
+                } else {
+                    format!(" via {}", chain.join(" -> "))
+                };
+                let handler = &scan.fns[fi].name;
+                let why = format!(
+                    "nondeterminism source `{name}` reachable from handler `{handler}`{via}"
                 );
+                let help = "protocol code must draw randomness and time from the sim only";
+                out.push(scan.err(RULE_FLOW_TAINT, *line, why).with_help(help.into()));
             }
         }
     }
@@ -699,18 +705,14 @@ pub fn check_protocol(
     };
     for a in &arms {
         if !a.variants.iter().any(|v| live(v)) {
+            let why = format!(
+                "handler arm {} consumes a variant no code path emits",
+                a.label()
+            );
+            let help = "dead protocol code: delete the arm or wire up its sender";
             out.push(
-                Finding::error(
-                    RULE_FLOW_DEAD_ARM,
-                    path,
-                    a.line,
-                    1,
-                    format!(
-                        "handler arm {} consumes a variant no code path emits",
-                        a.label()
-                    ),
-                )
-                .with_help("dead protocol code: delete the arm or wire up its sender".into()),
+                scan.err(RULE_FLOW_DEAD_ARM, a.line, why)
+                    .with_help(help.into()),
             );
         }
     }
@@ -777,17 +779,11 @@ pub fn check_protocol(
     };
     let rot_entries = entries_for(&rot_variants);
     if rot_entries.is_empty() {
-        out.push(Finding::error(
-            RULE_FLOW_HINT,
-            path,
-            decl.line,
-            1,
-            format!(
-                "cannot locate the read entry arm for {} (no client arm consumes {})",
-                decl.system,
-                rot_variants.join("|")
-            ),
-        ));
+        let why = format!(
+            "cannot locate the read entry arm for {system} (no client arm consumes {})",
+            rot_variants.join("|")
+        );
+        out.push(scan.err(RULE_FLOW_HINT, name_line, why));
         return None;
     }
     let read = walk(&adj, &rot_entries);
@@ -804,172 +800,121 @@ pub fn check_protocol(
         .map(|e| (e.line, e.variant.as_str()))
         .collect();
 
-    let ex = properties::extract(lx);
     let derived = Derived {
-        rounds: match read.rounds_unbounded {
-            Some(_) => None,
-            None => Some(read.rounds),
-        },
-        values: match read.values_unbounded {
-            Some(_) => None,
-            None => Some(read.values),
-        },
+        rounds: read.rounds_unbounded.is_none().then_some(read.rounds),
+        values: read.values_unbounded.is_none().then_some(read.values),
         nonblocking: deferred.is_empty(),
-        write_tx: ex.const_write.first().copied().unwrap_or(decl.write_tx),
-        consistency: ex
-            .const_consistency
-            .first()
-            .cloned()
-            .unwrap_or_else(|| decl.consistency.clone()),
+        write_tx,
+        consistency,
         msgs_per_read: (!read.msgs_unbounded).then_some(read.msgs),
         msgs_per_write: (!write.msgs_unbounded).then_some(write.msgs),
     };
 
-    let show = |b: Option<u32>| match b {
-        Some(n) => n.to_string(),
-        None => "unbounded".to_string(),
-    };
-
-    // Derivation vs declaration.
-    if derived.rounds != decl.rounds {
-        // Point at the evidence: the cycle's server hop when the walk
-        // diverged to unbounded, the first hop *beyond* the declared
-        // budget when it merely overshot, the declaration otherwise.
-        let line = match (derived.rounds, decl.rounds) {
-            (None, _) => read.rounds_unbounded.unwrap_or(decl.line),
-            (Some(d), Some(c)) if d > c => read
-                .rounds_lines
-                .get(c as usize)
-                .or(read.rounds_lines.last())
-                .copied()
-                .unwrap_or(decl.line),
-            _ => decl.line,
-        };
-        out.push(Finding::error(
-            RULE_FLOW_ROUNDS,
-            path,
-            line,
-            1,
-            format!(
-                "read path performs {} server round(s) but {} declares {}",
-                show(derived.rounds),
-                decl.system,
-                show(decl.rounds)
-            ),
-        ));
-    }
-    if derived.values != decl.values {
-        let line = match (derived.values, decl.values) {
-            (None, _) => read.values_unbounded.unwrap_or(decl.line),
-            (Some(d), Some(c)) if d > c => read
-                .values_lines
-                .get(c as usize)
-                .or(read.values_lines.last())
-                .copied()
-                .unwrap_or(decl.line),
-            _ => decl.line,
-        };
-        out.push(Finding::error(
-            RULE_FLOW_VALUES,
-            path,
-            line,
-            1,
-            format!(
-                "read path accumulates {} version(s) but {} declares {}",
-                show(derived.values),
-                decl.system,
-                show(decl.values)
-            ),
-        ));
-    }
-    if derived.nonblocking != decl.nonblocking {
-        if let Some(&(line, variant)) = deferred.first() {
-            out.push(
-                Finding::error(
-                    RULE_FLOW_BLOCKING,
-                    path,
-                    line,
-                    1,
-                    format!(
-                        "{variant} is a value reply sent to a stored client pid — \
-                         the response is deferrable, but {} declares nonblocking",
-                        decl.system
-                    ),
-                )
-                .with_help(
-                    "reply to env.from inside the request's activation, or declare \
-                            nonblocking: false"
-                        .into(),
-                ),
-            );
-        } else {
-            out.push(Finding::error(
-                RULE_FLOW_BLOCKING,
-                path,
-                decl.line,
-                1,
-                format!(
-                    "{} declares blocking reads but every value reply goes to env.from",
-                    decl.system
-                ),
-            ));
-        }
-    }
-
-    // Derivation vs the paper's Table 1 row.
-    if let Some(row_name) = &decl.paper_row {
-        if let Some(row) = paper.iter().find(|r| &r.system == row_name) {
-            let mut diverges = Vec::new();
-            if !properties::bound_ok(derived.rounds, &row.r) {
-                diverges.push(format!("R={} vs {}", show(derived.rounds), row.r));
-            }
-            if !properties::bound_ok(derived.values, &row.v) {
-                diverges.push(format!("V={} vs {}", show(derived.values), row.v));
-            }
-            if derived.nonblocking != row.n {
-                diverges.push(format!("N={} vs {}", derived.nonblocking, row.n));
-            }
-            if derived.write_tx != row.w {
-                diverges.push(format!("W={} vs {}", derived.write_tx, row.w));
-            }
-            if !diverges.is_empty() {
-                out.push(Finding::error(
-                    RULE_FLOW_PAPER,
-                    path,
-                    decl.line,
-                    1,
-                    format!(
-                        "derived tuple falls outside Table 1 row `{row_name}`: {}",
-                        diverges.join(", ")
-                    ),
-                ));
-            }
-        }
-        // An unknown row is properties' unknown-paper-row finding.
-    }
-
-    // Theorem 1 over the *derived* tuple. Unlike impossible-claim, the
-    // declaration's own escape_hatch does not cover this: the code is
-    // making the claim now, so the hatch must live in snowlint.toml
-    // where it ages and gets re-audited.
-    if derived.fast() && derived.write_tx && properties::implies_causal(&derived.consistency) {
+    // msg_is_request is what the runtime auditor counts rounds with: it
+    // must name exactly the variants client arms send to servers.
+    let client_to_server: BTreeSet<String> = arms
+        .iter()
+        .filter(|a| a.role == Role::Client)
+        .flat_map(|a| a.emissions.iter())
+        .filter(|e| e.dest == DestClass::Server)
+        .map(|e| e.variant.clone())
+        .collect();
+    if requests != client_to_server {
+        let unmatched: Vec<&String> = client_to_server.difference(&requests).collect();
+        let unsent: Vec<&String> = requests.difference(&client_to_server).collect();
+        let why = format!(
+            "msg_is_request diverges from what client arms send to servers: \
+             sent but unmatched {unmatched:?}, matched but never sent {unsent:?}"
+        );
+        let help = "the auditor measures R by counting exactly these messages";
         out.push(
-            Finding::error(
-                RULE_FLOW_IMPOSSIBLE,
-                path,
-                decl.line,
-                1,
-                format!(
-                    "derived tuple for {} is (R=1, V=1, N) with write transactions and \
-                     {} — impossible by Theorem 1",
-                    decl.system, derived.consistency
-                ),
-            )
-            .with_help(
-                "exhibits of the impossibility boundary need a snowlint.toml entry \
-                 explaining which SNOW property the system actually gives up"
-                    .into(),
-            ),
+            scan.err(RULE_FLOW_REQUESTS, requests_line, why)
+                .with_help(help.into()),
+        );
+    }
+
+    // Derivation vs the linked Table 1 row; each finding points at the
+    // evidence, falling back to the `const NAME` that made the link.
+    if let Some(row) = row {
+        let at = &row.system;
+        // R and V against the printed bound: the cycle's hop when the
+        // walk diverged to unbounded, the first hop *beyond* the row's
+        // budget when it merely overshot.
+        let mut bound_check =
+            |rule, what: &str, got: Option<u32>, printed: &str, cycle, lines: &[u32]| {
+                let bound = Bound::parse(printed);
+                if bound.is_some_and(|b| b.admits(got)) {
+                    return;
+                }
+                let line = match (got, bound.and_then(Bound::budget)) {
+                    (None, _) => cycle,
+                    (Some(d), Some(c)) if d > c => lines.get(c as usize).or(lines.last()).copied(),
+                    _ => None,
+                };
+                let got = got.map_or("unbounded".to_string(), |n| n.to_string());
+                let why =
+                    format!("read path {what}: {got}, but Table 1 row `{at}` allows {printed}");
+                out.push(scan.err(rule, line.unwrap_or(name_line), why));
+            };
+        let (r, v) = (derived.rounds, derived.values);
+        bound_check(
+            RULE_FLOW_ROUNDS,
+            "server rounds",
+            r,
+            &row.r,
+            read.rounds_unbounded,
+            &read.rounds_lines,
+        );
+        bound_check(
+            RULE_FLOW_VALUES,
+            "versions accumulated",
+            v,
+            &row.v,
+            read.values_unbounded,
+            &read.values_lines,
+        );
+        if let (true, Some(&(line, variant))) = (row.n, deferred.first()) {
+            let why = format!(
+                "{variant} is a value reply sent to a stored client pid — the response \
+                 is deferrable, but Table 1 row `{at}` is non-blocking"
+            );
+            let help = "reply to env.from inside the request's activation";
+            out.push(
+                scan.err(RULE_FLOW_BLOCKING, line, why)
+                    .with_help(help.into()),
+            );
+        } else if !row.n && deferred.is_empty() {
+            let why = format!(
+                "Table 1 row `{at}` has blocking reads but every value reply goes to env.from"
+            );
+            out.push(scan.err(RULE_FLOW_BLOCKING, name_line, why));
+        }
+        if derived.write_tx != row.w {
+            let (w, paper) = (derived.write_tx, row.w);
+            let why = format!("SUPPORTS_MULTI_WRITE is {w} but Table 1 row `{at}` says W={paper}");
+            out.push(scan.err(RULE_FLOW_PAPER, name_line, why));
+        }
+        if !consistency_matches(&derived.consistency, &row.consistency) {
+            let (c, paper) = (&derived.consistency, &row.consistency);
+            let why = format!("CONSISTENCY is {c:?} but Table 1 row `{at}` says {paper:?}");
+            out.push(scan.err(RULE_FLOW_PAPER, name_line, why));
+        }
+    }
+
+    // Theorem 1 over the derived tuple: the code is making the claim,
+    // so the hatch must live in snowlint.toml where it ages and gets
+    // re-audited.
+    if derived.fast() && derived.write_tx && implies_causal(&derived.consistency) {
+        let why = format!(
+            "derived tuple for {system} is (R=1, V=1, N) with write transactions and {} — \
+             impossible by Theorem 1",
+            derived.consistency
+        );
+        let help = "exhibits of the impossibility boundary need a snowlint.toml entry \
+                    explaining which SNOW property the system actually gives up";
+        out.push(
+            scan.err(RULE_FLOW_IMPOSSIBLE, name_line, why)
+                .with_help(help.into()),
         );
     }
 
@@ -984,9 +929,22 @@ pub fn check_protocol(
     injected.extend(wtx_variants);
     injected.dedup();
 
+    let hints = scan
+        .used_hints
+        .borrow()
+        .iter()
+        .map(|&i| {
+            (
+                lx.hints[i].line,
+                format!("{}({})", lx.hints[i].key, lx.hints[i].value),
+            )
+        })
+        .collect();
     Some(HandlerGraph {
-        system: decl.system,
+        system,
         path: path.to_string(),
+        paper_row,
+        hints,
         arms,
         injected,
         timer_only,
@@ -1039,27 +997,25 @@ mod tests {
                     _ => 0,
                 }
             }
-        }
-        crate::snow_properties! {
-            system: "MINI",
-            consistency: Causal,
-            rounds: 1,
-            values: 1,
-            nonblocking: true,
-            write_tx: false,
-            requests: [ReadReq],
-            value_replies: [ReadResp],
-            paper_row: none,
-            escape_hatch: none,
+            fn msg_is_request(msg: &Msg) -> bool {
+                matches!(msg, Msg::ReadReq { .. })
+            }
         }
     "#;
 
+    /// MINI has no `const NAME`, so it goes by its file stem and links
+    /// to nothing: the empty table checks the derivation alone.
+    fn derive(src: &str) -> (HandlerGraph, Vec<Finding>) {
+        let mut out = Vec::new();
+        let g = check_protocol("p.rs", &lex(src), &Table1::default(), &mut out).expect("graph");
+        (g, out)
+    }
+
     #[test]
     fn mini_module_derives_one_round_one_value_nonblocking() {
-        let lx = lex(MINI);
-        let mut out = Vec::new();
-        let g = check_protocol("p.rs", &lx, &[], &mut out).expect("graph");
+        let (g, out) = derive(MINI);
         assert!(out.is_empty(), "{out:?}");
+        assert_eq!(g.system, "p");
         assert_eq!(g.derived.rounds, Some(1));
         assert_eq!(g.derived.values, Some(1));
         assert!(g.derived.nonblocking);
@@ -1074,14 +1030,13 @@ mod tests {
             "Msg::ReadResp { id } => {\n                            c.completed.insert(id);",
             "Msg::ReadResp { id } => {\n                            ctx.send(c.topo.primary(id), Msg::ReadReq { id });\n                            c.completed.insert(id);",
         );
-        let lx = lex(&src);
-        let mut out = Vec::new();
-        let g = check_protocol("p.rs", &lx, &[], &mut out).expect("graph");
+        let (g, out) = derive(&src);
+        assert!(
+            out.is_empty(),
+            "no linked row, nothing to overshoot: {out:?}"
+        );
         assert_eq!(g.derived.rounds, None);
         assert_eq!(g.derived.values, None);
-        // The declaration still says 1/1, so both walks diverge.
-        assert!(out.iter().any(|f| f.rule == RULE_FLOW_ROUNDS));
-        assert!(out.iter().any(|f| f.rule == RULE_FLOW_VALUES));
     }
 
     #[test]
@@ -1090,10 +1045,25 @@ mod tests {
             "c.completed.insert(id);",
             "c.completed.insert(id);\n                            ctx.set_timer(10, Msg::InvokeRot { id });",
         );
-        let lx = lex(&src);
-        let mut out = Vec::new();
-        let g = check_protocol("p.rs", &lx, &[], &mut out).expect("graph");
+        let (g, out) = derive(&src);
         assert!(out.is_empty(), "{out:?}");
         assert_eq!(g.derived.rounds, Some(1));
+    }
+
+    #[test]
+    fn msg_is_request_must_equal_the_client_to_server_sends() {
+        for drifted in [
+            "Msg::ReadResp { .. }",
+            "Msg::ReadReq { .. } | Msg::ReadResp { .. }",
+        ] {
+            let src = MINI.replace(
+                "matches!(msg, Msg::ReadReq { .. })",
+                &format!("matches!(msg, {drifted})"),
+            );
+            let (_, out) = derive(&src);
+            assert_eq!(out.len(), 1, "{out:?}");
+            assert_eq!(out[0].rule, RULE_FLOW_REQUESTS);
+            assert!(out[0].message.contains("ReadResp"), "{}", out[0].message);
+        }
     }
 }

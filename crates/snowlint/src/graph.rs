@@ -131,10 +131,15 @@ impl Derived {
 /// A whole protocol module's handler graph plus its derivation.
 #[derive(Clone, Debug)]
 pub struct HandlerGraph {
-    /// Protocol system name (from the declaration).
+    /// The module's single literal `const NAME`, else its file stem.
     pub system: String,
     /// Workspace-relative module path.
     pub path: String,
+    /// The Table 1 row `system` links to, if any.
+    pub paper_row: Option<String>,
+    /// The `// snowflow:` hints the derivation consumed, as
+    /// `(line, "key(value)")` — each one is soundness debt.
+    pub hints: Vec<(u32, String)>,
     /// The arms (nodes).
     pub arms: Vec<Arm>,
     /// Variants injected by the workload driver
@@ -193,13 +198,20 @@ impl HandlerGraph {
         }
         let d = &self.derived;
         let names = |vs: &[String]| vs.iter().map(|v| json_str(v)).collect::<Vec<_>>().join(",");
+        let hints: Vec<String> = self
+            .hints
+            .iter()
+            .map(|(line, hint)| format!("{{\"line\":{line},\"hint\":{}}}", json_str(hint)))
+            .collect();
         format!(
-            "{{\"system\":{},\"path\":{},\"derived\":{{\"rounds\":{},\"values\":{},\
+            "{{\"system\":{},\"path\":{},\"paper_row\":{},\"hints\":[{}],\"derived\":{{\"rounds\":{},\"values\":{},\
              \"nonblocking\":{},\"write_tx\":{},\"consistency\":{},\
              \"msgs_per_read\":{},\"msgs_per_write\":{}}},\"arms\":[{}],\
              \"injected\":[{}],\"timer_only\":[{}]}}",
             json_str(&self.system),
             json_str(&self.path),
+            self.paper_row.as_deref().map_or("null".to_string(), json_str),
+            hints.join(","),
             bound(d.rounds),
             bound(d.values),
             d.nonblocking,
@@ -295,6 +307,8 @@ mod tests {
         HandlerGraph {
             system: "MINI".into(),
             path: "crates/protocols/src/mini.rs".into(),
+            paper_row: None,
+            hints: vec![(7, "values(1)".into())],
             arms: vec![
                 Arm {
                     role: Role::Client,
@@ -346,6 +360,8 @@ mod tests {
     fn json_has_the_derived_tuple_and_arms() {
         let j = mini_graph().to_json();
         assert!(j.contains("\"system\":\"MINI\""));
+        assert!(j.contains("\"paper_row\":null"));
+        assert!(j.contains("\"hints\":[{\"line\":7,\"hint\":\"values(1)\"}]"));
         assert!(j.contains("\"rounds\":1"));
         assert!(j.contains("\"msgs_per_write\":\"unbounded\""));
         assert!(j.contains("\"consumes\":[\"InvokeRot\"]"));

@@ -5,19 +5,16 @@
 //! - **Determinism** ([`determinism`]): keep hash-ordered collections,
 //!   wall clocks, ambient RNGs, ad-hoc threads and `unsafe` out of the
 //!   paths that must replay bit-identically from a seed.
-//! - **SNOW properties** ([`properties`]): every protocol module
-//!   declares its claimed `(R, V, N, W)` tuple in `snow_properties!`;
-//!   the lint re-derives message-round structure from the module's
-//!   `Msg` enum and handler match arms and cross-checks declaration,
-//!   extraction, and the paper's Table 1 data.
 //! - **Robustness** ([`robustness`]): no panicking `.unwrap()` /
 //!   `.expect()` in protocol modules — the fault injector makes the
 //!   "impossible" arms reachable.
-//! - **Message flow** ([`flow`]): snowflow re-derives each protocol's
-//!   `(R, V, N)` tuple from what its handlers *do* — a per-module
+//! - **Message flow** ([`flow`]): snowflow derives each protocol's
+//!   `(R, V, N, W)` tuple from what its handlers *do* — a per-module
 //!   handler graph ([`graph`]) walked for rounds, value accumulation,
 //!   deferrable responses, dead arms and nondeterminism taint — and
-//!   cross-checks it against the declaration and `paper_table1()`.
+//!   checks it against the `paper_table1()` row the module links to
+//!   ([`table1`]) and against Theorem 1. Nothing declares the tuple:
+//!   the derivation, pinned by `results/LINT_report.json`, is the record.
 //!
 //! Suppressions are always justified: inline
 //! `// snowlint: allow(rule): why` (covers its own and the next line)
@@ -40,15 +37,18 @@ pub mod determinism;
 pub mod flow;
 pub mod graph;
 pub mod lexer;
-pub mod properties;
 pub mod report;
 pub mod robustness;
 pub mod syntax;
+pub mod table1;
 
 use config::Config;
 use graph::HandlerGraph;
 use report::{Finding, Report, Severity, Suppressed};
 use std::path::{Path, PathBuf};
+
+/// Rule: a source file in the scan cannot be read.
+pub const RULE_UNREADABLE: &str = "unreadable-file";
 
 /// How many PRs an allowlist entry may ride on one justification
 /// before it must be re-audited.
@@ -61,11 +61,8 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", "results", "node_modules"];
 /// Workspace-relative directory prefixes never scanned.
 const SKIP_PREFIXES: &[&str] = &["crates/snowlint/fixtures"];
 
-/// Where the Table 1 exhibit data lives.
-const PAPER_TABLE_FILE: &str = "crates/core/src/audit.rs";
-
-/// Is this workspace-relative path a protocol module that must carry a
-/// `snow_properties!` declaration?
+/// Is this workspace-relative path a protocol module, whose handlers
+/// the flow pass derives a SNOW tuple from?
 fn is_protocol_module(rel: &str) -> bool {
     rel.starts_with("crates/protocols/src/")
         && rel.ends_with(".rs")
@@ -147,6 +144,14 @@ fn last_landed_pr(changes: &str) -> u32 {
         .unwrap_or(0)
 }
 
+/// An allowlist-hygiene warning.
+fn hygiene(path: &str, line: u32, message: String) -> Finding {
+    Finding {
+        severity: Severity::Warning,
+        ..Finding::error("allowlist", path, line, 1, message)
+    }
+}
+
 /// Knobs for [`check_workspace_with`].
 #[derive(Clone, Debug, Default)]
 pub struct CheckOptions {
@@ -183,16 +188,14 @@ pub fn check_workspace_with(root: &Path, opts: &CheckOptions) -> Report {
         Err(_) => Config::default(),
     };
     for (line, problem) in &cfg.problems {
-        report.warnings.push(Finding {
-            severity: Severity::Warning,
-            ..Finding::error("allowlist", "snowlint.toml", *line, 1, problem.clone())
-        });
+        report
+            .warnings
+            .push(hygiene("snowlint.toml", *line, problem.clone()));
     }
 
-    // Table 1 reference data.
-    let paper = std::fs::read_to_string(root.join(PAPER_TABLE_FILE))
-        .map(|src| properties::parse_paper_table(&lexer::lex(&src)))
-        .unwrap_or_default();
+    // Table 1 reference data — read on every run, changed-only or not:
+    // a table that vanished must fail the run, not switch the checks off.
+    let table = table1::Table1::load(root, &mut raw);
 
     // Scan, fanning per-file work out over cbf-par. Lex + rules run at
     // roughly 100µs/file; the SNOWBOUND_MIN_WORK floor keeps tiny
@@ -210,15 +213,20 @@ pub fn check_workspace_with(root: &Path, opts: &CheckOptions) -> Report {
             flow: None,
             is_protocol: false,
         };
-        let Ok(src) = std::fs::read_to_string(root.join(&rel)) else {
-            return scan;
+        let src = match std::fs::read_to_string(root.join(&rel)) {
+            Ok(src) => src,
+            Err(e) => {
+                let why = format!("cannot read source file, nothing in it was checked: {e}");
+                scan.findings
+                    .push(Finding::error(RULE_UNREADABLE, &rel, 1, 1, why));
+                return scan;
+            }
         };
         let lx = lexer::lex(&src);
         determinism::check(&rel, &lx, &mut findings);
         if is_protocol_module(&rel) {
-            properties::check_protocol(&rel, &lx, &paper, &mut findings);
             robustness::check_protocol(&rel, &lx, &mut findings);
-            scan.flow = flow::check_protocol(&rel, &lx, &paper, &mut findings);
+            scan.flow = flow::check_protocol(&rel, &lx, &table, &mut findings);
             scan.is_protocol = true;
         }
         scan.findings = findings;
@@ -277,83 +285,48 @@ pub fn check_workspace_with(root: &Path, opts: &CheckOptions) -> Report {
     let full_scan = opts.only_files.is_none();
     for (path, a, used) in &annos {
         if !used && full_scan {
-            report.warnings.push(Finding {
-                severity: Severity::Warning,
-                ..Finding::error(
-                    "allowlist",
-                    path,
-                    a.line,
-                    1,
-                    format!(
-                        "unused inline allow({}) — nothing fires here anymore",
-                        a.rule
-                    ),
-                )
-            });
+            report.warnings.push(hygiene(
+                path,
+                a.line,
+                format!(
+                    "unused inline allow({}) — nothing fires here anymore",
+                    a.rule
+                ),
+            ));
         } else if *used && a.justification.is_empty() {
-            report.warnings.push(Finding {
-                severity: Severity::Warning,
-                ..Finding::error(
-                    "allowlist",
-                    path,
-                    a.line,
-                    1,
-                    format!("inline allow({}) has no justification", a.rule),
-                )
-            });
+            report.warnings.push(hygiene(
+                path,
+                a.line,
+                format!("inline allow({}) has no justification", a.rule),
+            ));
         }
     }
     let pr = current_pr(root);
     for (idx, e) in cfg.allows.iter().enumerate() {
+        let toml = "snowlint.toml";
+        let entry = format!("[[allow]] for {} on {}", e.rule, e.path);
         if !cfg_used[idx] && full_scan {
-            report.warnings.push(Finding {
-                severity: Severity::Warning,
-                ..Finding::error(
-                    "allowlist",
-                    "snowlint.toml",
-                    e.line,
-                    1,
-                    format!("unused [[allow]] for {} on {} — remove it", e.rule, e.path),
-                )
-            });
+            report
+                .warnings
+                .push(hygiene(toml, e.line, format!("unused {entry} — remove it")));
         }
         // Aging: a justification is an audit, not a grant in perpetuity.
         match e.since {
-            None => report.warnings.push(Finding {
-                severity: Severity::Warning,
-                ..Finding::error(
-                    "allowlist",
-                    "snowlint.toml",
-                    e.line,
-                    1,
-                    format!(
-                        "[[allow]] for {} on {} has no since field — add the PR \
-                         number its justification was audited in",
-                        e.rule, e.path
-                    ),
-                )
-            }),
+            None => report.warnings.push(hygiene(
+                toml,
+                e.line,
+                format!(
+                    "{entry} has no since field — add the PR number its justification \
+                     was audited in"
+                ),
+            )),
             Some(since) if pr.saturating_sub(since) >= ALLOW_MAX_AGE => {
-                report.errors.push(
-                    Finding::error(
-                        "allowlist",
-                        "snowlint.toml",
-                        e.line,
-                        1,
-                        format!(
-                            "[[allow]] for {} on {} is {} PRs old (since PR {since}, \
-                             now PR {pr})",
-                            e.rule,
-                            e.path,
-                            pr - since
-                        ),
-                    )
-                    .with_help(
-                        "re-audit the suppression: bump since after confirming the \
-                         justification still holds, or remove the entry"
-                            .into(),
-                    ),
-                );
+                let age = pr - since;
+                let why = format!("{entry} is {age} PRs old (since PR {since}, now PR {pr})");
+                let help = "re-audit the suppression: bump since after confirming the \
+                            justification still holds, or remove the entry";
+                let stale = Finding::error("allowlist", toml, e.line, 1, why);
+                report.errors.push(stale.with_help(help.into()));
             }
             Some(_) => {}
         }
@@ -398,6 +371,7 @@ mod tests {
     fn workspace_root_is_found_from_this_crate() {
         let root = find_workspace_root().expect("workspace root");
         assert!(root.join("crates/snowlint/Cargo.toml").exists());
-        assert!(root.join(PAPER_TABLE_FILE).exists());
+        assert!(root.join(table1::PAPER_TABLE_FILE).exists());
+        assert!(root.join(table1::LINK_TABLE_FILE).exists());
     }
 }

@@ -14,16 +14,11 @@ pub const RULE_CODES: &[(&str, &str)] = &[
     ("unsafe-block", "SL004"),
     ("missing-unsafe-guard", "SL005"),
     ("handler-unwrap", "SL010"),
-    ("missing-snow-decl", "SL020"),
-    ("duplicate-snow-decl", "SL021"),
-    ("malformed-snow-decl", "SL022"),
-    ("unknown-msg-variant", "SL023"),
-    ("request-set-mismatch", "SL024"),
-    ("value-reply-mismatch", "SL025"),
-    ("decl-const-mismatch", "SL026"),
+    // SL020–SL026, SL028, SL029 are retired with the declared tuple
+    // they checked (missing-/duplicate-/malformed-snow-decl,
+    // unknown-msg-variant, request-set-mismatch, value-reply-mismatch,
+    // decl-const-mismatch, paper-mismatch, impossible-claim).
     ("unknown-paper-row", "SL027"),
-    ("paper-mismatch", "SL028"),
-    ("impossible-claim", "SL029"),
     ("flow-rounds", "SL030"),
     ("flow-values", "SL031"),
     ("flow-blocking", "SL032"),
@@ -32,7 +27,9 @@ pub const RULE_CODES: &[(&str, &str)] = &[
     ("flow-dead-arm", "SL035"),
     ("flow-taint", "SL036"),
     ("flow-hint", "SL037"),
+    ("flow-requests", "SL038"),
     ("allowlist", "SL090"),
+    ("unreadable-file", "SL091"),
 ];
 
 /// The stable code for a rule name (`SL999` for rules not in the
@@ -135,7 +132,7 @@ pub struct Report {
     pub suppressed: Vec<Suppressed>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Number of protocol modules whose SNOW declaration was checked.
+    /// Number of protocol modules the flow pass ran over.
     pub protocols_checked: usize,
     /// Handler graphs the flow pass derived, one per protocol module.
     pub flows: Vec<HandlerGraph>,
@@ -147,6 +144,12 @@ impl Report {
         self.errors.is_empty()
     }
 
+    /// How many `// snowflow:` hints the derivations consumed — the
+    /// static pass's soundness debt.
+    pub fn flow_hints(&self) -> usize {
+        self.flows.iter().map(|g| g.hints.len()).sum()
+    }
+
     /// Human-readable report: every diagnostic plus a summary line.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -156,7 +159,7 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "snowlint: {} files, {} protocol declarations checked, \
+            "snowlint: {} files, {} protocol modules checked, \
              {} handler graph(s) derived: \
              {} error(s), {} warning(s), {} suppressed",
             self.files_scanned,
@@ -170,8 +173,9 @@ impl Report {
     }
 
     /// The `results/LINT_report.json` artifact, schema v2 (documented
-    /// in EXPERIMENTS.md): stable `code` IDs on every finding plus the
-    /// per-protocol derived SNOW tuples under `protocols`.
+    /// in EXPERIMENTS.md): stable `code` IDs on every finding, the
+    /// per-protocol derived SNOW tuples under `protocols`, and the
+    /// number of `// snowflow:` hints they lean on as `flow_hints`.
     pub fn to_json(&self) -> String {
         fn finding_json(f: &Finding, extra: Option<&str>) -> String {
             let sev = match f.severity {
@@ -213,11 +217,13 @@ impl Report {
         format!(
             "{{\n  \"schema\": \"snowlint/2\",\n  \"schema_version\": 2,\n  \
              \"files_scanned\": {},\n  \
-             \"protocols_checked\": {},\n  \"errors\": [{}],\n  \
+             \"protocols_checked\": {},\n  \"flow_hints\": {},\n  \
+             \"errors\": [{}],\n  \
              \"warnings\": [{}],\n  \"suppressed\": [{}],\n  \
              \"protocols\": [{}]\n}}\n",
             self.files_scanned,
             self.protocols_checked,
+            self.flow_hints(),
             errors.join(","),
             warnings.join(","),
             suppressed.join(","),
@@ -283,6 +289,7 @@ mod tests {
         assert!(j.contains("\"rule\":\"flow-rounds\""));
         assert!(j.contains("\"code\":\"SL030\""));
         assert!(j.contains("\"severity\":\"error\""));
+        assert!(j.contains("\"flow_hints\": 0"));
         assert!(j.contains("\"protocols\": []"));
     }
 

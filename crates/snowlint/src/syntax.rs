@@ -1,5 +1,5 @@
-//! Token-tree navigation shared by the property and flow passes: block
-//! matching, `fn` body location, and `match` arm splitting over the
+//! Token-tree navigation for the flow pass and the Table 1 parser: block
+//! matching and `match` arm splitting over the
 //! lexer's flat token stream. These helpers only track bracket depth —
 //! they never need full expression parsing, which is what keeps the
 //! lint fast and dependency-free.
@@ -25,19 +25,6 @@ pub fn block_end(toks: &[Token], open: usize) -> Option<usize> {
         }
     }
     None
-}
-
-/// Locate the `{..}` body of the fn starting at token `fn_i`; returns
-/// ((body_start, body_end_exclusive), index_after_body).
-pub fn fn_body(toks: &[Token], fn_i: usize) -> Option<((usize, usize), usize)> {
-    let mut j = fn_i;
-    // The first `{` after the signature opens the body (signatures here
-    // never contain braces).
-    while j < toks.len() && !toks[j].is_punct("{") {
-        j += 1;
-    }
-    let end = block_end(toks, j)?;
-    Some(((j + 1, end), end))
 }
 
 /// Split the arms of the `match` block whose `{` is at `open` into

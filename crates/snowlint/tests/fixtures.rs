@@ -5,7 +5,8 @@
 
 use snowlint::lexer::lex;
 use snowlint::report::Finding;
-use snowlint::{determinism, flow, properties};
+use snowlint::table1::{Link, PaperRow, Table1};
+use snowlint::{determinism, flow};
 use std::path::PathBuf;
 
 fn fixture(name: &str) -> String {
@@ -23,14 +24,52 @@ fn line_of(src: &str, marker: &str) -> u32 {
         + 1
 }
 
+/// A one-row Table 1 linking the fixture called `system` to a causal,
+/// read-only-write row with the given R/V bounds and N column — the
+/// row the test passes in is what the fixture is judged against.
+fn linked(system: &str, r: &str, v: &str, n: bool) -> Table1 {
+    Table1 {
+        rows: vec![PaperRow {
+            system: "ROW".into(),
+            r: r.into(),
+            v: v.into(),
+            n,
+            w: false,
+            consistency: "Causal Consistency".into(),
+        }],
+        links: vec![Link {
+            system: system.into(),
+            paper_row: Some("ROW".into()),
+            line: 1,
+        }],
+    }
+}
+
+fn render(findings: &[Finding]) -> String {
+    findings.iter().map(|f| f.render()).collect()
+}
+
 fn expect(findings: &[Finding], rule: &str, path: &str, line: u32) {
     assert!(
         findings
             .iter()
             .any(|f| f.rule == rule && f.path == path && f.line == line),
         "expected {rule} at {path}:{line}; got:\n{}",
-        findings.iter().map(|f| f.render()).collect::<String>()
+        render(findings)
     );
+}
+
+/// Each `(rule, marker)` fired on the line carrying `// line: <marker>`.
+fn expect_marked(findings: &[Finding], src: &str, path: &str, marked: &[(&str, &str)]) {
+    for (rule, marker) in marked {
+        let line = line_of(src, &format!("// line: {marker}"));
+        expect(findings, rule, path, line);
+    }
+}
+
+/// Exactly `n` findings.
+fn expect_count(findings: &[Finding], n: usize, what: &str) {
+    assert_eq!(findings.len(), n, "{what}:\n{}", render(findings));
 }
 
 #[test]
@@ -40,35 +79,17 @@ fn bad_checker_breaks_every_determinism_rule() {
     let mut out = Vec::new();
     determinism::check(path, &lex(&src), &mut out);
 
-    expect(
+    expect_marked(
         &out,
-        determinism::RULE_HASH,
+        &src,
         path,
-        line_of(&src, "// line: hash-use"),
-    );
-    expect(
-        &out,
-        determinism::RULE_HASH,
-        path,
-        line_of(&src, "// line: hash-field"),
-    );
-    expect(
-        &out,
-        determinism::RULE_CLOCK,
-        path,
-        line_of(&src, "// line: clock"),
-    );
-    expect(
-        &out,
-        determinism::RULE_THREAD,
-        path,
-        line_of(&src, "// line: thread"),
-    );
-    expect(
-        &out,
-        determinism::RULE_UNSAFE,
-        path,
-        line_of(&src, "// line: unsafe"),
+        &[
+            (determinism::RULE_HASH, "hash-use"),
+            (determinism::RULE_HASH, "hash-field"),
+            (determinism::RULE_CLOCK, "clock"),
+            (determinism::RULE_THREAD, "thread"),
+            (determinism::RULE_UNSAFE, "unsafe"),
+        ],
     );
     assert_eq!(out.len(), 5, "exactly the five marked violations");
 }
@@ -96,36 +117,18 @@ fn bad_sink_fails_the_guard_and_determinism_rules() {
     determinism::check(path, &lex(&src), &mut out);
 
     expect(&out, determinism::RULE_GUARD, path, 1);
-    expect(
+    expect_marked(
         &out,
-        determinism::RULE_HASH,
+        &src,
         path,
-        line_of(&src, "// line: hash"),
+        &[
+            (determinism::RULE_HASH, "hash"),
+            (determinism::RULE_HASH, "hash-field"),
+            (determinism::RULE_CLOCK, "clock"),
+            (determinism::RULE_UNSAFE, "unsafe"),
+        ],
     );
-    expect(
-        &out,
-        determinism::RULE_HASH,
-        path,
-        line_of(&src, "// line: hash-field"),
-    );
-    expect(
-        &out,
-        determinism::RULE_CLOCK,
-        path,
-        line_of(&src, "// line: clock"),
-    );
-    expect(
-        &out,
-        determinism::RULE_UNSAFE,
-        path,
-        line_of(&src, "// line: unsafe"),
-    );
-    assert_eq!(
-        out.len(),
-        5,
-        "exactly the five violations:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_count(&out, 5, "exactly the five violations");
 
     // Restoring the guard silences only the guard rule.
     let fixed = format!("#![deny(unsafe_code)]\n{src}");
@@ -147,31 +150,18 @@ fn bad_pipeline_fails_the_guard_and_determinism_rules() {
     determinism::check(path, &lex(&src), &mut out);
 
     expect(&out, determinism::RULE_GUARD, path, 1);
-    expect(
+    expect_marked(
         &out,
-        determinism::RULE_CLOCK,
+        &src,
         path,
-        line_of(&src, "// line: clock"),
-    );
-    expect(
-        &out,
-        determinism::RULE_THREAD,
-        path,
-        line_of(&src, "// line: thread"),
-    );
-    expect(
-        &out,
-        determinism::RULE_UNSAFE,
-        path,
-        line_of(&src, "// line: unsafe"),
+        &[
+            (determinism::RULE_CLOCK, "clock"),
+            (determinism::RULE_THREAD, "thread"),
+            (determinism::RULE_UNSAFE, "unsafe"),
+        ],
     );
     // bench may use HashMap, so exactly the four violations above.
-    assert_eq!(
-        out.len(),
-        4,
-        "exactly the four violations:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_count(&out, 4, "exactly the four violations");
 
     // The same source under the sharded checker's path is inside a
     // deterministic crate: the hash rule joins in at its marked lines.
@@ -179,24 +169,16 @@ fn bad_pipeline_fails_the_guard_and_determinism_rules() {
     let mut out = Vec::new();
     determinism::check(path, &lex(&src), &mut out);
     expect(&out, determinism::RULE_GUARD, path, 1);
-    expect(
+    expect_marked(
         &out,
-        determinism::RULE_HASH,
+        &src,
         path,
-        line_of(&src, "// line: hash"),
+        &[
+            (determinism::RULE_HASH, "hash"),
+            (determinism::RULE_HASH, "hash-field"),
+        ],
     );
-    expect(
-        &out,
-        determinism::RULE_HASH,
-        path,
-        line_of(&src, "// line: hash-field"),
-    );
-    assert_eq!(
-        out.len(),
-        6,
-        "guard + 2 hash + clock + thread + unsafe:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_count(&out, 6, "guard + 2 hash + clock + thread + unsafe");
 
     // Restoring the guard silences only the guard rule.
     let fixed = format!("#![deny(unsafe_code)]\n{src}");
@@ -220,36 +202,18 @@ fn bad_gc_fails_the_guard_and_determinism_rules() {
     determinism::check(path, &lex(&src), &mut out);
 
     expect(&out, determinism::RULE_GUARD, path, 1);
-    expect(
+    expect_marked(
         &out,
-        determinism::RULE_HASH,
+        &src,
         path,
-        line_of(&src, "// line: hash"),
+        &[
+            (determinism::RULE_HASH, "hash"),
+            (determinism::RULE_HASH, "hash-field"),
+            (determinism::RULE_CLOCK, "clock"),
+            (determinism::RULE_UNSAFE, "unsafe"),
+        ],
     );
-    expect(
-        &out,
-        determinism::RULE_HASH,
-        path,
-        line_of(&src, "// line: hash-field"),
-    );
-    expect(
-        &out,
-        determinism::RULE_CLOCK,
-        path,
-        line_of(&src, "// line: clock"),
-    );
-    expect(
-        &out,
-        determinism::RULE_UNSAFE,
-        path,
-        line_of(&src, "// line: unsafe"),
-    );
-    assert_eq!(
-        out.len(),
-        5,
-        "guard + 2 hash + clock + unsafe:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_count(&out, 5, "guard + 2 hash + clock + unsafe");
 
     // The soak harness path is guarded too, but lives in bench where
     // hash maps are legal and the wall clock is allowlisted at the
@@ -258,12 +222,7 @@ fn bad_gc_fails_the_guard_and_determinism_rules() {
     let mut out = Vec::new();
     determinism::check(path, &lex(&src), &mut out);
     expect(&out, determinism::RULE_GUARD, path, 1);
-    expect(
-        &out,
-        determinism::RULE_UNSAFE,
-        path,
-        line_of(&src, "// line: unsafe"),
-    );
+    expect_marked(&out, &src, path, &[(determinism::RULE_UNSAFE, "unsafe")]);
     assert!(out.iter().all(|f| f.rule != determinism::RULE_HASH));
 
     // Restoring the guard silences only the guard rule.
@@ -288,35 +247,17 @@ fn bad_workload_fails_the_guard_and_determinism_rules() {
     determinism::check(path, &lex(&src), &mut out);
 
     expect(&out, determinism::RULE_GUARD, path, 1);
-    expect(
+    expect_marked(
         &out,
-        determinism::RULE_HASH,
+        &src,
         path,
-        line_of(&src, "// line: hash-use"),
-    );
-    expect(
-        &out,
-        determinism::RULE_HASH,
-        path,
-        line_of(&src, "// line: hash-field"),
-    );
-    expect(
-        &out,
-        determinism::RULE_CLOCK,
-        path,
-        line_of(&src, "// line: clock"),
-    );
-    expect(
-        &out,
-        determinism::RULE_THREAD,
-        path,
-        line_of(&src, "// line: thread"),
-    );
-    expect(
-        &out,
-        determinism::RULE_UNSAFE,
-        path,
-        line_of(&src, "// line: unsafe"),
+        &[
+            (determinism::RULE_HASH, "hash-use"),
+            (determinism::RULE_HASH, "hash-field"),
+            (determinism::RULE_CLOCK, "clock"),
+            (determinism::RULE_THREAD, "thread"),
+            (determinism::RULE_UNSAFE, "unsafe"),
+        ],
     );
     // The fixture constructs two more HashMaps inside `new`.
     let hash_count = out
@@ -326,7 +267,7 @@ fn bad_workload_fails_the_guard_and_determinism_rules() {
     assert!(
         hash_count >= 2,
         "at least the two marked hash sites:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
+        render(&out)
     );
 
     // Restoring the guard silences only the guard rule.
@@ -344,12 +285,7 @@ fn bad_workload_fails_the_guard_and_determinism_rules() {
     assert!(out.iter().all(|f| f.rule != determinism::RULE_GUARD));
     // Clock fires on every `SystemTime` mention (the use, the ::now
     // and UNIX_EPOCH), plus the thread and unsafe sites.
-    assert_eq!(
-        out.len(),
-        5,
-        "3 clock + thread + unsafe:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_count(&out, 5, "3 clock + thread + unsafe");
 }
 
 #[test]
@@ -372,24 +308,16 @@ fn bad_net_crosses_the_runtime_boundary_both_ways() {
     ] {
         expect(&out, determinism::RULE_NET, path, line_of(&src, marker));
     }
-    expect(
+    expect_marked(
         &out,
-        determinism::RULE_CLOCK,
+        &src,
         path,
-        line_of(&src, "// line: clock"),
+        &[
+            (determinism::RULE_CLOCK, "clock"),
+            (determinism::RULE_THREAD, "thread"),
+        ],
     );
-    expect(
-        &out,
-        determinism::RULE_THREAD,
-        path,
-        line_of(&src, "// line: thread"),
-    );
-    assert_eq!(
-        out.len(),
-        5,
-        "3 sockets + clock + thread:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_count(&out, 5, "3 sockets + clock + thread");
 
     // Under the event loop's own path the sockets, clock and thread are
     // the runtime's business — but the oracle types in the hot path and
@@ -398,24 +326,16 @@ fn bad_net_crosses_the_runtime_boundary_both_ways() {
     let mut out = Vec::new();
     determinism::check(path, &lex(&src), &mut out);
     expect(&out, determinism::RULE_GUARD, path, 1);
-    expect(
+    expect_marked(
         &out,
-        determinism::RULE_SIM_IN_NET,
+        &src,
         path,
-        line_of(&src, "// line: sim-world"),
+        &[
+            (determinism::RULE_SIM_IN_NET, "sim-world"),
+            (determinism::RULE_SIM_IN_NET, "sim-config"),
+        ],
     );
-    expect(
-        &out,
-        determinism::RULE_SIM_IN_NET,
-        path,
-        line_of(&src, "// line: sim-config"),
-    );
-    assert_eq!(
-        out.len(),
-        3,
-        "guard + 2 oracle types:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_count(&out, 3, "guard + 2 oracle types");
 
     // Restoring the guard silences only the guard rule.
     let fixed = format!("#![deny(unsafe_code)]\n{src}");
@@ -428,46 +348,7 @@ fn bad_net_crosses_the_runtime_boundary_both_ways() {
     // names: same source, zero findings.
     let mut out = Vec::new();
     determinism::check("crates/net/src/replay.rs", &lex(&src), &mut out);
-    assert!(
-        out.is_empty(),
-        "{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
-}
-
-#[test]
-fn bad_cops_snow_clone_fails_the_property_rules() {
-    let src = fixture("bad_cops_snow.rs");
-    let path = "crates/protocols/src/bad_cops_snow.rs";
-
-    // Check against the *real* Table 1 data, exactly as the workspace
-    // pass would.
-    let root = snowlint::find_workspace_root().expect("workspace root");
-    let audit = std::fs::read_to_string(root.join("crates/core/src/audit.rs")).unwrap();
-    let paper = properties::parse_paper_table(&lex(&audit));
-    assert!(!paper.is_empty(), "paper_table1() rows parsed");
-
-    let mut out = Vec::new();
-    properties::check_protocol(path, &lex(&src), &paper, &mut out);
-
-    let decl_line = line_of(&src, "// line: decl");
-    expect(&out, properties::RULE_PAPER, path, decl_line);
-    expect(&out, properties::RULE_VALUES, path, decl_line);
-    expect(&out, properties::RULE_REQUESTS, path, decl_line);
-    assert_eq!(
-        out.iter()
-            .filter(|f| f.rule == properties::RULE_PAPER)
-            .count(),
-        2,
-        "both rounds and values violate the 1/1 row:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
-    assert_eq!(
-        out.len(),
-        4,
-        "{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_count(&out, 0, "clean");
 }
 
 #[test]
@@ -475,34 +356,25 @@ fn bad_flow_rounds_fires_on_the_extra_round_send() {
     let src = fixture("bad_flow_rounds.rs");
     let path = "crates/protocols/src/bad_flow_rounds.rs";
     let mut out = Vec::new();
-    let g = flow::check_protocol(path, &lex(&src), &[], &mut out).expect("graph");
+    let row = linked("BAD-FLOW-ROUNDS", "1", "1", true);
+    let g = flow::check_protocol(path, &lex(&src), &row, &mut out).expect("graph");
 
     // The finding points at the second server-bound hop — the first
-    // send beyond the declared one-round budget — not the declaration.
-    expect(
-        &out,
-        flow::RULE_FLOW_ROUNDS,
-        path,
-        line_of(&src, "// line: extra-round"),
-    );
+    // send beyond the row's one-round budget — not the `const NAME`.
+    expect_marked(&out, &src, path, &[(flow::RULE_FLOW_ROUNDS, "extra-round")]);
     assert_eq!(g.derived.rounds, Some(2));
-    assert_eq!(
-        out.len(),
-        1,
-        "exactly the marked violation:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_count(&out, 1, "exactly the marked violation");
 
-    // Declaring what the handlers actually do silences the rule: the
-    // finding is about the declaration/derivation gap, not the hops.
-    let honest = src.replace("rounds: 1", "rounds: 2");
+    // A row that allows what the handlers actually do silences the
+    // rule: the finding is about the row/derivation gap, not the hops.
+    assert_clean(path, &src, &linked("BAD-FLOW-ROUNDS", "2", "1", true));
+}
+
+/// The honest variant: the same fixture against a matching row.
+fn assert_clean(path: &str, src: &str, table: &Table1) {
     let mut out = Vec::new();
-    flow::check_protocol(path, &lex(&honest), &[], &mut out).expect("graph");
-    assert!(
-        out.is_empty(),
-        "{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    flow::check_protocol(path, &lex(src), table, &mut out).expect("graph");
+    expect_count(&out, 0, "clean");
 }
 
 #[test]
@@ -510,21 +382,18 @@ fn bad_flow_values_fires_on_the_second_version_reply() {
     let src = fixture("bad_flow_values.rs");
     let path = "crates/protocols/src/bad_flow_values.rs";
     let mut out = Vec::new();
-    let g = flow::check_protocol(path, &lex(&src), &[], &mut out).expect("graph");
+    let row = linked("BAD-FLOW-VALUES", "2", "1", true);
+    let g = flow::check_protocol(path, &lex(&src), &row, &mut out).expect("graph");
 
-    expect(
+    expect_marked(
         &out,
-        flow::RULE_FLOW_VALUES,
+        &src,
         path,
-        line_of(&src, "// line: second-version"),
+        &[(flow::RULE_FLOW_VALUES, "second-version")],
     );
     assert_eq!(g.derived.values, Some(2));
-    assert_eq!(
-        out.len(),
-        1,
-        "exactly the marked violation:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_count(&out, 1, "exactly the marked violation");
+    assert_clean(path, &src, &linked("BAD-FLOW-VALUES", "2", "≤2", true));
 }
 
 #[test]
@@ -532,24 +401,21 @@ fn bad_flow_blocking_fires_on_the_deferred_reply() {
     let src = fixture("bad_flow_blocking.rs");
     let path = "crates/protocols/src/bad_flow_blocking.rs";
     let mut out = Vec::new();
-    let g = flow::check_protocol(path, &lex(&src), &[], &mut out).expect("graph");
+    let row = linked("BAD-FLOW-BLOCKING", "1", "1", true);
+    let g = flow::check_protocol(path, &lex(&src), &row, &mut out).expect("graph");
 
     // The reply reached through the drain helper goes to a *stored*
     // client pid; the finding lands on that send, not the stash site.
-    expect(
+    expect_marked(
         &out,
-        flow::RULE_FLOW_BLOCKING,
+        &src,
         path,
-        line_of(&src, "// line: deferred-reply"),
+        &[(flow::RULE_FLOW_BLOCKING, "deferred-reply")],
     );
     assert!(!g.derived.nonblocking);
     assert_eq!(g.derived.rounds, Some(1), "the stash itself is one round");
-    assert_eq!(
-        out.len(),
-        1,
-        "exactly the marked violation:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_count(&out, 1, "exactly the marked violation");
+    assert_clean(path, &src, &linked("BAD-FLOW-BLOCKING", "1", "1", false));
 }
 
 #[test]
@@ -557,7 +423,8 @@ fn bad_flow_taint_fires_on_the_source_with_its_call_chain() {
     let src = fixture("bad_flow_taint.rs");
     let path = "crates/protocols/src/bad_flow_taint.rs";
     let mut out = Vec::new();
-    flow::check_protocol(path, &lex(&src), &[], &mut out).expect("graph");
+    let row = linked("BAD-FLOW-TAINT", "1", "1", true);
+    flow::check_protocol(path, &lex(&src), &row, &mut out).expect("graph");
 
     let line = line_of(&src, "// line: taint-source");
     expect(&out, flow::RULE_FLOW_TAINT, path, line);
@@ -570,12 +437,7 @@ fn bad_flow_taint_fires_on_the_source_with_its_call_chain() {
         "the finding names the call chain: {}",
         f.message
     );
-    assert_eq!(
-        out.len(),
-        1,
-        "exactly the marked violation:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_count(&out, 1, "exactly the marked violation");
 }
 
 #[test]
@@ -583,48 +445,9 @@ fn bad_flow_dead_arm_fires_on_the_unreachable_arm() {
     let src = fixture("bad_flow_dead_arm.rs");
     let path = "crates/protocols/src/bad_flow_dead_arm.rs";
     let mut out = Vec::new();
-    flow::check_protocol(path, &lex(&src), &[], &mut out).expect("graph");
+    let row = linked("BAD-FLOW-DEAD-ARM", "1", "1", true);
+    flow::check_protocol(path, &lex(&src), &row, &mut out).expect("graph");
 
-    expect(
-        &out,
-        flow::RULE_FLOW_DEAD_ARM,
-        path,
-        line_of(&src, "// line: dead-arm"),
-    );
-    assert_eq!(
-        out.len(),
-        1,
-        "exactly the marked violation:\n{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
-}
-
-#[test]
-fn fixing_the_fixture_tuple_silences_the_property_rules() {
-    // The same clone with the true COPS-SNOW tuple is clean: the rules
-    // flag the declaration, not the clone itself.
-    let src = fixture("bad_cops_snow.rs")
-        .replace("rounds: 2", "rounds: 1")
-        .replace("values: 2", "values: 1")
-        .replace(
-            "value_replies: [RotResp, PutAck]",
-            "value_replies: [RotResp]",
-        )
-        .replace(
-            "requests: [RotReq, PutReq]",
-            "requests: [RotReq, PutReq, OldReaderQuery]",
-        )
-        .replace("paper_row: \"COPS-SNOW\"", "paper_row: none");
-    let mut out = Vec::new();
-    properties::check_protocol(
-        "crates/protocols/src/bad_cops_snow.rs",
-        &lex(&src),
-        &[],
-        &mut out,
-    );
-    assert!(
-        out.is_empty(),
-        "{}",
-        out.iter().map(|f| f.render()).collect::<String>()
-    );
+    expect_marked(&out, &src, path, &[(flow::RULE_FLOW_DEAD_ARM, "dead-arm")]);
+    expect_count(&out, 1, "exactly the marked violation");
 }
