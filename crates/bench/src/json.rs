@@ -306,7 +306,7 @@ impl ToJson for crate::scale::CheckerScaleRow {
             .f64("legacy_ms", self.legacy_ms)
             .f64("legacy_tps", self.legacy_tps)
             // The legacy columns come from this (small) tier: the dense
-            // closure is cubic, so the speedup above it is a floor.
+            // matrices are quadratic, so the speedup above it is a floor.
             .u64("legacy_measured_at", self.legacy_measured_at)
             .f64("speedup_vs_legacy", self.speedup_vs_legacy)
             .bool("verdict_ok", self.verdict_ok)

@@ -156,10 +156,15 @@ pub fn check_causal(h: &History) -> Verdict {
 }
 
 /// The original recompute-from-scratch checker: builds the full
-/// [`CausalOrder`] (dense transitive closure) and scans
-/// `reads_from × transactions`. Kept as the differential-testing oracle
-/// for the incremental path; quadratic memory and roughly cubic time, so
-/// only viable up to a few thousand transactions.
+/// [`CausalOrder`] (dense transitive closure), walks each read's per-key
+/// writer list for rules 3/3b and saturates every client's copy of the
+/// relation for rule 4. Kept as the differential-testing oracle for the
+/// incremental path and as its exact fallback. Memory is quadratic
+/// (n²/8 bytes per matrix), which is what caps the history size; on an
+/// acyclic history time is `O(edges·n/64)` for the closure plus
+/// `O(n·n/64)` per constraint edge a client's fixpoint adds — the cubic
+/// Floyd–Warshall runs only when program order and reads-from already
+/// form a cycle.
 pub fn check_causal_legacy(h: &History) -> Verdict {
     let mut v = Verdict::default();
     if !h.values_distinct() {
@@ -181,14 +186,15 @@ pub fn check_causal_legacy(h: &History) -> Verdict {
         return v; // the remaining rules assume a partial order
     }
 
-    // Rule 3: stale reads.
+    // Rule 3: stale reads. Only a writer of the key can overwrite it, so
+    // walk the key's ascending writer list, not every transaction.
     let txs = h.transactions();
     for rf in &co.reads_from {
-        for (j, t) in txs.iter().enumerate() {
+        for &j in co.writers_of(rf.key) {
             if j == rf.writer || j == rf.reader {
                 continue;
             }
-            if t.wrote(rf.key).is_some() && co.before(rf.writer, j) && co.before(j, rf.reader) {
+            if co.before(rf.writer, j) && co.before(j, rf.reader) {
                 v.violations.push(Violation::StaleRead {
                     reader: co.tx_ids[rf.reader],
                     key: rf.key,
@@ -206,8 +212,8 @@ pub fn check_causal_legacy(h: &History) -> Verdict {
             if !val.is_bottom() {
                 continue;
             }
-            for (j, w) in txs.iter().enumerate() {
-                if j != i && w.wrote(k).is_some() && co.before(j, i) {
+            for &j in co.writers_of(k) {
+                if j != i && co.before(j, i) {
                     v.violations.push(Violation::BottomReadAfterWrite {
                         reader: co.tx_ids[i],
                         key: k,
@@ -224,14 +230,24 @@ pub fn check_causal_legacy(h: &History) -> Verdict {
     // and the verdicts are folded back in client order, reproducing the
     // serial loop's violation order exactly.
     let clients = h.clients();
-    // The per-client fixpoint is roughly quadratic in history length;
-    // the n²/100 ns estimate keeps the tiny histories of the drive
-    // tests and latency cells serial while the legacy-oracle tiers
-    // still fan out.
+    // Measured at n = 2.1k on contended keys: a client costs one copy of
+    // the closed relation (n·n/64 words at ≈ ¼ ns) plus ≈ 1.6
+    // `add_closed` calls per read, each a probe of all n rows at ≈ 3 ns
+    // — 0.45 ms. Tiny histories (the drive tests, the latency cells)
+    // total far below the spawn floor and stay serial; the legacy-oracle
+    // tiers fan out.
     let n = h.len() as u64;
-    let per_client = n.saturating_mul(n) / 100;
+    let adds = 2 * co.reads_from.len() as u64 / clients.len().max(1) as u64;
+    let per_client = n.saturating_mul(n) / 256 + adds.saturating_mul(n) * 3;
+    // Scratch copies of the causal relation, one per worker at most,
+    // reused from client to client instead of allocated n²/8 bytes each.
+    let scratch = std::sync::Mutex::new(Vec::new());
     for (client, ok) in cbf_par::parallel_map_costed(clients, per_client, |client| {
-        (client, client_serializable(h, &co, client))
+        let spare = scratch.lock().expect("scratch pool poisoned").pop();
+        let mut forced = spare.unwrap_or_else(|| Relation::new(0));
+        let ok = client_serializable(h, &co, client, &mut forced);
+        scratch.lock().expect("scratch pool poisoned").push(forced);
+        (client, ok)
     }) {
         if !ok {
             v.violations.push(Violation::Unserializable { client });
@@ -245,18 +261,20 @@ pub fn check_causal_legacy(h: &History) -> Verdict {
 /// acyclicity. Constraint: for each read by `client`'s transaction `T` of
 /// object `k` from `W1`, every other writer `W2` of `k` that is forced
 /// before `T` must be forced before `W1`.
-pub(crate) fn client_serializable(h: &History, co: &CausalOrder, client: ClientId) -> bool {
+///
+/// `forced` is scratch space (any size; overwritten with the causal
+/// relation first). It stays transitively closed throughout — each
+/// constraint edge goes in through [`Relation::add_closed`] — so the
+/// rounds read the closure of everything added so far. The least fixpoint
+/// is unique and both exits are monotone in `forced`, so the answer does
+/// not depend on the order edges are discovered in.
+pub(crate) fn client_serializable(
+    h: &History,
+    co: &CausalOrder,
+    client: ClientId,
+    forced: &mut Relation,
+) -> bool {
     let txs = h.transactions();
-    // Writers per key, precomputed.
-    let mut writers_of: std::collections::BTreeMap<Key, Vec<usize>> = Default::default();
-    for (i, t) in txs.iter().enumerate() {
-        for (k, _) in &t.writes {
-            let ws = writers_of.entry(*k).or_default();
-            if ws.last() != Some(&i) {
-                ws.push(i);
-            }
-        }
-    }
     let my_reads: Vec<_> = co
         .reads_from
         .iter()
@@ -278,41 +296,37 @@ pub(crate) fn client_serializable(h: &History, co: &CausalOrder, client: ClientI
 
     let bottom_ok = |forced: &Relation| {
         my_bottom_reads.iter().all(|&(reader, k)| {
-            writers_of
-                .get(&k)
-                .is_none_or(|ws| ws.iter().all(|&w| w == reader || !forced.get(w, reader)))
+            let mut ws = co.writers_of(k).iter();
+            ws.all(|&w| w == reader || !forced.get(w, reader))
         })
     };
 
-    let mut forced: Relation = co.causal.clone(); // already closed
+    forced.clone_from(&co.causal); // already closed
     loop {
-        if !bottom_ok(&forced) {
+        if !bottom_ok(forced) {
             return false;
         }
         let mut added = false;
         for rf in &my_reads {
-            let Some(ws) = writers_of.get(&rf.key) else {
-                continue;
-            };
-            for &w2 in ws {
+            // Latest writers first: the closure of their edge usually
+            // covers the earlier ones, which then add nothing.
+            for &w2 in co.writers_of(rf.key).iter().rev() {
                 if w2 == rf.writer || w2 == rf.reader {
                     continue;
                 }
                 if forced.get(w2, rf.reader) && !forced.get(w2, rf.writer) {
-                    forced.set(w2, rf.writer);
+                    forced.add_closed(w2, rf.writer);
                     added = true;
                 }
             }
         }
-        if !added {
-            break;
-        }
-        forced.transitive_close();
         if !forced.is_irreflexive() {
             return false;
         }
+        if !added {
+            return true;
+        }
     }
-    forced.is_irreflexive() && bottom_ok(&forced)
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! Incremental causal-consistency checking: the scale path.
 //!
 //! [`crate::checker::check_causal_legacy`] rebuilds the full
-//! [`CausalOrder`] — two `n × n` bit matrices and a cubic
-//! `transitive_close` — on every call, which caps the histories the
-//! chaos and Table-1 pipelines can afford to verify at a few thousand
-//! transactions. [`CausalChecker`] replaces the dense closure with
+//! [`CausalOrder`] — two `n × n` bit matrices, n²/8 bytes each, and
+//! their closure — on every call, and that quadratic memory caps the
+//! histories the chaos and Table-1 pipelines can afford to verify that
+//! way. [`CausalChecker`] replaces the dense closure with
 //! per-transaction **vector-clock frontiers** and per-key, per-session
 //! **version chains**, so each of Definition 1's rules is decided by
 //! order-of-`log` chain lookups instead of matrix scans:
@@ -51,7 +51,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::checker::{check_causal_legacy, client_serializable, Verdict, Violation};
 use crate::history::{History, TxRecord};
-use crate::relations::{CausalOrder, ReadsFrom};
+use crate::relations::{CausalOrder, ReadsFrom, Relation};
 use crate::types::{ClientId, Key, Value};
 
 /// A read that did not resolve to an already-ingested writer: either a
@@ -706,6 +706,7 @@ impl IngestState {
         // constraint saturation run the legacy fixpoint over a lazily
         // built CausalOrder (at most once per verdict).
         let mut legacy_order: Option<CausalOrder> = None;
+        let mut scratch = Relation::new(0);
         for scan in &scans {
             let ok = if self.session_violated[scan.s as usize] {
                 false
@@ -722,7 +723,7 @@ impl IngestState {
                             scan.client.0
                         );
                         let co = legacy_order.get_or_insert_with(|| CausalOrder::build(h));
-                        client_serializable(h, co, scan.client)
+                        client_serializable(h, co, scan.client, &mut scratch)
                     }
                 }
             };
@@ -975,6 +976,7 @@ impl IngestState {
         // refuses this GC round.
         let mut newly_violated: Vec<u32> = Vec::new();
         let mut legacy_order: Option<CausalOrder> = None;
+        let mut scratch = Relation::new(0);
         for scan in &scans {
             if self.session_violated[scan.s as usize] {
                 continue;
@@ -988,7 +990,7 @@ impl IngestState {
                         return stats;
                     }
                     let co = legacy_order.get_or_insert_with(|| CausalOrder::build(h));
-                    if client_serializable(h, co, scan.client) {
+                    if client_serializable(h, co, scan.client, &mut scratch) {
                         stats.blocked = Some("rule-4 fixpoint pending and currently serializable");
                         return stats;
                     }

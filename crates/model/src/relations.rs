@@ -9,11 +9,27 @@ use std::collections::BTreeMap;
 /// bit-matrix. Rows are `ceil(n/64)` words; `get(i, j)` is bit `j` of row
 /// `i`. Dense bitsets keep the transitive closure cache-friendly — the
 /// checker's hot loop is `row_i |= row_k`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Relation {
     n: usize,
     words: usize,
     bits: Vec<u64>,
+}
+
+impl Clone for Relation {
+    fn clone(&self) -> Self {
+        Relation {
+            bits: self.bits.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `self`'s allocation: the rule-4 fixpoint copies the causal
+    /// relation once per client into the same scratch matrix.
+    fn clone_from(&mut self, source: &Self) {
+        (self.n, self.words) = (source.n, source.words);
+        self.bits.clone_from(&source.bits);
+    }
 }
 
 impl Relation {
@@ -60,28 +76,86 @@ impl Relation {
         }
     }
 
+    /// Split the matrix around row `k`: `(rows before, row k, rows after)`,
+    /// so other rows can absorb row `k` without cloning it.
+    #[inline]
+    fn split_row(&mut self, k: usize) -> (&mut [u64], &mut [u64], &mut [u64]) {
+        let (before, rest) = self.bits.split_at_mut(k * self.words);
+        let (row_k, after) = rest.split_at_mut(self.words);
+        (before, row_k, after)
+    }
+
+    /// Add the pair `(a, b)` to a relation that is already transitively
+    /// closed, and keep it closed: every row that reaches `a` (and `a`'s
+    /// own) absorbs `row_b ∪ {b}`. One use of the new edge suffices on
+    /// any path, so this is the whole closure — including the self-pairs
+    /// a cycle through the edge creates. Two probes per row, and a row
+    /// union only where the pair is news: `O(n·n/64)` at worst.
+    pub fn add_closed(&mut self, a: usize, b: usize) {
+        debug_assert!(a < self.n && b < self.n);
+        let (aw, abit) = (a / 64, 1u64 << (a % 64));
+        let (bw, bbit) = (b / 64, 1u64 << (b % 64));
+        let w = self.words;
+        let (before, row_b, after) = self.split_row(b);
+        if a == b || row_b[aw] & abit != 0 {
+            row_b[bw] |= bbit; // b reaches a: the edge closes a cycle
+        }
+        let rows = before.chunks_exact_mut(w).chain(after.chunks_exact_mut(w));
+        for (i, row_i) in rows.enumerate() {
+            // The chain skips row `b`; a row that already reaches `b`
+            // holds all of `row_b`.
+            let i = if i < b { i } else { i + 1 };
+            if (i == a || row_i[aw] & abit != 0) && row_i[bw] & bbit == 0 {
+                for (x, y) in row_i.iter_mut().zip(row_b.iter()) {
+                    *x |= *y;
+                }
+                row_i[bw] |= bbit;
+            }
+        }
+    }
+
+    /// Transitively close an *acyclic* relation in one sweep: visit the
+    /// elements in reverse topological order, so each row absorbs the
+    /// already-closed rows of its direct successors. `O(edges·n/64)`.
+    /// Returns `false`, leaving the relation untouched, when it has a
+    /// cycle — [`transitive_close`](Self::transitive_close) handles that.
+    pub(crate) fn close_acyclic(&mut self) -> bool {
+        let Some(order) = self.topo_order() else {
+            return false;
+        };
+        let w = self.words;
+        let mut succ = Vec::new();
+        for &i in order.iter().rev() {
+            succ.clear();
+            self.for_each_successor(i, |j| succ.push(j));
+            let (before, row_i, after) = self.split_row(i);
+            // `topo_order` looks past self-pairs, and so does the sweep.
+            for &j in succ.iter().filter(|&&j| j != i) {
+                let row_j = if j < i {
+                    &before[j * w..][..w]
+                } else {
+                    &after[(j - i - 1) * w..][..w]
+                };
+                for (x, y) in row_i.iter_mut().zip(row_j) {
+                    *x |= *y;
+                }
+            }
+        }
+        true
+    }
+
     /// Replace this relation with its transitive closure.
     ///
     /// Bitset Floyd–Warshall: for each intermediate `k`, every row that
-    /// reaches `k` absorbs `k`'s row. `O(n²·n/64)` — comfortably fast for
-    /// the history sizes the checkers see.
+    /// reaches `k` absorbs `k`'s row. `O(n²·n/64)`: the checkers keep it
+    /// for genuinely cyclic graphs and as the reference that
+    /// [`add_closed`](Self::add_closed) and
+    /// [`close_acyclic`](Self::close_acyclic) are property-tested against.
     pub fn transitive_close(&mut self) {
         let w = self.words;
         for k in 0..self.n {
-            // Split the matrix around row k to satisfy the borrow checker
-            // without cloning the row.
-            let (before, rest) = self.bits.split_at_mut(k * w);
-            let (row_k, after) = rest.split_at_mut(w);
-            for i in 0..self.n {
-                if i == k {
-                    continue;
-                }
-                let row_i = if i < k {
-                    &mut before[i * w..(i + 1) * w]
-                } else {
-                    let off = (i - k - 1) * w;
-                    &mut after[off..off + w]
-                };
+            let (before, row_k, after) = self.split_row(k);
+            for row_i in before.chunks_exact_mut(w).chain(after.chunks_exact_mut(w)) {
                 if row_i[k / 64] & (1 << (k % 64)) != 0 {
                     for (a, b) in row_i.iter_mut().zip(row_k.iter()) {
                         *a |= *b;
@@ -180,6 +254,8 @@ pub struct CausalOrder {
     pub unknown_reads: Vec<(usize, Key, Value)>,
     /// The causal relation, transitively closed.
     pub causal: Relation,
+    /// Key → its writers, ascending; see [`writers_of`](Self::writers_of).
+    writers: BTreeMap<Key, Vec<usize>>,
 }
 
 impl CausalOrder {
@@ -203,11 +279,17 @@ impl CausalOrder {
             last_of_client.insert(t.client, i);
         }
 
-        // Writer index: (key, value) → writing transaction.
+        // Writer indexes: (key, value) → writing transaction, and
+        // key → every writer.
         let mut writer: BTreeMap<(Key, Value), usize> = BTreeMap::new();
+        let mut writers: BTreeMap<Key, Vec<usize>> = BTreeMap::new();
         for (i, t) in txs.iter().enumerate() {
             for &(k, v) in &t.writes {
                 writer.insert((k, v), i);
+                let ws = writers.entry(k).or_default();
+                if ws.last() != Some(&i) {
+                    ws.push(i);
+                }
             }
         }
 
@@ -237,7 +319,12 @@ impl CausalOrder {
                 }
             }
         }
-        causal.transitive_close();
+        // `po ∪ rf` is a DAG unless a forward reads-from edge closed a
+        // cycle; only then pay for Floyd–Warshall (the verdict is
+        // `CausalityCycle` straight after).
+        if !causal.close_acyclic() {
+            causal.transitive_close();
+        }
 
         CausalOrder {
             tx_ids,
@@ -245,7 +332,14 @@ impl CausalOrder {
             reads_from: rf,
             unknown_reads: unknown,
             causal,
+            writers,
         }
+    }
+
+    /// The transactions that write `k`, ascending: the only candidates
+    /// rules 3 and 3b and every client's rule-4 fixpoint have to look at.
+    pub fn writers_of(&self, k: Key) -> &[usize] {
+        self.writers.get(&k).map_or(&[], Vec::as_slice)
     }
 
     /// Number of transactions.
