@@ -63,7 +63,6 @@ fn run(what: &str) -> Result<(), String> {
         "daggers" => daggers(),
         "freshness" => freshness(),
         "chaos" => chaos(),
-        "scale" => scale(),
         "soak" => soak(),
         "load" => load(),
         "net" => net(),
@@ -90,7 +89,7 @@ fn run(what: &str) -> Result<(), String> {
         }
         other => {
             eprintln!("unknown exhibit: {other}");
-            eprintln!("known: table1 table2 fig1 fig2 fig3 theorem1 theorem2 limits latency ablations daggers freshness chaos scale soak load net all");
+            eprintln!("known: table1 table2 fig1 fig2 fig3 theorem1 theorem2 limits latency ablations daggers freshness chaos soak load net all");
             std::process::exit(2);
         }
     }
@@ -103,7 +102,7 @@ fn save_json(name: &str, value: &impl ToJson) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse the count argument of `scale`, `load` and `soak`: `100k`, `2m`
+/// Parse the count argument of `load` and `soak`: `100k`, `2m`
 /// (case-insensitive) or a plain integer.
 fn parse_count(arg: &str) -> Result<u64, String> {
     let s = arg.to_ascii_lowercase();
@@ -638,72 +637,6 @@ fn chaos() -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// Scale — verification-pipeline throughput at 10k/100k/1M
-// ---------------------------------------------------------------------
-
-fn scale() -> Result<(), String> {
-    // `repro scale [tier]` caps the tiers: CI runs `repro scale 100k`
-    // to skip the million-event tier on shared runners.
-    let cap = match std::env::args().nth(2) {
-        Some(arg) => parse_count(&arg)?,
-        None => 1_000_000,
-    };
-    println!("SCALE — checker, simulator and pipeline throughput (tiers up to {cap} events)");
-    println!("Checker: incremental CausalChecker vs the legacy dense-closure oracle");
-    println!("(legacy measured at a small anchor tier only — its matrices are");
-    println!("quadratic — so the quoted ratios are underestimates, and printed,");
-    println!("not gated). Simulator: an 8-process ring.");
-    println!("Pipeline: the simulation overlapped with sharded incremental");
-    println!("checking, sealed trace segments recycled mid-run. All digests are");
-    println!("pinned against committed fixtures.\n");
-
-    let report = cbf_bench::scale::scale_report(cap)?;
-    print!("{}", cbf_bench::scale::render_scale(&report));
-    save_json("BENCH_scale", &report)?;
-
-    // Incremental throughput at 100k over *legacy* throughput at the
-    // anchor tier: a ratio of two wall-clock numbers that falls whenever
-    // the oracle gets faster, so it is printed, never gated. The gates
-    // are the differential assert inside `scale_report` and the digests.
-    if let Some(row) = report.checker.iter().find(|r| r.tier == 100_000) {
-        println!(
-            "\nChecker throughput at 100k transactions: {:.1}x the legacy oracle's at {}",
-            row.speedup_vs_legacy, row.legacy_measured_at
-        );
-    }
-    for r in &report.checker {
-        if !r.verdict_ok {
-            return Err(format!("scale: tier {} verdict not consistent", r.tier));
-        }
-    }
-    for r in &report.pipeline {
-        if !r.verdict_ok {
-            return Err(format!(
-                "scale: pipeline tier {} verdict not consistent",
-                r.tier
-            ));
-        }
-    }
-    if let Some(r) = report.pipeline.last() {
-        println!(
-            "Pipeline at {} txs: {:.0} ms wall (sim {:.0} ms ∥ check {:.0} ms, \
-             overlap {:.2}), {} of {} trace segments recycled, peak {} resident.",
-            r.tier,
-            r.wall_ms,
-            r.sim_span_ms,
-            r.check_span_ms,
-            r.overlap_ratio,
-            r.recycled_segments,
-            r.recycled_segments + r.peak_segments_resident,
-            r.peak_segments_resident
-        );
-    }
-    println!("All world- and pipeline-tier digests matched the committed fixtures;");
-    println!("the streaming path replayed bit-identical to its offline twin.");
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
 // Load — contention cells + the million-client swarm tiers
 // ---------------------------------------------------------------------
 
@@ -827,12 +760,10 @@ fn load() -> Result<(), String> {
 
     if let Some(t) = report.tiers.last() {
         println!(
-            "\nSwarm engine at {} clients: {:.2}M ops/sec wall-clock ({} ops in {:.0} ms), \
+            "\nSwarm engine at {} clients: {} ops, \
              {} segments recycled (peak {} resident), checker resident {} txs after {} GC passes.",
             t.clients,
-            t.ops_per_sec / 1e6,
             t.ops,
-            t.wall_ms,
             t.recycled_segments,
             t.peak_segments_resident,
             t.resident.txs,
@@ -904,6 +835,11 @@ fn soak() -> Result<(), String> {
         Some(arg) => parse_count(&arg)?,
         None => 100_000_000,
     };
+    if target == 0 {
+        // Zero batches would leave no sample and pass the plateau gate
+        // vacuously.
+        return Err("bad count 0: soak needs at least one event".to_string());
+    }
     println!("SOAK — bounded-memory forever-run under the rolling nemesis");
     println!("World: the 8-server pipeline workload, ops injected one network");
     println!("hop from their owner; nemesis: 1% drops + 1% dups, a server");

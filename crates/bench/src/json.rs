@@ -208,10 +208,6 @@ impl ToJson for crate::load::SwarmTier {
             .u64("checker_resident_txs", self.resident.txs as u64)
             .bool("causal_ok", self.verdict.is_ok())
             .str("digest", &format!("{:016x}", self.digest))
-            // Wall-clock columns: machine-dependent, excluded from the
-            // bit-stable double-run comparison in CI.
-            .f64("wall_ms", self.wall_ms)
-            .f64("ops_per_sec", self.ops_per_sec)
             .render(indent)
     }
 }
@@ -219,7 +215,7 @@ impl ToJson for crate::load::SwarmTier {
 impl ToJson for crate::load::LoadReport {
     fn to_json(&self, indent: usize) -> String {
         Obj::new()
-            .str("schema", "snowbound-load-v1")
+            .str("schema", "snowbound-load-v2")
             .raw(
                 "memory",
                 crate::memstats::MemStats::sample().to_json(indent + 1),
@@ -297,83 +293,6 @@ impl ToJson for crate::chaos::ChaosReport {
     }
 }
 
-impl ToJson for crate::scale::CheckerScaleRow {
-    fn to_json(&self, indent: usize) -> String {
-        Obj::new()
-            .u64("tier", self.tier)
-            .f64("incr_ms", self.incr_ms)
-            .f64("incr_tps", self.incr_tps)
-            .f64("legacy_ms", self.legacy_ms)
-            .f64("legacy_tps", self.legacy_tps)
-            // The legacy columns come from this (small) tier: the dense
-            // matrices are quadratic, so the speedup above it is a floor.
-            .u64("legacy_measured_at", self.legacy_measured_at)
-            .f64("speedup_vs_legacy", self.speedup_vs_legacy)
-            .bool("verdict_ok", self.verdict_ok)
-            .u64("resident_txs", self.resident_txs)
-            .u64("resident_chain_entries", self.resident_chain_entries)
-            .render(indent)
-    }
-}
-
-impl ToJson for crate::scale::WorldScaleRow {
-    fn to_json(&self, indent: usize) -> String {
-        Obj::new()
-            .u64("tier", self.tier)
-            .u64("events", self.events)
-            .f64("wall_ms", self.wall_ms)
-            .f64("events_per_sec", self.events_per_sec)
-            .u64("trace_events", self.trace_events)
-            .str("digest", &format!("{:016x}", self.digest))
-            .render(indent)
-    }
-}
-
-impl ToJson for crate::scale::PipelineScaleRow {
-    fn to_json(&self, indent: usize) -> String {
-        let shard_tps = format!(
-            "[{}]",
-            self.shard_tps
-                .iter()
-                .map(|t| format!("{t:.1}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        Obj::new()
-            .u64("tier", self.tier)
-            .f64("wall_ms", self.wall_ms)
-            .f64("sim_span_ms", self.sim_span_ms)
-            .f64("check_span_ms", self.check_span_ms)
-            // 0 = sequential, →1 = producer and consumer fully
-            // overlapped; serial runs report 0 by construction.
-            .f64("overlap_ratio", self.overlap_ratio)
-            .f64("tx_per_sec", self.tx_per_sec)
-            .raw("shard_tx_per_sec", shard_tps)
-            .u64("events", self.events)
-            .u64("trace_events", self.trace_events)
-            .u64("peak_segments_resident", self.peak_segments_resident)
-            .u64("recycled_segments", self.recycled_segments)
-            .str("digest", &format!("{:016x}", self.digest))
-            .bool("verdict_ok", self.verdict_ok)
-            .u64("checker_resident_txs", self.checker_resident_txs)
-            .render(indent)
-    }
-}
-
-impl ToJson for crate::scale::ScaleReport {
-    fn to_json(&self, indent: usize) -> String {
-        Obj::new()
-            // v2 added the streaming-pipeline tier array; v3 the shared
-            // memory sample and per-row checker resident sizes.
-            .str("schema", "snowbound-scale-v4")
-            .raw("memory", self.memory.to_json(indent + 1))
-            .raw("checker", self.checker.to_json(indent + 1))
-            .raw("world", self.world.to_json(indent + 1))
-            .raw("pipeline", self.pipeline.to_json(indent + 1))
-            .render(indent)
-    }
-}
-
 impl ToJson for crate::soak::SoakSample {
     fn to_json(&self, indent: usize) -> String {
         Obj::new()
@@ -392,7 +311,7 @@ impl ToJson for crate::soak::SoakSample {
 impl ToJson for crate::soak::SoakReport {
     fn to_json(&self, indent: usize) -> String {
         Obj::new()
-            .str("schema", "snowbound-soak-v1")
+            .str("schema", "snowbound-soak-v2")
             .u64("target_events", self.target_events)
             .u64("events", self.events)
             .u64("ops", self.ops)
@@ -413,8 +332,6 @@ impl ToJson for crate::soak::SoakReport {
             .u64("plateau_final_rss_kb", self.plateau_final_rss_kb)
             .f64("plateau_ratio", self.plateau_ratio)
             .bool("plateau_ok", self.plateau_ok)
-            .f64("wall_ms", self.wall_ms)
-            .f64("events_per_sec", self.events_per_sec)
             .raw("samples", self.samples.to_json(indent + 1))
             .render(indent)
     }

@@ -20,7 +20,6 @@ pub mod load;
 pub mod memstats;
 pub mod net;
 pub mod pipeline;
-pub mod scale;
 pub mod soak;
 
 /// Latency landmark of one protocol under one mix: mean / p50 / p99 of

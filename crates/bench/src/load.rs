@@ -14,9 +14,9 @@
 //!   streaming tiers use) and a pinned trace digest.
 //!
 //! * **Swarm tiers** — a [`ClientSwarm`] multiplexing 10⁵–10⁶ simulated
-//!   closed-loop clients over an 8-shard key-value deployment (the
-//!   shard-isolated workload shape of [`crate::pipeline`]), run as one
-//!   sim→check pipeline *per shard*, fanned out under
+//!   closed-loop clients over an 8-shard key-value deployment (clients
+//!   and keys partitioned by shard), run as one sim→check pipeline
+//!   *per shard*, fanned out under
 //!   [`cbf_par::parallel_map`]: ops are generated batch by batch
 //!   (never materialized), each op passes a *port* actor so it crosses
 //!   the network and the server's service queue, commit logs are
@@ -38,7 +38,6 @@
 #![deny(unsafe_code)]
 
 use std::fmt;
-use std::time::Instant;
 
 use crate::hist::LogHist;
 use cbf_model::checker::Verdict;
@@ -283,8 +282,7 @@ const GC_EVERY_BATCHES: u64 = 16;
 /// verdict implies the per-client causal property. Read lanes never
 /// write, so they pin no version chains and the GC frontier keeps
 /// advancing. The per-client guarantee itself is exhibited at full
-/// client fidelity by the protocol cells (same machinery as
-/// [`crate::pipeline`], which pioneered this per-server fold).
+/// client fidelity by the protocol cells.
 const LANES_PER_SHARD: u32 = 32;
 /// Wheel slots in the swarm (think time is 1..slots slots).
 const SWARM_SLOTS: u32 = 16;
@@ -324,7 +322,7 @@ pub enum LoadMsg {
         at: Time,
     },
     /// Fire-and-forget replication gossip (absorbed, never logged, so
-    /// checker shards stay isolated — as in [`crate::pipeline`]).
+    /// checker shards stay isolated).
     Repl {
         /// Replicated key.
         key: u32,
@@ -372,7 +370,7 @@ const SHARD_REPLICA: u32 = 2;
 /// bypass both and flatten every percentile to the constant round
 /// trip. The replica absorbs the server's every-4th-write gossip, so
 /// replication traffic shares the network without ever being read back
-/// (checker shards stay isolated, as in [`crate::pipeline`]).
+/// (checker shards stay isolated).
 #[derive(Clone)]
 pub enum LoadNode {
     /// A key-value server owning the keys `≡ me (mod SWARM_SERVERS)`,
@@ -510,10 +508,6 @@ pub struct SwarmTier {
     /// FNV-1a fold of the per-shard trace digests, in shard order —
     /// pinned in `fixtures/load_digests.txt`.
     pub digest: u64,
-    /// Wall-clock of the fanned-out run, milliseconds.
-    pub wall_ms: f64,
-    /// Client ops per wall-clock second (generate + simulate + check).
-    pub ops_per_sec: f64,
 }
 
 /// What one shard's pipeline produced, folded into [`SwarmTier`] in
@@ -709,7 +703,6 @@ fn run_swarm_shard(shard: u32, clients: u32, ops: u64, keys_per_shard: u32, seed
 /// serial escape hatch (`SNOWBOUND_THREADS=1`) is bit-identical.
 pub fn run_swarm_tier(clients: u64, ops: u64, keys_per_shard: u32, seed: u64) -> SwarmTier {
     assert!(clients >= SWARM_SERVERS as u64, "need one client per shard");
-    let wall0 = Instant::now();
     let jobs: Vec<(u32, u32, u64)> = (0..SWARM_SERVERS)
         .map(|s| {
             let c = clients / SWARM_SERVERS as u64
@@ -759,7 +752,6 @@ pub fn run_swarm_tier(clients: u64, ops: u64, keys_per_shard: u32, seed: u64) ->
         resident.settled_violations += r.resident.settled_violations;
         verdict.violations.extend(r.verdict.violations);
     }
-    let wall_ms = wall0.elapsed().as_secs_f64() * 1e3;
 
     SwarmTier {
         clients,
@@ -779,8 +771,6 @@ pub fn run_swarm_tier(clients: u64, ops: u64, keys_per_shard: u32, seed: u64) ->
         resident,
         verdict,
         digest,
-        wall_ms,
-        ops_per_sec: ops as f64 / (wall_ms / 1e3).max(1e-9),
     }
 }
 
@@ -880,21 +870,12 @@ pub fn render_cells(cells: &[LoadCell]) -> String {
 pub fn render_tiers(tiers: &[SwarmTier]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "   {:<9} {:>9} {:>10} {:>8} {:>8} {:>8} {:>7} {:>9} {:>8} {:>10}  causal  digest\n",
-        "clients",
-        "ops",
-        "events",
-        "r p50",
-        "r p99",
-        "r p999",
-        "queued",
-        "peak segs",
-        "resident",
-        "ops/sec"
+        "   {:<9} {:>9} {:>10} {:>8} {:>8} {:>8} {:>7} {:>9} {:>8}  causal  digest\n",
+        "clients", "ops", "events", "r p50", "r p99", "r p999", "queued", "peak segs", "resident"
     ));
     for t in tiers {
         out.push_str(&format!(
-            "   {:<9} {:>9} {:>10} {:>8} {:>8} {:>8} {:>6.1}% {:>9} {:>8} {:>10.0}  {:<6}  {:016x}\n",
+            "   {:<9} {:>9} {:>10} {:>8} {:>8} {:>8} {:>6.1}% {:>9} {:>8}  {:<6}  {:016x}\n",
             t.clients,
             t.ops,
             t.events,
@@ -904,7 +885,6 @@ pub fn render_tiers(tiers: &[SwarmTier]) -> String {
             t.queued_frac * 100.0,
             t.peak_segments_resident,
             t.resident.txs,
-            t.ops_per_sec,
             if t.verdict.is_ok() { "OK" } else { "FAIL" },
             t.digest,
         ));

@@ -5,7 +5,7 @@
 //! lifetime) and the *current* RSS (`VmRSS`, the number that must stay
 //! flat for the bounded-memory claim) — plus the checker's own resident
 //! state sizes. This module is the one place they are read and
-//! rendered so `BENCH_chaos.json`, `BENCH_scale.json` and
+//! rendered so `BENCH_chaos.json`, `BENCH_load.json` and
 //! `BENCH_soak.json` all speak the same schema.
 //!
 //! Peak RSS is a process-lifetime maximum, so it is only a *proxy* for

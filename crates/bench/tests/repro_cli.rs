@@ -39,15 +39,19 @@ fn unwritable_results_dir_is_a_contextual_error() {
 fn unknown_exhibit_lists_the_known_ones() {
     let dir = std::env::temp_dir().join(format!("repro-cli-unknown-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    // `perfbench` was an exhibit once; the repo benchmark replaced it.
-    for name in ["no-such-exhibit", "perfbench"] {
+    // `perfbench` and `scale` were exhibits once; the repo benchmark
+    // replaced them.
+    for name in ["no-such-exhibit", "perfbench", "scale"] {
         let out = repro().arg(name).current_dir(&dir).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("unknown exhibit"));
         let known = stderr.lines().find(|l| l.starts_with("known:")).unwrap();
         assert!(known.contains("table1"), "lists the valid exhibits");
-        assert!(!known.contains("perfbench"), "{known}");
+        assert!(
+            !known.contains("perfbench") && !known.contains("scale"),
+            "{known}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -57,9 +61,14 @@ fn bad_counts_exit_1_before_anything_runs() {
     let dir = std::env::temp_dir().join(format!("repro-cli-count-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    // An overflowing count must not wrap into a garbage target, and
-    // `scale` and `soak` reject the same inputs.
-    for args in [["soak", "99999999999999999m"], ["scale", "12x"]] {
+    // An overflowing count must not wrap into a garbage target, `load`
+    // and `soak` reject the same inputs, and a zero-event soak would
+    // pass its plateau gate without running a batch.
+    for args in [
+        ["soak", "99999999999999999m"],
+        ["load", "12x"],
+        ["soak", "0"],
+    ] {
         let out = repro().args(args).current_dir(&dir).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);

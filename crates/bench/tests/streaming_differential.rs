@@ -1,21 +1,13 @@
-//! Differential suite: the streaming sim→check pipeline vs the legacy
-//! batch path, over a 32-seed sweep.
+//! Differential suite: streamed checking and mid-run trace recycling vs
+//! the legacy batch path, on real protocol clusters.
 //!
-//! The sweep splits into two halves that together cover 32 distinct
-//! seeds:
-//!
-//! * **19 pipeline seeds** — [`run_pipeline`] (overlapped, sharded,
-//!   segments recycled) against [`run_offline`] (full trace retention,
-//!   one batch check at the end). Everything observable must match bit
-//!   for bit: trace digest, verdict, verdict rendering, per-shard
-//!   transaction counts.
-//! * **13 chaos scenarios** — protocol clusters under the nemesis
-//!   (drop/duplicate/crash fault plans), each on its own seed. The
-//!   observed history is checked twice — streamed one transaction at a
-//!   time through a [`ShardedChecker`] and batched through
-//!   [`check_causal_legacy`] — and the run is replayed with sealed
-//!   trace segments recycled mid-run to pin the digest against the
-//!   fully retained twin.
+//! Thirteen chaos scenarios — protocol clusters under the nemesis
+//! (drop/duplicate/crash fault plans), each on its own seed. The
+//! observed history is checked twice — streamed one transaction at a
+//! time through a [`ShardedChecker`] and batched through
+//! [`check_causal_legacy`] — and the run is replayed with sealed trace
+//! segments recycled mid-run to pin the digest against the fully
+//! retained twin.
 //!
 //! A final set of cells mutates chaos histories into *violating* ones
 //! (a fresh client reads a newer version, then an older one), so the
@@ -23,60 +15,12 @@
 //! all-OK case.
 
 use cbf_bench::chaos::fault_plan;
-use cbf_bench::pipeline::{run_offline, run_pipeline};
 use cbf_model::{check_causal_legacy, ShardedChecker, TxRecord, Verdict};
 use cbf_sim::{CountingSink, LatencyModel, SimConfig, MILLIS, SEAL_CAP};
 use snowbound::prelude::*;
 
-/// Seeds 0..19: streaming pipeline vs its offline twin.
-const PIPELINE_SEEDS: std::ops::Range<u64> = 0..19;
-
 /// Seeds 19..32: one per chaos scenario below.
 const CHAOS_SEED_BASE: u64 = 19;
-
-/// Pipeline sweep size per seed — small enough that 19 × 2 runs stay
-/// fast, large enough that every shard sees real traffic and segments
-/// actually seal and recycle (trace length ≫ [`SEAL_CAP`]).
-const PIPELINE_OPS: usize = 1_200;
-const PIPELINE_KEYS: u32 = 64;
-
-#[test]
-fn pipeline_matches_offline_twin_across_seeds() {
-    for seed in PIPELINE_SEEDS {
-        let streamed = run_pipeline(PIPELINE_OPS, PIPELINE_KEYS, seed);
-        let offline = run_offline(PIPELINE_OPS, PIPELINE_KEYS, seed);
-        assert_eq!(
-            streamed.digest, offline.digest,
-            "trace digest diverged at seed {seed}"
-        );
-        assert_eq!(
-            streamed.txs, offline.txs,
-            "tx count diverged at seed {seed}"
-        );
-        assert_eq!(
-            streamed.trace_events, offline.trace_events,
-            "trace length diverged at seed {seed}"
-        );
-        assert_eq!(
-            streamed.shard_txs, offline.shard_txs,
-            "shard loads diverged at seed {seed}"
-        );
-        assert_eq!(
-            streamed.verdict, offline.verdict,
-            "verdicts diverged at seed {seed}"
-        );
-        assert_eq!(
-            streamed.verdict.render(),
-            offline.verdict.render(),
-            "verdict renderings diverged at seed {seed}"
-        );
-        assert!(streamed.verdict.is_ok(), "seed {seed} must be causal");
-        assert!(
-            streamed.recycled_segments > 0,
-            "seed {seed} recycled nothing — the streaming path was not exercised"
-        );
-    }
-}
 
 /// Everything one chaos scenario contributes to the differential.
 struct ChaosCell {

@@ -97,11 +97,6 @@ pub fn thread_budget() -> usize {
     }
 }
 
-/// True when [`thread_budget`] would run more than one worker.
-pub fn parallel_enabled() -> bool {
-    thread_budget() > 1
-}
-
 /// Map `f` over `items`, in parallel, preserving input order in the
 /// output.
 ///
@@ -184,42 +179,6 @@ where
         .collect()
 }
 
-/// Run a producer and a consumer concurrently and return both results.
-///
-/// This is the audited primitive behind the streaming sim→check
-/// pipeline: the producer simulates and feeds batches into a channel,
-/// the consumer drains and checks them. With a thread budget of 1 the
-/// two closures run sequentially — `producer` to completion, then
-/// `consumer` — on the calling thread, so the serial escape hatch is
-/// the plain offline path. Callers must therefore buffer the handoff
-/// unboundedly in serial mode (an `mpsc::channel` rather than a
-/// `sync_channel`), or the producer would block with nobody draining.
-///
-/// Determinism contract: as with [`parallel_map`], both closures must
-/// be pure functions of their inputs plus the channel contents, and the
-/// channel contents must not depend on interleaving. Then the parallel
-/// run is bit-identical to the serial one. Panics in either closure
-/// propagate (the scope joins both).
-pub fn overlap<RA, RB, A, B>(producer: A, consumer: B) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-{
-    if thread_budget() <= 1 {
-        let ra = producer();
-        let rb = consumer();
-        return (ra, rb);
-    }
-    std::thread::scope(|scope| {
-        let h = scope.spawn(producer);
-        let rb = consumer();
-        let ra = h.join().expect("overlap producer panicked");
-        (ra, rb)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,36 +256,6 @@ mod tests {
     fn min_work_defaults_sane() {
         // Whatever the env says, the floor parses to *something*.
         let _ = min_work();
-    }
-
-    #[test]
-    fn overlap_runs_both_and_orders_results() {
-        let (tx, rx) = std::sync::mpsc::channel::<u64>();
-        let (sent, sum) = overlap(
-            move || {
-                let mut n = 0u64;
-                for i in 0..1000u64 {
-                    tx.send(i).expect("consumer hung up");
-                    n += 1;
-                }
-                n
-            },
-            move || {
-                let mut acc = 0u64;
-                while let Ok(v) = rx.recv() {
-                    acc += v;
-                }
-                acc
-            },
-        );
-        assert_eq!(sent, 1000);
-        assert_eq!(sum, 999 * 1000 / 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn overlap_propagates_producer_panic() {
-        let _ = overlap(|| panic!("producer boom"), || 1u32);
     }
 
     #[test]

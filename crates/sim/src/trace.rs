@@ -51,8 +51,8 @@ const FNV_PRIME: u64 = 0x100000001b3;
 /// events per second the formatter became the single hottest path in
 /// the repository, and integer fields don't need decimal rendering to
 /// be fingerprinted. Changing this encoding changes every trace digest
-/// — the pinned fixtures (`scale_digests.txt`, `pipeline_digests.txt`,
-/// `load_digests.txt`) were repinned when it landed.
+/// — the pinned fixtures (`load_digests.txt` and the pin suites) were
+/// repinned when it landed.
 fn fold_event<M: fmt::Debug>(h: &mut u64, ev: &TraceEvent<M>) {
     use fmt::Write as _;
     #[inline]

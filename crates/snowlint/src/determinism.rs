@@ -84,11 +84,12 @@ const SIM_ORACLE_TYPES: &[&str] = &["World", "SimConfig", "LatencyModel", "Trace
 
 /// Modules that promise safety in their docs and must carry their own
 /// `#![deny(unsafe_code)]` even though the crate root is already the
-/// lexer's concern: the streaming pipeline (the sink, the sharded
-/// checker and the pipeline harness move trace segments and
-/// transactions across a thread boundary, where `unsafe` shortcuts are
-/// tempting), plus the bounded-memory tier (the checker's frontier GC
-/// compacts arenas and rebases value ledgers with raw index arithmetic,
+/// lexer's concern: the streaming path (the sink, the sharded checker
+/// and the stand-in key-value world hand trace segments and
+/// transactions from the simulator to the checker on the hot path,
+/// where `unsafe` shortcuts are tempting), plus the bounded-memory tier
+/// (the checker's frontier GC compacts arenas and rebases value
+/// ledgers with raw index arithmetic,
 /// and the soak harness is the exhibit that certifies the whole stack's
 /// plateau), plus the workload generators (the alias table, the swarm's
 /// time wheel and the batch emitter are index-arithmetic hot paths
