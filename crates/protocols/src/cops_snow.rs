@@ -15,6 +15,12 @@
 //! the old readers of a version `ts` of key `k` include both the ROTs
 //! that read `k` below `ts` and the ROTs blacklisted on any version
 //! `≤ ts` of `k`.
+//!
+//! A server numbers every ROT id it meets — in its read log or in an
+//! old-reader response — in order of first sight, and holds every set of
+//! ROTs as a bitset over those numbers (`ReaderSet`). The transitive
+//! union is then a word-wise OR; the sets that cross the wire are the
+//! same sorted id lists either way.
 
 use crate::common::{
     Completed, LamportClock, MvStore, ProtocolNode, Topology, Version, MAX_RETRIES,
@@ -102,7 +108,63 @@ struct PendingPut {
     /// The per-server dependency lists (kept so a client retry can
     /// re-send old-reader queries that were lost in flight).
     remote_deps: BTreeMap<ProcessId, Vec<Dep>>,
-    invisible_to: HashSet<TxId>,
+    invisible_to: ReaderSet,
+}
+
+/// A set of ROTs as a bitset over the server's reader index: bit `i`
+/// stands for `rot_ids[i]`.
+#[derive(Clone, Debug, Default)]
+struct ReaderSet(Vec<u64>);
+
+impl ReaderSet {
+    fn insert(&mut self, slot: usize) {
+        let word = slot / 64;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (slot % 64);
+    }
+
+    fn contains(&self, slot: usize) -> bool {
+        self.0
+            .get(slot / 64)
+            .is_some_and(|w| w >> (slot % 64) & 1 == 1)
+    }
+
+    fn union_with(&mut self, other: &ReaderSet) {
+        if other.0.len() > self.0.len() {
+            self.0.resize(other.0.len(), 0);
+        }
+        for (w, o) in self.0.iter_mut().zip(&other.0) {
+            *w |= o;
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
+    /// The slots in the set, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    i * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+/// `rot`'s slot in a server's reader index, numbered on first sight.
+fn slot_of(rot_index: &mut HashMap<TxId, usize>, rot_ids: &mut Vec<TxId>, rot: TxId) -> usize {
+    *rot_index.entry(rot).or_insert_with(|| {
+        rot_ids.push(rot);
+        rot_ids.len() - 1
+    })
 }
 
 /// COPS-SNOW server.
@@ -114,9 +176,13 @@ pub struct ServerState {
     /// Versions inserted but not yet visible (old-reader queries pending).
     pending_visible: HashSet<(Key, u64)>,
     /// Per visible version: the ROTs it is hidden from.
-    invisible: HashMap<(Key, u64), HashSet<TxId>>,
-    /// ROT read log: per key, `(rot id, version read)`.
-    readers: HashMap<Key, Vec<(TxId, u64)>>,
+    invisible: HashMap<(Key, u64), ReaderSet>,
+    /// ROT read log: per key, `(rot slot, version read)`.
+    readers: HashMap<Key, Vec<(usize, u64)>>,
+    /// The reader index: ROT id → slot, numbered on first sight ...
+    rot_index: HashMap<TxId, usize>,
+    /// ... and slot → ROT id.
+    rot_ids: Vec<TxId>,
     /// Puts awaiting old-reader responses.
     pending_puts: HashMap<TxId, PendingPut>,
     /// Puts already made visible: `tx → (key, ts)`. A re-delivered
@@ -126,28 +192,26 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// Old readers of dependency `(key, ts)`: ROTs that read below `ts`,
-    /// plus ROTs blacklisted on any version `≤ ts` (transitivity).
-    fn old_readers(&self, key: Key, ts: u64) -> HashSet<TxId> {
-        let mut out: HashSet<TxId> = self
-            .readers
-            .get(&key)
-            .into_iter()
-            .flatten()
-            .filter(|&&(_, read_ts)| read_ts < ts)
-            .map(|&(rot, _)| rot)
-            .collect();
-        for ((k, vts), rots) in &self.invisible {
-            if *k == key && *vts <= ts {
-                out.extend(rots.iter().copied());
+    /// Add the old readers of dependency `(key, ts)` to `out`: ROTs that
+    /// read below `ts`, plus ROTs blacklisted on any version `≤ ts`
+    /// (transitivity).
+    fn old_readers(&self, key: Key, ts: u64, out: &mut ReaderSet) {
+        for &(rot, read_ts) in self.readers.get(&key).into_iter().flatten() {
+            if read_ts < ts {
+                out.insert(rot);
             }
         }
-        out
+        for ((k, vts), rots) in &self.invisible {
+            if *k == key && *vts <= ts {
+                out.union_with(rots);
+            }
+        }
     }
 
     /// The version of `key` served to ROT `rot`: the newest visible
     /// version not blacklisted for `rot`.
     fn serve(&mut self, key: Key, rot: TxId) -> (Value, u64) {
+        let slot = slot_of(&mut self.rot_index, &mut self.rot_ids, rot);
         let chosen = self
             .store
             .versions(key)
@@ -158,11 +222,11 @@ impl ServerState {
                     && !self
                         .invisible
                         .get(&(key, v.ts))
-                        .is_some_and(|s| s.contains(&rot))
+                        .is_some_and(|s| s.contains(slot))
             })
             .map(|v| (v.value, v.ts))
             .unwrap_or((Value::BOTTOM, 0));
-        self.readers.entry(key).or_default().push((rot, chosen.1));
+        self.readers.entry(key).or_default().push((slot, chosen.1));
         chosen
     }
 
@@ -380,12 +444,12 @@ impl CopsSnowNode {
                     // Local deps resolve immediately; remote deps need a
                     // query round. (One message per dep server, as the
                     // paper's step semantics require.)
-                    let mut invisible_to = HashSet::new();
+                    let mut invisible_to = ReaderSet::default();
                     let mut remote: BTreeMap<ProcessId, Vec<Dep>> = Default::default();
                     for &(dk, dts) in &deps {
                         let home = s.topo.primary(dk);
                         if home == ctx.me() {
-                            invisible_to.extend(s.old_readers(dk, dts));
+                            s.old_readers(dk, dts, &mut invisible_to);
                         } else {
                             remote.entry(home).or_default().push((dk, dts));
                         }
@@ -411,11 +475,11 @@ impl CopsSnowNode {
                     }
                 }
                 Msg::OldReaderQuery { put, deps } => {
-                    let mut readers: HashSet<TxId> = HashSet::new();
+                    let mut set = ReaderSet::default();
                     for (dk, dts) in deps {
-                        readers.extend(s.old_readers(dk, dts));
+                        s.old_readers(dk, dts, &mut set);
                     }
-                    let mut readers: Vec<TxId> = readers.into_iter().collect();
+                    let mut readers: Vec<TxId> = set.iter().map(|slot| s.rot_ids[slot]).collect();
                     readers.sort_unstable();
                     ctx.send(env.from, Msg::OldReaderResp { put, readers });
                 }
@@ -428,7 +492,10 @@ impl CopsSnowNode {
                         if !p.waiting.remove(&env.from) {
                             continue;
                         }
-                        p.invisible_to.extend(readers);
+                        for rot in readers {
+                            p.invisible_to
+                                .insert(slot_of(&mut s.rot_index, &mut s.rot_ids, rot));
+                        }
                         p.waiting.is_empty()
                     };
                     if finalize {
@@ -476,6 +543,8 @@ impl ProtocolNode for CopsSnowNode {
             pending_visible: HashSet::new(),
             invisible: HashMap::new(),
             readers: HashMap::new(),
+            rot_index: HashMap::new(),
+            rot_ids: Vec::new(),
             pending_puts: HashMap::new(),
             done_puts: HashMap::new(),
         })
@@ -551,6 +620,358 @@ mod tests {
 
     fn minimal() -> Cluster<CopsSnowNode> {
         Cluster::new(Topology::minimal(4))
+    }
+
+    /// A server's ROT-id sets as they were held before the reader index:
+    /// `HashSet<TxId>` throughout. The differential test keeps one beside
+    /// the real server and updates it from the messages alone.
+    #[derive(Default)]
+    struct Reference {
+        readers: HashMap<Key, Vec<(TxId, u64)>>,
+        invisible: HashMap<(Key, u64), HashSet<TxId>>,
+        /// Per pending put, its blacklist so far.
+        invisible_to: HashMap<TxId, HashSet<TxId>>,
+    }
+
+    impl Reference {
+        /// `old_readers` as it was: a fresh `HashSet` per call over the
+        /// read log and every blacklist on a version `≤ ts`. Kept as the
+        /// reference the bitsets are tested against.
+        fn old_readers(&self, key: Key, ts: u64) -> HashSet<TxId> {
+            let mut out: HashSet<TxId> = self
+                .readers
+                .get(&key)
+                .into_iter()
+                .flatten()
+                .filter(|&&(_, read_ts)| read_ts < ts)
+                .map(|&(rot, _)| rot)
+                .collect();
+            for ((k, vts), rots) in &self.invisible {
+                if *k == key && *vts <= ts {
+                    out.extend(rots.iter().copied());
+                }
+            }
+            out
+        }
+
+        /// `serve` as it was, over the real server's store.
+        fn serve(&mut self, s: &ServerState, key: Key, rot: TxId) -> (Value, u64) {
+            let chosen = s
+                .store
+                .versions(key)
+                .iter()
+                .rev()
+                .find(|v| {
+                    !s.pending_visible.contains(&(key, v.ts))
+                        && !self
+                            .invisible
+                            .get(&(key, v.ts))
+                            .is_some_and(|b| b.contains(&rot))
+                })
+                .map(|v| (v.value, v.ts))
+                .unwrap_or((Value::BOTTOM, 0));
+            self.readers.entry(key).or_default().push((rot, chosen.1));
+            chosen
+        }
+
+        /// A pending put became visible on the real server.
+        fn finalize(&mut self, s: &ServerState, put: TxId) {
+            let set = self.invisible_to.remove(&put).unwrap_or_default();
+            if !set.is_empty() {
+                self.invisible.insert(s.done_puts[&put], set);
+            }
+        }
+    }
+
+    fn server(node: &CopsSnowNode) -> &ServerState {
+        match node {
+            CopsSnowNode::Server(s) => s,
+            CopsSnowNode::Client(_) => unreachable!("the test drives a server"),
+        }
+    }
+
+    /// Deliver `msg` to the real server in one step; what it sent.
+    fn deliver(node: &mut CopsSnowNode, from: ProcessId, msg: Msg) -> Vec<(ProcessId, Msg)> {
+        let env = cbf_sim::Envelope {
+            from,
+            id: cbf_sim::MsgId(0),
+            msg,
+        };
+        let mut ctx = Ctx::standalone(ProcessId(0), 0, vec![env]);
+        node.step(&mut ctx);
+        ctx.into_outputs().0
+    }
+
+    /// Every set the server holds, decoded through its reader index,
+    /// equals the reference's; the index is a bijection.
+    fn assert_same_sets(s: &ServerState, r: &Reference, seed: u64) {
+        let ids =
+            |set: &ReaderSet| -> HashSet<TxId> { set.iter().map(|slot| s.rot_ids[slot]).collect() };
+        assert_eq!(s.rot_index.len(), s.rot_ids.len(), "seed {seed}");
+        for (slot, rot) in s.rot_ids.iter().enumerate() {
+            assert_eq!(s.rot_index[rot], slot, "seed {seed}");
+        }
+        let readers: HashMap<Key, Vec<(TxId, u64)>> = s
+            .readers
+            .iter()
+            .map(|(&k, log)| {
+                let log = log.iter().map(|&(slot, ts)| (s.rot_ids[slot], ts));
+                (k, log.collect())
+            })
+            .collect();
+        assert_eq!(readers, r.readers, "seed {seed}: read log");
+        let invisible: HashMap<(Key, u64), HashSet<TxId>> =
+            s.invisible.iter().map(|(&v, set)| (v, ids(set))).collect();
+        assert_eq!(invisible, r.invisible, "seed {seed}: blacklists");
+        let pending: HashMap<TxId, HashSet<TxId>> = s
+            .pending_puts
+            .iter()
+            .map(|(&put, p)| (put, ids(&p.invisible_to)))
+            .collect();
+        assert_eq!(pending, r.invisible_to, "seed {seed}: pending blacklists");
+    }
+
+    #[test]
+    fn reader_bitsets_match_the_hashset_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> T {
+            xs[rng.gen_range(0..xs.len())]
+        }
+
+        // Server p0 of three; p0 is the home of keys 0, 3 and 6.
+        let topo = Topology::sharded(3, 4, 9);
+        let me = ProcessId(0);
+        let local = [Key(0), Key(3), Key(6)];
+        let peers = [ProcessId(1), ProcessId(2)];
+        let clients: Vec<ProcessId> = topo.clients().collect();
+        // Boundary and ordering cases the sweep must reach.
+        let mut read_at_ts = 0usize; // a dep ts equal to a logged read ts
+        let mut blacklist_at_ts = 0usize; // a dep ts equal to a blacklisted vts
+        let mut max_id_shipped = 0usize; // TxId(u64::MAX) in a reply
+        let mut blacklist_hits = 0usize; // serve skipped a newer version
+        let mut nonempty_replies = 0usize;
+        let mut ignored_resps = 0usize; // duplicate / unexpected responses
+        let mut out_of_order = 0usize; // a response for a younger put first
+        let mut finalized_early = 0usize; // visible before an earlier-ts put
+        let mut two_words = 0usize; // cases whose index outgrew one word
+
+        for seed in 0..1_000u64 {
+            let mut rng = StdRng::seed_from_u64(0x5A0C ^ seed);
+            let mut node = CopsSnowNode::server(&topo, me);
+            let mut r = Reference::default();
+            let mut rots: Vec<TxId> = Vec::new();
+            let mut puts: Vec<TxId> = Vec::new();
+            let mut next = 1u64;
+
+            for _ in 0..rng.gen_range(20..120u32) {
+                let s = server(&node);
+                // A dependency timestamp on `key`: a version's (pending,
+                // visible or blacklisted), a logged read's, or an
+                // arbitrary one — each sometimes nudged up by one.
+                let mut dep = |rng: &mut StdRng, key: Key| -> (Key, u64) {
+                    let mut pool: Vec<u64> = s.store.versions(key).iter().map(|v| v.ts).collect();
+                    pool.extend(r.readers.get(&key).into_iter().flatten().map(|e| e.1));
+                    pool.push((rng.gen_range(0..40u64) << 8) | rng.gen_range(0..3u64));
+                    let ts = pool[rng.gen_range(0..pool.len())] + rng.gen_range(0..4u64) / 3;
+                    if r.readers.get(&key).into_iter().flatten().any(|e| e.1 == ts) {
+                        read_at_ts += 1;
+                    }
+                    if r.invisible.contains_key(&(key, ts)) {
+                        blacklist_at_ts += 1;
+                    }
+                    (key, ts)
+                };
+                match rng.gen_range(0..100u32) {
+                    // A ROT reads 1–3 local keys (duplicates allowed).
+                    0..=34 => {
+                        let id = match rng.gen_range(0..10u32) {
+                            0 => TxId(u64::MAX),
+                            1 if !rots.is_empty() => pick(&mut rng, &rots),
+                            _ => {
+                                next += 1;
+                                TxId(10_000 + next)
+                            }
+                        };
+                        rots.push(id);
+                        let keys: Vec<Key> = (0..rng.gen_range(1..4usize))
+                            .map(|_| pick(&mut rng, &local))
+                            .collect();
+                        let expected: Vec<(Key, Value, u64)> = keys
+                            .iter()
+                            .map(|&k| {
+                                let (v, ts) = r.serve(s, k, id);
+                                let newest = s
+                                    .store
+                                    .versions(k)
+                                    .iter()
+                                    .rev()
+                                    .find(|v| !s.pending_visible.contains(&(k, v.ts)));
+                                if newest.is_some_and(|n| n.ts != ts) {
+                                    blacklist_hits += 1;
+                                }
+                                (k, v, ts)
+                            })
+                            .collect();
+                        let client = pick(&mut rng, &clients);
+                        let sent = deliver(&mut node, client, Msg::RotReq { id, keys });
+                        match &sent[..] {
+                            [(to, Msg::RotResp { reads, .. })] => {
+                                assert_eq!(*to, client);
+                                assert_eq!(*reads, expected, "seed {seed}: served");
+                            }
+                            other => panic!("seed {seed}: {other:?}"),
+                        }
+                    }
+                    // A put on a local key, sometimes a re-delivery.
+                    35..=59 => {
+                        let id = if !puts.is_empty() && rng.gen_range(0..8u32) == 0 {
+                            pick(&mut rng, &puts)
+                        } else {
+                            next += 1;
+                            TxId(next)
+                        };
+                        puts.push(id);
+                        let key = pick(&mut rng, &local);
+                        let deps: Vec<Dep> = (0..rng.gen_range(0..4usize))
+                            .map(|_| {
+                                let k = Key(rng.gen_range(0..9u32));
+                                dep(&mut rng, k)
+                            })
+                            .collect();
+                        let fresh =
+                            !s.done_puts.contains_key(&id) && !s.pending_puts.contains_key(&id);
+                        let mut blacklist = HashSet::new();
+                        for &(dk, dts) in &deps {
+                            if topo.primary(dk) == me {
+                                blacklist.extend(r.old_readers(dk, dts));
+                            }
+                        }
+                        let msg = Msg::PutReq {
+                            id,
+                            key,
+                            value: Value(id.0),
+                            deps,
+                        };
+                        deliver(&mut node, pick(&mut rng, &clients), msg);
+                        let s = server(&node);
+                        if fresh {
+                            r.invisible_to.insert(id, blacklist);
+                            if !s.pending_puts.contains_key(&id) {
+                                r.finalize(s, id);
+                            }
+                        }
+                    }
+                    // A peer asks for the old readers of local deps.
+                    60..=79 => {
+                        let deps: Vec<Dep> = (0..rng.gen_range(1..4usize))
+                            .map(|_| {
+                                let k = pick(&mut rng, &local);
+                                dep(&mut rng, k)
+                            })
+                            .collect();
+                        let mut expected: Vec<TxId> = deps
+                            .iter()
+                            .flat_map(|&(dk, dts)| r.old_readers(dk, dts))
+                            .collect::<HashSet<_>>()
+                            .into_iter()
+                            .collect();
+                        expected.sort_unstable();
+                        let peer = pick(&mut rng, &peers);
+                        let put = TxId(rng.gen_range(0..100u64));
+                        let sent = deliver(&mut node, peer, Msg::OldReaderQuery { put, deps });
+                        match &sent[..] {
+                            [(to, Msg::OldReaderResp { readers, .. })] => {
+                                assert_eq!(*to, peer);
+                                assert_eq!(*readers, expected, "seed {seed}: old readers");
+                                nonempty_replies += usize::from(!readers.is_empty());
+                                max_id_shipped += usize::from(readers.contains(&TxId(u64::MAX)));
+                            }
+                            other => panic!("seed {seed}: {other:?}"),
+                        }
+                    }
+                    // A peer answers, in any order, possibly twice or for a
+                    // put that is not waiting on it.
+                    80..=97 => {
+                        let mut pending: Vec<(u64, TxId)> =
+                            s.pending_puts.iter().map(|(&id, p)| (p.ts, id)).collect();
+                        pending.sort_unstable();
+                        let (put, from) = if !pending.is_empty() && rng.gen_range(0..5u32) > 0 {
+                            let put = pick(&mut rng, &pending).1;
+                            // A pending put always waits on some peer.
+                            let waiting: Vec<ProcessId> =
+                                s.pending_puts[&put].waiting.iter().copied().collect();
+                            let from = if rng.gen_range(0..4u32) > 0 {
+                                pick(&mut rng, &waiting)
+                            } else {
+                                pick(&mut rng, &peers)
+                            };
+                            (put, from)
+                        } else {
+                            (TxId(rng.gen_range(0..next + 1)), pick(&mut rng, &peers))
+                        };
+                        // Unsorted, with duplicates, and mostly ids this
+                        // server has never seen.
+                        let readers: Vec<TxId> = (0..rng.gen_range(0..16usize))
+                            .map(|_| match rng.gen_range(0..5u32) {
+                                0 => TxId(u64::MAX),
+                                1 if !rots.is_empty() => pick(&mut rng, &rots),
+                                _ => TxId(50_000 + rng.gen_range(0..400u64)),
+                            })
+                            .collect();
+                        let accepted = s
+                            .pending_puts
+                            .get(&put)
+                            .is_some_and(|p| p.waiting.contains(&from));
+                        if accepted {
+                            let p = &s.pending_puts[&put];
+                            out_of_order += usize::from(pending[0].1 != put);
+                            if p.waiting.len() == 1 && pending[0].1 != put {
+                                finalized_early += 1;
+                            }
+                            r.invisible_to
+                                .get_mut(&put)
+                                .expect("reference tracks every pending put")
+                                .extend(readers.iter().copied());
+                        } else {
+                            ignored_resps += 1;
+                        }
+                        let msg = Msg::OldReaderResp { put, readers };
+                        let again = rng.gen_range(0..4u32) == 0;
+                        deliver(&mut node, from, msg.clone());
+                        let s = server(&node);
+                        if accepted && !s.pending_puts.contains_key(&put) {
+                            r.finalize(s, put);
+                        }
+                        if again {
+                            ignored_resps += 1;
+                            deliver(&mut node, from, msg);
+                        }
+                    }
+                    // Crash: in-progress gathering is lost.
+                    _ => {
+                        node.on_crash();
+                        r.invisible_to.clear();
+                    }
+                }
+            }
+            assert_same_sets(server(&node), &r, seed);
+            two_words += usize::from(server(&node).rot_ids.len() > 64);
+        }
+        for (what, n) in [
+            ("index beyond one word", two_words),
+            ("dep ts = read ts", read_at_ts),
+            ("dep ts = blacklisted vts", blacklist_at_ts),
+            ("TxId(u64::MAX) shipped", max_id_shipped),
+            ("blacklist skipped a version", blacklist_hits),
+            ("non-empty old-reader replies", nonempty_replies),
+            ("ignored responses", ignored_resps),
+            ("out-of-order responses", out_of_order),
+            ("finalized before an earlier-ts put", finalized_early),
+        ] {
+            assert!(n > 200, "{what}: only {n}");
+        }
     }
 
     #[test]

@@ -8,14 +8,18 @@
 //! every Eiger and Spanner epoch, leaves events queued behind the
 //! stopping point (retry timers, duplicated responses, commit traffic),
 //! so a predicate that fires an event late or early moves `events`.
+//!
+//! The contended COPS-SNOW cell was recorded at commit 9edc774, when a
+//! server still held its old-reader blacklists as `HashSet<TxId>`s; how
+//! a server stores those sets must not move a message or a stop.
 
 use cbf_model::{ClientId, Key};
 use cbf_protocols::cops::CopsNode;
-use cbf_protocols::cops_snow::CopsSnowNode;
+use cbf_protocols::cops_snow::{CopsSnowNode, Msg};
 use cbf_protocols::eiger::EigerNode;
 use cbf_protocols::spanner::SpannerNode;
 use cbf_protocols::{Cluster, ProtocolNode, Topology};
-use cbf_sim::{FaultPlan, LatencyModel, ServiceModel, SimConfig, MICROS, MILLIS};
+use cbf_sim::{FaultPlan, LatencyModel, ServiceModel, SimConfig, TraceEvent, MICROS, MILLIS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,11 +34,10 @@ const HOT_KEYS: u32 = 48;
 /// `(world.now(), world.stats().events, world.trace.digest())`.
 type Stop = (u64, u64, u64);
 
-/// Drive `EPOCHS` epochs of `IN_FLIGHT` transactions (distinct clients;
-/// the first epoch all writes, then one write in four) and return where
-/// each `run_open` stopped.
-fn drive<N: ProtocolNode>(chaos: bool) -> Vec<Stop> {
-    let mut topo = Topology::sharded(3, CLIENTS, 1024);
+/// A cluster of 3 servers and `CLIENTS` clients over `keys` keys, with
+/// 20 µs service time; `chaos` adds retries, drops and duplicates.
+fn cluster<N: ProtocolNode>(keys: u32, chaos: bool) -> Cluster<N> {
+    let mut topo = Topology::sharded(3, CLIENTS, keys);
     let mut config = SimConfig {
         service: Some(ServiceModel {
             servers: 3,
@@ -46,16 +49,27 @@ fn drive<N: ProtocolNode>(chaos: bool) -> Vec<Stop> {
         topo = topo.with_retry(MILLIS);
         config.fault = Some(FaultPlan::new(SEED).with_drops(30).with_dups(150));
     }
-    let mut c: Cluster<N> = Cluster::with_network(topo, LatencyModel::constant_default(), config);
+    Cluster::with_network(topo, LatencyModel::constant_default(), config)
+}
+
+/// Drive `epochs` epochs of `IN_FLIGHT` transactions over the first
+/// `hot_keys` keys (distinct clients; the first epoch all writes, then
+/// one write in `write_one_in`) and return where each `run_open` stopped.
+fn drive<N: ProtocolNode>(
+    c: &mut Cluster<N>,
+    epochs: u32,
+    hot_keys: u32,
+    write_one_in: u32,
+) -> Vec<Stop> {
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut stops = Vec::new();
-    for epoch in 0..EPOCHS {
+    for epoch in 0..epochs {
         let mut open = Vec::new();
         for slot in 0..IN_FLIGHT {
             let client = ClientId((epoch * IN_FLIGHT + slot) % CLIENTS);
-            let a = Key(rng.gen_range(0..HOT_KEYS));
-            let b = Key(rng.gen_range(0..HOT_KEYS));
-            let write = epoch == 0 || rng.gen_range(0..4u32) == 0;
+            let a = Key(rng.gen_range(0..hot_keys));
+            let b = Key(rng.gen_range(0..hot_keys));
+            let write = epoch == 0 || rng.gen_range(0..write_one_in) == 0;
             open.push(if write {
                 c.begin_write_tx(client, &[a]).expect("single-key write")
             } else {
@@ -79,18 +93,19 @@ fn drive<N: ProtocolNode>(chaos: bool) -> Vec<Stop> {
     stops
 }
 
-fn pin<N: ProtocolNode>(chaos: bool, expected: &[Stop]) {
-    let got = drive::<N>(chaos);
+fn assert_stops(what: &str, got: &[Stop], expected: &[Stop]) {
     if got != expected {
         let table: String = got
             .iter()
             .map(|(now, events, digest)| format!("    ({now}, {events}, {digest:#018x}),\n"))
             .collect();
-        panic!(
-            "{} (chaos: {chaos}) stopped elsewhere; observed:\n{table}",
-            N::NAME
-        );
+        panic!("{what} stopped elsewhere; observed:\n{table}");
     }
+}
+
+fn pin<N: ProtocolNode>(chaos: bool, expected: &[Stop]) {
+    let got = drive(&mut cluster::<N>(1024, chaos), EPOCHS, HOT_KEYS, 4);
+    assert_stops(&format!("{} (chaos: {chaos})", N::NAME), &got, expected);
 }
 
 #[test]
@@ -133,6 +148,66 @@ fn cops_snow_stops_where_it_used_to() {
             (2_260_000, 266, 0xc368_dbd2_87a6_5238),
             (2_800_000, 386, 0x3260_0c42_0221_5c50),
             (3_940_000, 563, 0x8fe6_0c7f_fe93_7ee8),
+        ],
+    );
+}
+
+/// COPS-SNOW on 64 keys, one write in two, 768 transactions: the
+/// blacklists grow to hundreds of ROTs, and every one of them is shipped
+/// (35,168 ids in all).
+#[test]
+fn cops_snow_stops_where_it_used_to_under_contention() {
+    let mut c = cluster::<CopsSnowNode>(64, false);
+    let got = drive(&mut c, 32, 64, 2);
+    let shipped: usize = c
+        .world
+        .trace
+        .iter()
+        .map(|e| match e {
+            TraceEvent::Send {
+                msg: Msg::OldReaderResp { readers, .. },
+                ..
+            } => readers.len(),
+            _ => 0,
+        })
+        .sum();
+    assert!(shipped >= 10_000, "only {shipped} old readers shipped");
+    assert_stops(
+        "COPS-SNOW (contended)",
+        &got,
+        &[
+            (320_000, 72, 0x07dd_f2f7_194d_f3ad),
+            (660_000, 162, 0xf6ee_42f5_b84c_6ae2),
+            (1_150_000, 272, 0x726a_fe4c_8837_016c),
+            (1_710_000, 372, 0x0548_cbaa_d3f3_d1de),
+            (2_220_000, 486, 0x1788_6ac0_4132_1181),
+            (2_800_000, 604, 0x8648_eb38_761d_fa9f),
+            (3_400_000, 718, 0x63f3_0062_c31d_1105),
+            (3_960_000, 842, 0x2b57_78e1_0e21_5c20),
+            (4_630_000, 974, 0x0c03_8afa_ec13_d76b),
+            (5_310_000, 1_108, 0x37ae_fe06_1f4d_5e0b),
+            (5_930_000, 1_240, 0x9e78_a0b6_b52a_a360),
+            (6_590_000, 1_372, 0x7140_6552_da5d_9332),
+            (7_350_000, 1_516, 0xe859_b086_9070_81eb),
+            (8_090_000, 1_648, 0xe726_81d3_7b3e_74a4),
+            (8_830_000, 1_780, 0x5dd9_f19b_ee5f_2b7c),
+            (9_590_000, 1_920, 0x0bcc_a291_e921_8ef0),
+            (10_230_000, 2_050, 0x5f49_5d21_27c8_3ef0),
+            (10_950_000, 2_196, 0xdf7c_5d03_7624_5d89),
+            (11_710_000, 2_338, 0x70b2_ec2f_2060_fbe0),
+            (12_470_000, 2_472, 0xac4a_d4f6_e75c_aeed),
+            (13_310_000, 2_618, 0x050b_b01c_602a_5b28),
+            (14_050_000, 2_752, 0xefa7_748b_c718_7388),
+            (14_790_000, 2_890, 0x07fc_b550_dda5_e9cd),
+            (15_430_000, 3_024, 0xc464_5cb8_a72d_94b7),
+            (16_170_000, 3_170, 0xf11f_86d5_57f0_53bb),
+            (16_870_000, 3_304, 0x8774_42df_a1f2_1a59),
+            (17_690_000, 3_444, 0xc5a3_630c_7dc2_4af5),
+            (18_490_000, 3_588, 0x1b3b_5ef0_0e51_1bc5),
+            (19_190_000, 3_726, 0xf197_5607_303e_3a03),
+            (19_990_000, 3_864, 0xf1d2_962f_d6c2_d741),
+            (20_710_000, 4_000, 0xffda_79dc_d682_38f9),
+            (21_510_000, 4_140, 0x71c4_50d2_82e3_d73a),
         ],
     );
 }
