@@ -15,7 +15,8 @@ use cbf_bench::json::ToJson;
 use cbf_bench::{latency_tables, render_latency_table, render_table1, table1_rows, LatencyRow};
 use snowbound::prelude::*;
 use snowbound::theorem::{
-    general_topologies, minimal_topology, paper_table1, probe_reads, ProbeSchedule, SystemRow,
+    attack_excerpt, general_topologies, minimal_topology, paper_table1, probe_reads, ProbeSchedule,
+    SystemRow,
 };
 
 fn main() {
@@ -329,7 +330,8 @@ fn fig3() -> Result<(), String> {
     );
     println!("checker verdict: {:?}\n", out.violations);
     println!("trace of γ (first events):");
-    println!("{}", out.trace);
+    let excerpt = attack_excerpt(&s, out.first_server, 120).expect("attack");
+    println!("{excerpt}");
     Ok(())
 }
 

@@ -48,8 +48,6 @@ pub struct AttackOutcome {
     pub violations: Vec<Violation>,
     /// Trace-measured audit of the reader's ROT under the attack.
     pub audit: RotAudit,
-    /// Rendered trace of the attack suffix, for the figure reproduction.
-    pub trace: String,
 }
 
 impl AttackOutcome {
@@ -112,6 +110,28 @@ pub fn mixed_snapshot_attack<N: ProtocolNode>(
     first_server: ProcessId,
     tw: Option<(TxId, Vec<Value>)>,
 ) -> Result<AttackOutcome, AttackError> {
+    splice(setup, first_server, tw).map(|(outcome, _, _)| outcome)
+}
+
+/// Render the first `limit` events of `γ` from `first_server` as a
+/// space-time excerpt (Figure 3). The splice is deterministic, so this
+/// is the execution [`mixed_snapshot_attack`] judged.
+pub fn attack_excerpt<N: ProtocolNode>(
+    setup: &TheoremSetup<N>,
+    first_server: ProcessId,
+    limit: usize,
+) -> Result<String, AttackError> {
+    let (_, s, mark) = splice(setup, first_server, None)?;
+    Ok(s.cluster.world.render_lanes_range(mark, limit))
+}
+
+/// Run `γ` on a copy of `setup`. Returns the outcome, the copy in its
+/// final configuration, and the trace index where the attack began.
+fn splice<N: ProtocolNode>(
+    setup: &TheoremSetup<N>,
+    first_server: ProcessId,
+    tw: Option<(TxId, Vec<Value>)>,
+) -> Result<(AttackOutcome, TheoremSetup<N>, usize), AttackError> {
     let mut s = setup.clone();
     let topo = s.cluster.topo.clone();
     let cw_pid = topo.client_pid(s.cw);
@@ -210,18 +230,15 @@ pub fn mixed_snapshot_attack<N: ProtocolNode>(
     });
     let verdict = check_causal(&history);
 
-    // A space-time excerpt of the attack for the figure reproduction.
-    let trace = s.cluster.world.render_lanes_range(mark, 120);
-
-    Ok(AttackOutcome {
+    let outcome = AttackOutcome {
         first_server,
         reads: done.reads,
         old: setup.x_in.clone(),
         new: new_vals,
         violations: verdict.violations,
         audit,
-        trace,
-    })
+    };
+    Ok((outcome, s, mark))
 }
 
 /// Try the attack with every choice of first server; return the first

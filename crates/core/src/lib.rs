@@ -26,7 +26,9 @@ pub mod induction;
 pub mod setup;
 pub mod visibility;
 
-pub use attack::{attack_all_servers, mixed_snapshot_attack, AttackOutcome, SnapshotKind};
+pub use attack::{
+    attack_all_servers, attack_excerpt, mixed_snapshot_attack, AttackOutcome, SnapshotKind,
+};
 pub use audit::{audit_protocol, audit_protocol_on, paper_table1, PaperRow, SystemRow};
 pub use general::{general_topologies, run_general, run_theorem_general, GeneralReport};
 pub use induction::{run_theorem, Conclusion, InductionStep, TheoremReport};

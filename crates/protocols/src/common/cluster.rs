@@ -10,6 +10,7 @@ use cbf_model::{
     check_causal, ClientId, History, Key, PropertyProfile, RotAudit, TxId, Value, WtxAudit,
 };
 use cbf_sim::{LatencyModel, ProcessId, SimConfig, Time, Trace, TraceEvent, World, SECONDS};
+use std::sync::{Arc, OnceLock};
 
 /// Outcome of one read-only transaction.
 #[derive(Clone, Debug)]
@@ -55,7 +56,7 @@ pub struct Cluster<N: ProtocolNode> {
     pub world: World<N>,
     /// The deployment layout.
     pub topo: Topology,
-    history: History,
+    history: SharedHistory,
     profile: PropertyProfile,
     next_tx: u64,
     next_val: u64,
@@ -88,7 +89,7 @@ impl<N: ProtocolNode> Cluster<N> {
         Cluster {
             world,
             topo,
-            history: History::new(),
+            history: SharedHistory::default(),
             profile: PropertyProfile::default(),
             next_tx: 0,
             next_val: 1,
@@ -119,7 +120,7 @@ impl<N: ProtocolNode> Cluster<N> {
 
     /// The history of completed transactions, as the clients saw them.
     pub fn history(&self) -> &History {
-        &self.history
+        self.history.view()
     }
 
     /// The aggregated measured properties (one Table 1 row).
@@ -129,11 +130,12 @@ impl<N: ProtocolNode> Cluster<N> {
 
     /// Run the causal-consistency checker over everything observed so far.
     pub fn check(&self) -> Verdict {
-        check_causal(&self.history)
+        check_causal(self.history())
     }
 
     /// Fork the entire deployment — configuration, history, audits. The
-    /// visibility probes of the theorem machinery run on forks.
+    /// visibility probes of the theorem machinery run on forks. The
+    /// history is shared with the original, not copied.
     pub fn fork(&self) -> Self {
         Cluster {
             world: self.world.fork(),
@@ -358,6 +360,56 @@ pub struct InFlightTx {
     pub invoked_at: Time,
     /// The writes (empty for a read-only transaction).
     pub writes: Vec<(Key, Value)>,
+}
+
+/// A cluster's history, shared with its forks: an immutable prefix
+/// behind an `Arc`, plus the records this copy completed while the
+/// prefix was shared. A clone costs a refcount bump and a copy of the
+/// tail, so forking a long-running deployment is O(1) in its history.
+#[derive(Default)]
+struct SharedHistory {
+    prefix: Arc<History>,
+    tail: Vec<TxRecord>,
+    /// `prefix ++ tail`, built on the first read after a push to a
+    /// non-empty tail.
+    joined: OnceLock<History>,
+}
+
+impl SharedHistory {
+    /// Append in place when no fork shares the prefix (folding in any
+    /// tail left from when one did); otherwise append to the tail.
+    fn push(&mut self, tx: TxRecord) {
+        self.joined = OnceLock::new();
+        match Arc::get_mut(&mut self.prefix) {
+            Some(prefix) => {
+                for t in self.tail.drain(..) {
+                    prefix.push(t);
+                }
+                prefix.push(tx);
+            }
+            None => self.tail.push(tx),
+        }
+    }
+
+    fn view(&self) -> &History {
+        if self.tail.is_empty() {
+            return &self.prefix;
+        }
+        self.joined.get_or_init(|| {
+            let prefix = self.prefix.transactions().iter();
+            prefix.chain(&self.tail).cloned().collect()
+        })
+    }
+}
+
+impl Clone for SharedHistory {
+    fn clone(&self) -> Self {
+        SharedHistory {
+            prefix: Arc::clone(&self.prefix),
+            tail: self.tail.clone(),
+            joined: OnceLock::new(),
+        }
+    }
 }
 
 /// Count client→server communication rounds since `mark`: the number of
@@ -675,5 +727,114 @@ mod tests {
         assert_eq!(r.audit.max_values_per_msg, 1);
         assert_eq!(r.audit.server_msgs, 1);
         assert!(r.audit.is_fast());
+    }
+
+    /// What the shared-history sweep exercised.
+    #[derive(Default)]
+    struct Coverage {
+        /// Pushes onto a tail because a copy shared the prefix.
+        shared_pushes: u32,
+        /// In-place pushes that first folded a leftover tail.
+        folds: u32,
+        /// Forks or clones taken off a copy (forks of forks).
+        deep_copies: u32,
+    }
+
+    /// Run one transaction on `c` and return the record the history
+    /// must gain, built from the result rather than read back.
+    fn random_tx<N: ProtocolNode>(c: &mut Cluster<N>, rng: &mut impl rand::Rng) -> TxRecord {
+        let client = ClientId(rng.gen_range(0..c.topo.num_clients));
+        let invoked_at = c.world.now();
+        let (id, reads, writes) = if rng.gen_bool(0.5) {
+            let keys = if N::SUPPORTS_MULTI_WRITE && rng.gen_bool(0.5) {
+                vec![Key(0), Key(1)]
+            } else {
+                vec![Key(rng.gen_range(0..2))]
+            };
+            let w = c.write_tx_auto(client, &keys).unwrap();
+            (w.id, Vec::new(), w.writes)
+        } else {
+            let r = c.read_tx(client, &[Key(0), Key(1)]).unwrap();
+            (r.id, r.reads, Vec::new())
+        };
+        TxRecord {
+            id,
+            client,
+            reads,
+            writes,
+            invoked_at,
+            completed_at: c.world.now(),
+        }
+    }
+
+    /// One seeded case: random transactions on any live cluster, forks
+    /// and clones of any live cluster and drops, each cluster shadowed
+    /// by a plain `Vec<TxRecord>` and its copy depth.
+    fn shared_history_case<N: ProtocolNode>(seed: u64, cov: &mut Coverage) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut live: Vec<(Cluster<N>, Vec<TxRecord>, u32)> =
+            vec![(Cluster::new(Topology::minimal(4)), Vec::new(), 0)];
+        for _ in 0..rng.gen_range(8..40) {
+            let i = rng.gen_range(0..live.len());
+            let (c, reference, depth) = &mut live[i];
+            match rng.gen_range(0..10) {
+                0..6 => {
+                    let shared = Arc::strong_count(&c.history.prefix) > 1;
+                    let had_tail = !c.history.tail.is_empty();
+                    reference.push(random_tx(c, &mut rng));
+                    // A push lands in place exactly when the prefix is
+                    // not shared.
+                    assert_eq!(c.history.tail.is_empty(), !shared, "seed {seed}");
+                    cov.shared_pushes += shared as u32;
+                    cov.folds += (!shared && had_tail) as u32;
+                }
+                6..8 => {
+                    cov.deep_copies += (*depth > 0) as u32;
+                    let copy = if rng.gen_bool(0.5) {
+                        c.fork()
+                    } else {
+                        c.clone()
+                    };
+                    let entry = (copy, reference.clone(), *depth + 1);
+                    live.push(entry);
+                }
+                _ if live.len() > 1 => {
+                    live.swap_remove(i);
+                }
+                _ => {}
+            }
+            for (c, reference, _) in &live {
+                assert_eq!(c.history().transactions(), &reference[..], "seed {seed}");
+            }
+        }
+        for (c, reference, _) in &live {
+            let h: History = reference.iter().cloned().collect();
+            assert_eq!(c.check(), check_causal(&h), "seed {seed}");
+        }
+
+        // With every other copy dropped the prefix is uniquely owned
+        // again, so the next push appends in place and leaves no tail.
+        live.truncate(1);
+        let (mut c, mut reference, _) = live.pop().unwrap();
+        assert_eq!(Arc::strong_count(&c.history.prefix), 1, "seed {seed}");
+        reference.push(random_tx(&mut c, &mut rng));
+        assert!(c.history.tail.is_empty(), "seed {seed}");
+        assert_eq!(c.history().transactions(), &reference[..], "seed {seed}");
+    }
+
+    #[test]
+    fn shared_history_matches_a_plain_vec_per_cluster() {
+        let mut cov = Coverage::default();
+        for seed in 0..200 {
+            shared_history_case::<crate::wren::WrenNode>(seed, &mut cov);
+            shared_history_case::<crate::cops::CopsNode>(seed, &mut cov);
+        }
+        // The sweep reads 3,249 / 194 / 1,103.
+        assert!(cov.shared_pushes > 1_000, "{}", cov.shared_pushes);
+        assert!(cov.folds > 100, "{}", cov.folds);
+        assert!(cov.deep_copies > 500, "{}", cov.deep_copies);
     }
 }
