@@ -30,12 +30,14 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Read both RSS fields from `/proc/self/status`. Returns zeros
-    /// where procfs is unavailable.
+    /// Read both RSS fields from one read of `/proc/self/status`, so
+    /// the peak can never be sampled before a later, larger current
+    /// size. Returns zeros where procfs is unavailable.
     pub fn sample() -> Self {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
         MemStats {
-            peak_rss_kb: proc_status_kb("VmHWM:"),
-            current_rss_kb: proc_status_kb("VmRSS:"),
+            peak_rss_kb: status_kb(&status, "VmHWM:"),
+            current_rss_kb: status_kb(&status, "VmRSS:"),
         }
     }
 }
@@ -49,11 +51,9 @@ impl ToJson for MemStats {
     }
 }
 
-/// One `kB`-denominated field of `/proc/self/status`, 0 when absent.
-fn proc_status_kb(prefix: &str) -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
+/// One `kB`-denominated field of a `/proc/self/status` text, 0 when
+/// absent.
+fn status_kb(status: &str, prefix: &str) -> u64 {
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix(prefix) {
             return rest

@@ -4,7 +4,7 @@
 //! determinism smoke are the only places that assert it.
 
 use cbf_bench::{latency_table, render_latency_table, render_table1, table1_rows};
-use snowbound::prelude::{run_theorem, Mix, NaiveFast, NaiveTwoPhase};
+use snowbound::prelude::Mix;
 
 #[test]
 fn parallel_table1_renders_are_byte_identical() {
@@ -31,25 +31,4 @@ fn parallel_latency_table_matches_serial() {
     std::env::remove_var(cbf_par::THREADS_ENV);
 
     assert_eq!(a, serial, "parallel latency exhibit diverged from serial");
-}
-
-#[test]
-fn parallel_theorem_induction_matches_serial() {
-    // Fork-heavy: every visibility probe of the induction runs on a
-    // fresh fork, through the parallel probe family.
-    let render = || {
-        format!(
-            "{}\n{}",
-            run_theorem::<NaiveFast>(8).render(),
-            run_theorem::<NaiveTwoPhase>(8).render()
-        )
-    };
-    std::env::set_var(cbf_par::THREADS_ENV, "4");
-    let a = render();
-
-    std::env::set_var(cbf_par::THREADS_ENV, "1");
-    let serial = render();
-    std::env::remove_var(cbf_par::THREADS_ENV);
-
-    assert_eq!(a, serial, "parallel theorem induction diverged from serial");
 }

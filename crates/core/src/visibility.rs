@@ -67,28 +67,19 @@ pub fn schedule_family(topo: &cbf_protocols::Topology) -> Vec<ProbeSchedule> {
 /// configuration of `setup.cluster`? All probes in the family must
 /// return `expect`.
 ///
-/// The probes are independent runs on independent forks, so the family
-/// fans out across threads ([`cbf_par::parallel_map`]). Every schedule
-/// is evaluated (no short-circuit) and the results are and-reduced in
-/// family order, so the verdict is identical to the serial loop — the
-/// quantifier "every continuation" is order-insensitive, and each probe
-/// is a pure function of the (immutable) configuration and its schedule.
+/// Every schedule in the family is probed, in family order, with no
+/// short-circuit: each probe is one fork, so the fork count per call
+/// does not depend on which probe first misses `expect`.
 pub fn is_visible<N: ProtocolNode>(setup: &TheoremSetup<N>, key: Key, expect: Value) -> bool {
-    let family = schedule_family(&setup.cluster.topo);
-    // A probe forks a small cluster and runs it to the read's
-    // completion — tens of microseconds. The family is a handful of
-    // schedules, so the fan-out stays serial under the default work
-    // floor; `is_visible` is itself called from inside the parallel
-    // table-1 rows, where nested spawning costs more than it saves.
-    cbf_par::parallel_map_costed(family, 50_000, |s| {
-        match probe_reads(&setup.cluster, setup.probe, &setup.keys, s) {
+    let mut visible = true;
+    for s in schedule_family(&setup.cluster.topo) {
+        visible &= match probe_reads(&setup.cluster, setup.probe, &setup.keys, s) {
             Some(reads) => reads.iter().any(|&(k, v)| k == key && v == expect),
             // An incomplete probe cannot have returned `expect`.
             None => false,
-        }
-    })
-    .into_iter()
-    .all(|visible| visible)
+        };
+    }
+    visible
 }
 
 /// Fast-schedule-only visibility: used inside tight loops where the

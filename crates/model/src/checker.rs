@@ -224,32 +224,13 @@ pub fn check_causal_legacy(h: &History) -> Verdict {
         }
     }
 
-    // Rule 4: per-client constraint saturation. Each client's fixpoint
-    // is independent (it saturates its own copy of the causal relation),
-    // so the clients fan out across threads; every client is evaluated
-    // and the verdicts are folded back in client order, reproducing the
-    // serial loop's violation order exactly.
-    let clients = h.clients();
-    // Measured at n = 2.1k on contended keys: a client costs one copy of
-    // the closed relation (n·n/64 words at ≈ ¼ ns) plus ≈ 1.6
-    // `add_closed` calls per read, each a probe of all n rows at ≈ 3 ns
-    // — 0.45 ms. Tiny histories (the drive tests, the latency cells)
-    // total far below the spawn floor and stay serial; the legacy-oracle
-    // tiers fan out.
-    let n = h.len() as u64;
-    let adds = 2 * co.reads_from.len() as u64 / clients.len().max(1) as u64;
-    let per_client = n.saturating_mul(n) / 256 + adds.saturating_mul(n) * 3;
-    // Scratch copies of the causal relation, one per worker at most,
-    // reused from client to client instead of allocated n²/8 bytes each.
-    let scratch = std::sync::Mutex::new(Vec::new());
-    for (client, ok) in cbf_par::parallel_map_costed(clients, per_client, |client| {
-        let spare = scratch.lock().expect("scratch pool poisoned").pop();
-        let mut forced = spare.unwrap_or_else(|| Relation::new(0));
-        let ok = client_serializable(h, &co, client, &mut forced);
-        scratch.lock().expect("scratch pool poisoned").push(forced);
-        (client, ok)
-    }) {
-        if !ok {
+    // Rule 4: per-client constraint saturation, in client order. Each
+    // client saturates its own copy of the causal relation; one scratch
+    // relation is reused from client to client instead of allocating
+    // n²/8 bytes each.
+    let mut forced = Relation::new(0);
+    for client in h.clients() {
+        if !client_serializable(h, &co, client, &mut forced) {
             v.violations.push(Violation::Unserializable { client });
         }
     }

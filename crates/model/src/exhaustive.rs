@@ -51,21 +51,12 @@ pub fn check_causal_exhaustive(h: &History, budget: u64) -> Exhaustive {
     if !co.causal.is_irreflexive() {
         return Exhaustive::Inconsistent(h.transactions()[0].client);
     }
-    // Definition 1 quantifies per client, and the searches share nothing
-    // (each explores its own serializations of the same immutable
-    // history), so they fan out across threads. Every client is
-    // evaluated and the verdicts are reduced in client order, which
-    // reproduces the serial loop's first-failing-client answer exactly.
-    let clients = h.clients();
-    let results = cbf_par::parallel_map(clients, |client| {
+    // Definition 1 quantifies per client: search each client's
+    // serializations in client order, each with its own node budget, and
+    // answer for the first client that fails or runs out.
+    for client in h.clients() {
         let mut nodes = 0u64;
-        (
-            client,
-            search_for_client(h, &co, client, budget, &mut nodes),
-        )
-    });
-    for (client, r) in results {
-        match r {
+        match search_for_client(h, &co, client, budget, &mut nodes) {
             Some(true) => {}
             Some(false) => return Exhaustive::Inconsistent(client),
             None => return Exhaustive::Unknown,

@@ -38,12 +38,10 @@
 //! over the exhaustive history enumerator, all chaos scenarios, and the
 //! proptest sweep.
 //!
-//! The verdict-time scans shard by session (client) through
-//! [`cbf_par::parallel_map`], so `SNOWBOUND_THREADS=1` reproduces the
-//! serial loop byte for byte and larger budgets fan the per-session
-//! windows across cores; results are merged back in the legacy emission
-//! order (reads-from list order for rule 3, transaction order for
-//! rule 3b, sorted client order for rule 4).
+//! The verdict-time scans run per session (client), in sorted client
+//! order; their results are merged back in the legacy emission order
+//! (reads-from list order for rule 3, transaction order for rule 3b,
+//! sorted client order for rule 4).
 
 #![deny(unsafe_code)]
 
@@ -631,33 +629,9 @@ impl IngestState {
         // All edges point backward ⇒ the causal relation is a DAG by
         // construction: rule 2 cannot fire.
 
-        // Shard the rule-3/3b/4 scans by session. Each job only reads
-        // shared state; results are folded back in sorted-client order.
-        let mut rf_of_session: Vec<Vec<usize>> = vec![Vec::new(); self.txs_of_session.len()];
-        for (i, rf) in self.reads_from.iter().enumerate() {
-            rf_of_session[self.sess_of(rf.reader) as usize].push(i);
-        }
-        let mut bottoms_of_session: Vec<Vec<usize>> = vec![Vec::new(); self.txs_of_session.len()];
-        for (i, &(tx, _)) in self.bottom_reads.iter().enumerate() {
-            bottoms_of_session[self.sess_of(tx) as usize].push(i);
-        }
-
-        let jobs: Vec<(ClientId, u32)> = self.sessions.iter().map(|(&c, &s)| (c, s)).collect();
-        // Each session scan walks its reads-from edges and bottom reads
-        // (binary search + a chain window per edge, ~200 ns each), so
-        // small histories — every latency cell, every drive test — stay
-        // on the calling thread instead of paying the spawn tax inside
-        // an already-parallel outer exhibit.
-        let per_session = (self.reads_from.len() + self.bottom_reads.len()) as u64 * 200
-            / jobs.len().max(1) as u64;
-        let scans = cbf_par::parallel_map_costed(jobs, per_session, |(client, s)| {
-            self.scan_session(
-                client,
-                s,
-                &rf_of_session[s as usize],
-                &bottoms_of_session[s as usize],
-            )
-        });
+        // Scan rule 3/3b/4 per session, in sorted-client order; the
+        // per-session results are merged back into legacy order below.
+        let scans = self.all_scans();
 
         // Rule 3, in reads-from list order (each edge belongs to exactly
         // one session; a global sort restores the legacy order). Edges
@@ -855,8 +829,8 @@ impl IngestState {
         }
     }
 
-    /// Serial window scans for every session (the GC path and the
-    /// fixpoint diagnostic; `verdict` has its own `cbf_par` fan-out).
+    /// Window scans for every session, in sorted-client order (the
+    /// verdict, the GC path and the fixpoint diagnostic).
     fn all_scans(&self) -> Vec<SessionScan> {
         let nsess = self.txs_of_session.len();
         let mut rf_of_session: Vec<Vec<usize>> = vec![Vec::new(); nsess];

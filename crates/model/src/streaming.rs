@@ -147,24 +147,14 @@ impl ShardedChecker {
         total
     }
 
-    /// The merged verdict: per-shard verdicts computed independently
-    /// (fanning out through `cbf_par` when the work is big enough) and
+    /// The merged verdict: per-shard verdicts computed independently and
     /// concatenated in shard order. With one shard this is exactly the
     /// plain checker's verdict; with many, isolation makes "all shards
     /// consistent" equivalent to "the union history is consistent".
     pub fn verdict(&self) -> Verdict {
-        if self.shards.len() == 1 {
-            return self.shards[0].verdict();
-        }
-        // A shard verdict walks the shard's reads-from edges and runs
-        // its rule-4 fixpoints: linear-ish with a real constant, ~500 ns
-        // per transaction is a safe static estimate.
-        let per_shard = self.len() as u64 * 500 / self.shards.len() as u64;
-        let refs: Vec<&CausalChecker> = self.shards.iter().collect();
-        let verdicts = cbf_par::parallel_map_costed(refs, per_shard, |s| s.verdict());
         let mut merged = Verdict::default();
-        for v in verdicts {
-            merged.violations.extend(v.violations);
+        for shard in &self.shards {
+            merged.violations.extend(shard.verdict().violations);
         }
         merged
     }

@@ -404,8 +404,6 @@ fn causal_store_run(rng: &mut StdRng, n: usize, keys: u32, noise: f64) -> Histor
 
 #[test]
 fn legacy_checker_matches_its_old_self_at_multi_word_sizes() {
-    // Results are identical on every thread budget; force the fan-out
-    // (and its scratch pool) on for half the seeds.
     let (mut multi_round, mut in_fixpoint, mut unserializable, mut clean) = (0, 0, 0, 0);
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0x5A7 + seed);
@@ -414,13 +412,7 @@ fn legacy_checker_matches_its_old_self_at_multi_word_sizes() {
         let noise = [0.0, 0.002, 0.01][seed as usize % 3];
         let h = causal_store_run(&mut rng, n, keys, noise);
         let (expected, rounds) = reference_legacy(&h);
-        if seed % 2 == 1 {
-            std::env::set_var(cbf_par::THREADS_ENV, "3");
-            std::env::set_var(cbf_par::MIN_WORK_ENV, "0");
-        }
         let got = check_causal_legacy(&h);
-        std::env::remove_var(cbf_par::THREADS_ENV);
-        std::env::remove_var(cbf_par::MIN_WORK_ENV);
         assert_eq!(got, expected, "seed {seed}: n = {n}, {keys} keys");
 
         multi_round += rounds.iter().filter(|&&r| r >= 2).count();

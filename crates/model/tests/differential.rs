@@ -208,10 +208,10 @@ fn thirty_two_seed_random_sweep() {
     }
 }
 
-/// The serial loop and the thread fan-out must produce the same verdict
-/// through the incremental path too.
+/// Five clients read and overwrite one key: the incremental path's
+/// per-session scans must merge back into the legacy verdict.
 #[test]
-fn incremental_sharding_is_thread_invariant() {
+fn incremental_matches_legacy_on_one_contended_key() {
     let mut rng = StdRng::seed_from_u64(99);
     let h: History = (0..40)
         .map(|i| {
@@ -230,11 +230,5 @@ fn incremental_sharding_is_thread_invariant() {
             }
         })
         .collect();
-    std::env::set_var(cbf_par::THREADS_ENV, "1");
-    let serial = check_causal(&h);
-    std::env::set_var(cbf_par::THREADS_ENV, "3");
-    let parallel = check_causal(&h);
-    std::env::remove_var(cbf_par::THREADS_ENV);
-    assert_eq!(serial, parallel);
-    assert_eq!(serial, check_causal_legacy(&h));
+    assert_eq!(check_causal(&h), check_causal_legacy(&h));
 }

@@ -106,24 +106,6 @@ proptest! {
         }
     }
 
-    /// The thread fan-out must be invisible: both checkers give
-    /// bit-identical verdicts with the budget forced to one thread
-    /// (`SNOWBOUND_THREADS=1`) and with it unrestricted.
-    #[test]
-    fn parallel_verdicts_match_serial(gens in prop::collection::vec(tx_gen(), 0..6)) {
-        let h = materialize(&gens);
-        std::env::set_var(cbf_par::THREADS_ENV, "1");
-        let serial_graph = format!("{:?}", check_causal(&h).violations);
-        let serial_exact = check_causal_exhaustive(&h, 5_000_000);
-        // Force >1 threads so the fan-out really runs, even on one core.
-        std::env::set_var(cbf_par::THREADS_ENV, "3");
-        let par_graph = format!("{:?}", check_causal(&h).violations);
-        let par_exact = check_causal_exhaustive(&h, 5_000_000);
-        std::env::remove_var(cbf_par::THREADS_ENV);
-        prop_assert_eq!(serial_graph, par_graph);
-        prop_assert_eq!(serial_exact, par_exact);
-    }
-
     /// The incremental fast path (what `check_causal` now runs) must be
     /// bit-identical to the legacy dense-closure checker — violations,
     /// order and all — on histories with forward reads, ⊥-reads,

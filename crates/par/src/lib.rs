@@ -1,38 +1,29 @@
-//! Deterministic fork-join parallelism for the theorem harness.
+//! Deterministic fork-join parallelism for independent exhibit cells.
 //!
-//! The paper's quantifiers are embarrassingly parallel — Definition 2's
-//! "visible in every continuation" is a family of independent probe runs
-//! on [`World`] forks, the checker's serialization search runs per
-//! client, and Table 1's rows audit independent protocols. This crate
-//! gives those fan-outs one primitive, [`parallel_map`], with the
-//! property the harness cannot compromise on: **the result is
-//! bit-identical to the serial loop**. Work items are pure functions of
-//! their inputs (no shared mutable RNG, no interior mutability), and
-//! results are joined back in input order, so callers reduce them
-//! exactly as the serial code would.
+//! The exhibits are grids of independent, seeded runs, and the linter
+//! scans independent files. This crate gives those fan-outs one
+//! primitive, [`parallel_map`], with the property the harness cannot
+//! compromise on: **the result is bit-identical to the serial loop**.
+//! Work items are pure functions of their inputs (no shared mutable RNG,
+//! no interior mutability), and results are joined back in input order,
+//! so callers reduce them exactly as the serial code would.
+//!
+//! The fan-outs that use it:
+//!
+//! - `cbf-bench`: Table 1's rows and the latency cells (`lib.rs`), the
+//!   chaos cells (`chaos.rs`), and the load tiers and swarm runs
+//!   (`load.rs`);
+//! - snowlint's per-file scan.
+//!
+//! The deterministic crates (`cbf-model`, `cbf-core`, `cbf-sim`) run
+//! serially and do not depend on this crate.
 //!
 //! Thread count comes from `SNOWBOUND_THREADS` (default: available
 //! parallelism). `SNOWBOUND_THREADS=1` short-circuits to the literal
 //! serial loop — not a one-thread pool — so the escape hatch is the old
 //! code path, byte for byte.
 //!
-//! ## The work threshold
-//!
-//! Spawning a scoped worker costs tens of microseconds; a fan-out whose
-//! items each take nanoseconds *loses* time to the spawn tax — and loses
-//! badly when it happens inside another `parallel_map` job, where every
-//! outer worker pays it again. [`parallel_map_costed`] takes a static
-//! per-item cost estimate (virtual, in nanoseconds; any fixed scale
-//! works as long as callers and [`min_work`] agree) and stays on the
-//! serial path whenever `est × len` is below the [`min_work`] floor.
-//! The floor comes from `SNOWBOUND_MIN_WORK` (nanoseconds; `0` disables
-//! the floor, huge values force every costed fan-out serial). The
-//! estimate is a *hint*: both paths compute the identical result, so a
-//! wrong estimate costs time, never correctness.
-//!
 //! Built on `std::thread::scope` only; no external dependencies.
-//!
-//! [`World`]: ../cbf_sim/struct.World.html
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,33 +33,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "SNOWBOUND_THREADS";
-
-/// Environment variable overriding the serial-fallback work floor, in
-/// estimated nanoseconds of total fan-out work. Fan-outs estimated
-/// cheaper than this run on the calling thread. `0` disables the floor
-/// (every multi-item fan-out goes parallel, the pre-threshold
-/// behaviour); a huge value forces every costed fan-out serial.
-pub const MIN_WORK_ENV: &str = "SNOWBOUND_MIN_WORK";
-
-/// Default work floor: 2 ms of estimated work. Below this, the spawn
-/// tax (≈ 50 µs per worker, paid per call) eats any speedup an 8-way
-/// split could deliver.
-pub const DEFAULT_MIN_WORK: u64 = 2_000_000;
-
-/// Per-item cost hint used by [`parallel_map`] when the caller gives
-/// none: assume items are heavy (10 ms each), so un-hinted call sites
-/// keep their historical always-parallel behaviour.
-pub const HEAVY_HINT: u64 = 10_000_000;
-
-/// The effective work floor: `SNOWBOUND_MIN_WORK` if set to an integer,
-/// else [`DEFAULT_MIN_WORK`]. Re-read on every call, like
-/// [`thread_budget`], so tests can toggle it mid-process.
-pub fn min_work() -> u64 {
-    match std::env::var(MIN_WORK_ENV) {
-        Ok(v) => v.trim().parse::<u64>().unwrap_or(DEFAULT_MIN_WORK),
-        Err(_) => DEFAULT_MIN_WORK,
-    }
-}
 
 /// The machine's available parallelism, probed once. Querying it is a
 /// syscall (plus cgroup reads on Linux) — far too slow for the budget
@@ -115,28 +79,8 @@ where
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    parallel_map_costed(items, HEAVY_HINT, f)
-}
-
-/// [`parallel_map`] with a static per-item cost estimate (nanoseconds).
-///
-/// When `est_ns_per_item × items.len()` falls below [`min_work`], the
-/// fan-out is too small to amortize the spawn tax and runs as the
-/// literal serial loop on the calling thread — the same code path as
-/// `SNOWBOUND_THREADS=1`, so results are bit-identical either way.
-/// Call sites with microsecond-scale items (per-session checker scans,
-/// per-client serialization probes) pass small estimates; heavy
-/// exhibits keep [`parallel_map`]'s default.
-pub fn parallel_map_costed<T, U, F>(items: Vec<T>, est_ns_per_item: u64, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let floor = min_work();
-    let est_total = est_ns_per_item.saturating_mul(items.len() as u64);
     let budget = thread_budget().min(items.len().max(1));
-    if budget <= 1 || items.len() <= 1 || est_total < floor {
+    if budget <= 1 {
         return items.into_iter().map(f).collect();
     }
 
@@ -216,46 +160,6 @@ mod tests {
         // Only inspects the parse logic indirectly: a budget is always
         // at least 1.
         assert!(thread_budget() >= 1);
-    }
-
-    /// FNV-1a over a result vector: the digest the fallback test
-    /// compares across paths.
-    fn digest(xs: &[u64]) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for x in xs {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        h
-    }
-
-    #[test]
-    fn costed_serial_fallback_is_digest_identical() {
-        let items: Vec<u64> = (0..256).collect();
-        let f = |x: u64| x.wrapping_mul(6364136223846793005).rotate_left(17);
-        // Tiny estimate: 10 ns × 256 is far below any sane floor, so
-        // this runs serially on the calling thread...
-        let cheap = parallel_map_costed(items.clone(), 10, f);
-        // ...while a heavy estimate crosses the floor and goes wide.
-        let heavy = parallel_map_costed(items.clone(), HEAVY_HINT, f);
-        let serial: Vec<u64> = items.into_iter().map(f).collect();
-        assert_eq!(digest(&cheap), digest(&serial));
-        assert_eq!(digest(&heavy), digest(&serial));
-        assert_eq!(cheap, heavy);
-    }
-
-    // The floor constants keep their ordering at compile time: a zero
-    // default would disable the serial fallback, and a HEAVY_HINT below
-    // the floor would stop forcing the threaded path in tests.
-    const _: () = assert!(DEFAULT_MIN_WORK > 0);
-    const _: () = assert!(HEAVY_HINT >= DEFAULT_MIN_WORK);
-
-    #[test]
-    fn min_work_defaults_sane() {
-        // Whatever the env says, the floor parses to *something*.
-        let _ = min_work();
     }
 
     #[test]

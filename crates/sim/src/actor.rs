@@ -129,9 +129,8 @@ impl<M> Ctx<M> {
 /// `Clone` is required so that entire configurations (the [`crate::World`])
 /// can be forked; the paper's indistinguishability and visibility arguments
 /// become runnable experiments on forks. `Send + Sync` (actors are plain
-/// data, never handles) lets the theorem harness fork one configuration
-/// from several worker threads at once — each probe of a visibility
-/// family runs on its own fork in parallel.
+/// data, never handles) lets whole configurations cross threads:
+/// independent exhibit cells run their clusters on `cbf-par` workers.
 pub trait Actor: Clone + Send + Sync {
     /// The protocol's message alphabet (requests, responses, replication,
     /// timer payloads — everything that crosses a link).

@@ -1,6 +1,6 @@
 //! The determinism rule family.
 //!
-//! The theorem harness asserts parallel == serial *dynamically*; these
+//! The exhibit harness asserts parallel == serial *dynamically*; these
 //! rules keep nondeterminism out *statically*:
 //!
 //! - `hash-collections` — no `HashMap`/`HashSet` in the deterministic
@@ -15,9 +15,12 @@
 //!   are re-verified in virtual time by the replay oracle.
 //! - `ad-hoc-threads` — no `thread::spawn` or `rayon` outside
 //!   `crates/par`, whose `parallel_map` is the one audited fan-out
-//!   primitive (bit-identical to the serial loop by construction).
-//!   Same `crates/net` exception: its per-connection reader threads
-//!   feed a recorded, replayable delivery order.
+//!   primitive (bit-identical to the serial loop by construction). It
+//!   fans out independent exhibit cells and snowlint's file scan; the
+//!   deterministic crates (`model`, `core`, `sim`) run serially and do
+//!   not depend on `cbf-par`. Same `crates/net` exception: its
+//!   per-connection reader threads feed a recorded, replayable delivery
+//!   order.
 //! - `net-boundary` — no socket types (`TcpStream`, `TcpListener`,
 //!   `UdpSocket`) outside `crates/net`: the simulator and everything
 //!   above it must stay runnable with no network at all, and a socket
@@ -214,8 +217,10 @@ pub fn check(path: &str, lx: &Lexed, out: &mut Vec<Finding>) {
                         .to_string(),
                 )
                 .with_help(
-                    "use `cbf_par::parallel_map`, which joins results in input \
-                     order and honours SNOWBOUND_THREADS=1"
+                    "fan out only over independent exhibit cells, with \
+                     `cbf_par::parallel_map` (results in input order, \
+                     SNOWBOUND_THREADS=1 runs serially); the deterministic \
+                     crates run serially"
                         .to_string(),
                 ),
             );

@@ -25,8 +25,8 @@
 //!
 //! Run as `cargo run -p snowlint` (writes `results/LINT_report.json`
 //! and `results/FLOW_graph.dot`) or via the `workspace_passes_snowlint`
-//! test every crate carries. Scanning fans out over [`cbf_par`] and
-//! respects the `SNOWBOUND_MIN_WORK` serial-path floor.
+//! test every crate carries. The per-file scan fans out over
+//! [`cbf_par::parallel_map`] (`SNOWBOUND_THREADS=1` runs it serially).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -197,14 +197,13 @@ pub fn check_workspace_with(root: &Path, opts: &CheckOptions) -> Report {
     // a table that vanished must fail the run, not switch the checks off.
     let table = table1::Table1::load(root, &mut raw);
 
-    // Scan, fanning per-file work out over cbf-par. Lex + rules run at
-    // roughly 100µs/file; the SNOWBOUND_MIN_WORK floor keeps tiny
-    // changed-only sets on the serial path.
+    // Scan, fanning per-file work out over cbf-par; results come back in
+    // file order.
     let mut files = collect_rs_files(root);
     if let Some(only) = &opts.only_files {
         files.retain(|rel| only.iter().any(|o| o == rel));
     }
-    let scans: Vec<FileScan> = cbf_par::parallel_map_costed(files, 100_000, |rel| {
+    let scans: Vec<FileScan> = cbf_par::parallel_map(files, |rel| {
         let mut findings = Vec::new();
         let mut scan = FileScan {
             rel: rel.clone(),

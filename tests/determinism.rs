@@ -66,28 +66,6 @@ fn witnesses_are_reproducible() {
 }
 
 #[test]
-fn visibility_verdicts_match_serial() {
-    // The probe family fans out across threads; the verdict must be
-    // bit-identical to the serial walk (SNOWBOUND_THREADS=1).
-    use snowbound::theorem::{is_visible, minimal_topology, setup_c0};
-    let s = setup_c0::<NaiveFast>(minimal_topology()).unwrap();
-    let cases = [
-        (Key(0), s.x_in[0]),
-        (Key(1), s.x_in[1]),
-        (Key(0), Value(999_999)),
-    ];
-    for (k, v) in cases {
-        std::env::set_var(cbf_par::THREADS_ENV, "1");
-        let serial = is_visible(&s, k, v);
-        // Force >1 threads so the fan-out really runs, even on one core.
-        std::env::set_var(cbf_par::THREADS_ENV, "4");
-        let parallel = is_visible(&s, k, v);
-        std::env::remove_var(cbf_par::THREADS_ENV);
-        assert_eq!(serial, parallel, "visibility diverged for {k:?}={v:?}");
-    }
-}
-
-#[test]
 fn forked_clusters_diverge_independently() {
     let mut a: Cluster<WrenNode> = Cluster::new(Topology::minimal(4));
     a.write_tx_auto(ClientId(0), &[Key(0), Key(1)]).unwrap();
