@@ -22,8 +22,10 @@
 //! Rules 1–4 together are checked against the literal Definition 1 search
 //! ([`crate::exhaustive`]) by property tests.
 
+use std::collections::BTreeMap;
+
 use crate::history::History;
-use crate::relations::{CausalOrder, Relation};
+use crate::relations::{CausalOrder, ReadIndex, ReadsFrom};
 use crate::types::{ClientId, Key, TxId, Value};
 
 /// A specific way a history fails causal consistency.
@@ -157,14 +159,14 @@ pub fn check_causal(h: &History) -> Verdict {
 
 /// The original recompute-from-scratch checker: builds the full
 /// [`CausalOrder`] (dense transitive closure), walks each read's per-key
-/// writer list for rules 3/3b and saturates every client's copy of the
-/// relation for rule 4. Kept as the differential-testing oracle for the
-/// incremental path and as its exact fallback. Memory is quadratic
-/// (n²/8 bytes per matrix), which is what caps the history size; on an
-/// acyclic history time is `O(edges·n/64)` for the closure plus
-/// `O(n·n/64)` per constraint edge a client's fixpoint adds — the cubic
-/// Floyd–Warshall runs only when program order and reads-from already
-/// form a cycle.
+/// writer list for rules 3/3b and decides rule 4 per client by
+/// `client_serializable` over frontiers swept from that order. Kept as
+/// the differential-testing oracle for the incremental path and as its
+/// exact fallback. Memory is quadratic (n²/8 bytes per matrix), which is
+/// what caps the history size; on an acyclic history time is
+/// `O(edges·n/64)` for the closure plus, per client, a few saturation
+/// rounds over `sessions`-wide frontiers — the cubic Floyd–Warshall runs
+/// only when program order and reads-from already form a cycle.
 pub fn check_causal_legacy(h: &History) -> Verdict {
     let mut v = Verdict::default();
     if !h.values_distinct() {
@@ -172,8 +174,9 @@ pub fn check_causal_legacy(h: &History) -> Verdict {
         return v;
     }
     let co = CausalOrder::build(h);
+    let index = &co.index;
 
-    for &(reader, key, value) in &co.unknown_reads {
+    for &(reader, key, value) in &index.unknown_reads {
         v.violations.push(Violation::UnknownValue {
             reader: co.tx_ids[reader],
             key,
@@ -189,8 +192,8 @@ pub fn check_causal_legacy(h: &History) -> Verdict {
     // Rule 3: stale reads. Only a writer of the key can overwrite it, so
     // walk the key's ascending writer list, not every transaction.
     let txs = h.transactions();
-    for rf in &co.reads_from {
-        for &j in co.writers_of(rf.key) {
+    for rf in &index.reads_from {
+        for &j in index.writers_of(rf.key) {
             if j == rf.writer || j == rf.reader {
                 continue;
             }
@@ -212,7 +215,7 @@ pub fn check_causal_legacy(h: &History) -> Verdict {
             if !val.is_bottom() {
                 continue;
             }
-            for &j in co.writers_of(k) {
+            for &j in index.writers_of(k) {
                 if j != i && co.before(j, i) {
                     v.violations.push(Violation::BottomReadAfterWrite {
                         reader: co.tx_ids[i],
@@ -224,13 +227,10 @@ pub fn check_causal_legacy(h: &History) -> Verdict {
         }
     }
 
-    // Rule 4: per-client constraint saturation, in client order. Each
-    // client saturates its own copy of the causal relation; one scratch
-    // relation is reused from client to client instead of allocating
-    // n²/8 bytes each.
-    let mut forced = Relation::new(0);
+    // Rule 4: per-client constraint saturation, in client order.
+    let fr = SweptFrontiers::build(h, &co);
     for client in h.clients() {
-        if !client_serializable(h, &co, client, &mut forced) {
+        if !client_serializable(h, index, &fr, client) {
             v.violations.push(Violation::Unserializable { client });
         }
     }
@@ -238,32 +238,159 @@ pub fn check_causal_legacy(h: &History) -> Verdict {
     v
 }
 
-/// Saturate the per-client constraint graph to a fixpoint and test
-/// acyclicity. Constraint: for each read by `client`'s transaction `T` of
-/// object `k` from `W1`, every other writer `W2` of `k` that is forced
-/// before `T` must be forced before `W1`.
+/// Per-session causal frontiers: the encoding rule 4's saturation runs
+/// over. Sessions are the clients, numbered densely, and `clock(t)[s]`
+/// counts the transactions of session `s` in the causal past of `t`,
+/// `t` included. Program order totally orders a session, so that past is
+/// a prefix of it and `a <c b ⟺ a ≠ b ∧ clock(b)[session(a)] > pos(a)`.
+pub(crate) trait Frontiers {
+    /// Number of sessions: the width every frontier is read at.
+    fn width(&self) -> usize;
+    /// Dense session index of transaction `t`.
+    fn session_of(&self, t: usize) -> u32;
+    /// Program-order position of `t` within its session.
+    fn position(&self, t: usize) -> u32;
+    /// `clock(t)`; entries past the end of the slice read 0.
+    fn clock(&self, t: usize) -> &[u32];
+}
+
+/// The frontiers of an acyclic [`CausalOrder`], from one sweep over
+/// `po ∪ rf` in topological order. History order need not be one: a
+/// reads-from edge may point forward.
+struct SweptFrontiers {
+    width: usize,
+    session: Vec<u32>,
+    pos: Vec<u32>,
+    /// `n × width`: row `t` is `clock(t)`.
+    clocks: Vec<u32>,
+}
+
+impl SweptFrontiers {
+    fn build(h: &History, co: &CausalOrder) -> SweptFrontiers {
+        let txs = h.transactions();
+        let n = txs.len();
+        let mut sessions: BTreeMap<ClientId, u32> = BTreeMap::new();
+        let (mut session, mut pos) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut prev: Vec<Option<usize>> = Vec::with_capacity(n);
+        let mut last: Vec<usize> = Vec::new(); // per session
+        for (i, t) in txs.iter().enumerate() {
+            let fresh = sessions.len() as u32;
+            let s = *sessions.entry(t.client).or_insert(fresh);
+            if s == fresh {
+                last.push(i);
+                prev.push(None);
+                pos.push(0);
+            } else {
+                let p = std::mem::replace(&mut last[s as usize], i);
+                prev.push(Some(p));
+                pos.push(pos[p] + 1);
+            }
+            session.push(s);
+        }
+
+        let width = sessions.len();
+        let mut direct = co.program_order.clone();
+        let rf = &co.index.reads_from;
+        for e in rf {
+            direct.set(e.writer, e.reader);
+        }
+        let order = direct
+            .topo_order()
+            .expect("rule 2 rejected every causality cycle");
+        let mut clocks = vec![0u32; n * width];
+        let mut row = vec![0u32; width];
+        for t in order {
+            row.fill(0);
+            // `reads_from` is in reader order.
+            let into_t = rf[rf.partition_point(|e| e.reader < t)..]
+                .iter()
+                .take_while(|e| e.reader == t);
+            for p in prev[t].into_iter().chain(into_t.map(|e| e.writer)) {
+                join(&mut row, &clocks[p * width..][..width]);
+            }
+            row[session[t] as usize] = pos[t] + 1;
+            clocks[t * width..][..width].copy_from_slice(&row);
+        }
+        SweptFrontiers {
+            width,
+            session,
+            pos,
+            clocks,
+        }
+    }
+}
+
+impl Frontiers for SweptFrontiers {
+    fn width(&self) -> usize {
+        self.width
+    }
+    fn session_of(&self, t: usize) -> u32 {
+        self.session[t]
+    }
+    fn position(&self, t: usize) -> u32 {
+        self.pos[t]
+    }
+    fn clock(&self, t: usize) -> &[u32] {
+        &self.clocks[t * self.width..][..self.width]
+    }
+}
+
+/// `t` is in the past a frontier encodes (`past` may be shorter than
+/// the width; missing entries read 0).
+#[inline]
+fn holds(fr: &impl Frontiers, past: &[u32], t: usize) -> bool {
+    past.get(fr.session_of(t) as usize)
+        .is_some_and(|&c| c > fr.position(t))
+}
+
+/// `into ⊔= from`, pointwise; true if `into` grew.
+#[inline]
+fn join(into: &mut [u32], from: &[u32]) -> bool {
+    let mut grew = false;
+    for (a, &b) in into.iter_mut().zip(from) {
+        grew |= b > *a;
+        *a = (*a).max(b);
+    }
+    grew
+}
+
+/// Decide rule 4 for one client: does some serialization respecting
+/// `<c` make every read of `client` legal? Constraint: for each read by
+/// `client`'s transaction `T` of object `k` from `W1`, every other writer
+/// `W2` of `k` that is forced before `T` must be forced before `W1`; the
+/// client is serializable iff the least forced relation closed under
+/// that rule is acyclic and leaves every `⊥`-read of the client before
+/// all writers of its key.
 ///
-/// `forced` is scratch space (any size; overwritten with the causal
-/// relation first). It stays transitively closed throughout — each
-/// constraint edge goes in through [`Relation::add_closed`] — so the
-/// rounds read the closure of everything added so far. The least fixpoint
-/// is unique and both exits are monotone in `forced`, so the answer does
-/// not depend on the order edges are discovered in.
+/// The forced relation contains `<c`, which contains program order, so
+/// each transaction's forced past is still a program-order prefix per
+/// session and a frontier encodes it exactly. Every forced edge `W2 →
+/// W1` points into a writer the client read — a *target* — so the
+/// saturation keeps one closed frontier per target (its forced past,
+/// containing the closed frontier of every target inside it), and the
+/// forced past of any transaction is its causal frontier joined with the
+/// closed frontier of each target in that causal frontier. A round
+/// closes the target frontiers, looks for a cycle, checks the `⊥`-reads,
+/// and scans the client's reads × the key's writers for edges that are
+/// forced but missing; a round that finds none answers `true`. The least
+/// fixpoint is unique and both exits are monotone in the forced
+/// relation, so the answer does not depend on the order edges are
+/// discovered in.
 pub(crate) fn client_serializable(
     h: &History,
-    co: &CausalOrder,
+    index: &ReadIndex,
+    fr: &impl Frontiers,
     client: ClientId,
-    forced: &mut Relation,
 ) -> bool {
     let txs = h.transactions();
-    let my_reads: Vec<_> = co
+    let reads: Vec<&ReadsFrom> = index
         .reads_from
         .iter()
         .filter(|rf| txs[rf.reader].client == client)
         .collect();
     // ⊥-reads by this client: (reader index, key). No writer of the key
     // may ever be forced before the reader.
-    let my_bottom_reads: Vec<(usize, Key)> = txs
+    let bottom_reads: Vec<(usize, Key)> = txs
         .iter()
         .enumerate()
         .filter(|(_, t)| t.client == client)
@@ -275,37 +402,147 @@ pub(crate) fn client_serializable(
         })
         .collect();
 
-    let bottom_ok = |forced: &Relation| {
-        my_bottom_reads.iter().all(|&(reader, k)| {
-            let mut ws = co.writers_of(k).iter();
-            ws.all(|&w| w == reader || !forced.get(w, reader))
-        })
-    };
+    let w = fr.width();
+    // The transactions a round needs the forced past of, ascending; row
+    // `i` of `past` is the forced past of `nodes[i]`.
+    let mut nodes: Vec<usize> = reads
+        .iter()
+        .flat_map(|rf| [rf.reader, rf.writer])
+        .chain(bottom_reads.iter().map(|&(r, _)| r))
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let row = |t: usize| nodes.partition_point(|&x| x < t);
+    let mut past = vec![0u32; nodes.len() * w];
+    for (i, &x) in nodes.iter().enumerate() {
+        let cx = fr.clock(x);
+        past[i * w..][..cx.len()].copy_from_slice(cx);
+    }
+    // Forced pasts only grow. A read whose two rows did not grow since
+    // the last scan finds nothing new: an edge that scan found into its
+    // source grew the source's row.
+    let mut grew = vec![true; nodes.len()];
 
-    forced.clone_from(&co.causal); // already closed
+    // Targets, and row `i` of `closed`: the forced past of `targets[i]`.
+    // Rows only grow: `closed_at[i]` is row `i`'s version, bumped each
+    // time it grows, and `past_took[j]` the version of row `j` that the
+    // rows of `past` hold (`took` is the same per pair of targets).
+    let mut targets: Vec<usize> = Vec::new();
+    let mut closed: Vec<u32> = Vec::new();
+    let mut closed_at: Vec<u32> = Vec::new();
+    let mut took: Vec<Vec<u32>> = Vec::new();
+    let mut past_took: Vec<u32> = Vec::new();
+    let mut fresh: Vec<(usize, usize)> = Vec::new();
     loop {
-        if !bottom_ok(forced) {
-            return false;
-        }
-        let mut added = false;
-        for rf in &my_reads {
-            // Latest writers first: the closure of their edge usually
-            // covers the earlier ones, which then add nothing.
-            for &w2 in co.writers_of(rf.key).iter().rev() {
-                if w2 == rf.writer || w2 == rf.reader {
-                    continue;
-                }
-                if forced.get(w2, rf.reader) && !forced.get(w2, rf.writer) {
-                    forced.add_closed(w2, rf.writer);
-                    added = true;
+        close_targets(fr, &targets, &mut closed, &mut closed_at, &mut took);
+        // A cycle runs through some forced edge `a → t`, so `t` is in the
+        // forced past of `a`: either `t <c a` (caught when the edge went
+        // in, below), or `t` lies in the closed frontier of another
+        // target `u` in the past of `a` — and then `u`, like all of `a`'s
+        // past, lies in `t`'s.
+        for (i, &ti) in targets.iter().enumerate() {
+            for (j, &tj) in targets.iter().enumerate().skip(i + 1) {
+                if holds(fr, &closed[i * w..][..w], tj) && holds(fr, &closed[j * w..][..w], ti) {
+                    return false;
                 }
             }
         }
-        if !forced.is_irreflexive() {
-            return false;
+        for (i, &x) in nodes.iter().enumerate() {
+            let (out, cx) = (&mut past[i * w..][..w], fr.clock(x));
+            for (j, &t) in targets.iter().enumerate() {
+                if past_took[j] != closed_at[j] && holds(fr, cx, t) {
+                    grew[i] |= join(out, &closed[j * w..][..w]);
+                }
+            }
         }
-        if !added {
+        past_took.clone_from(&closed_at);
+        let past_of = |t: usize| &past[row(t) * w..][..w];
+
+        for &(reader, k) in &bottom_reads {
+            let p = past_of(reader);
+            if index
+                .writers_of(k)
+                .iter()
+                .any(|&j| j != reader && holds(fr, p, j))
+            {
+                return false;
+            }
+        }
+        fresh.clear();
+        for rf in &reads {
+            if !grew[row(rf.reader)] && !grew[row(rf.writer)] {
+                continue;
+            }
+            let (pr, pw) = (past_of(rf.reader), past_of(rf.writer));
+            for &w2 in index.writers_of(rf.key) {
+                if w2 != rf.writer && w2 != rf.reader && holds(fr, pr, w2) && !holds(fr, pw, w2) {
+                    fresh.push((w2, rf.writer));
+                }
+            }
+        }
+        if fresh.is_empty() {
             return true;
+        }
+        grew.fill(false);
+        for &(a, t) in &fresh {
+            let ca = fr.clock(a);
+            if holds(fr, ca, t) {
+                return false; // t <c a: the edge closes a cycle
+            }
+            let i = targets.iter().position(|&x| x == t).unwrap_or_else(|| {
+                targets.push(t);
+                closed.extend(fr.clock(t));
+                closed.resize(targets.len() * w, 0);
+                closed_at.push(1);
+                past_took.push(0);
+                targets.len() - 1
+            });
+            if join(&mut closed[i * w..][..w], ca) {
+                closed_at[i] += 1;
+            }
+        }
+    }
+}
+
+/// Bring every target's frontier to its closure: it contains the
+/// frontier of each target inside it. `took[i][j]` is the version of row
+/// `j` that row `i` last took in; rows only grow, so a pair whose row `j`
+/// kept that version is still closed.
+fn close_targets(
+    fr: &impl Frontiers,
+    targets: &[usize],
+    closed: &mut [u32],
+    closed_at: &mut [u32],
+    took: &mut Vec<Vec<u32>>,
+) {
+    let (w, n) = (fr.width(), targets.len());
+    took.resize_with(n, Vec::new);
+    for row in took.iter_mut() {
+        row.resize(n, 0);
+    }
+    loop {
+        let mut grew = false;
+        for i in 0..n {
+            for (j, &tj) in targets.iter().enumerate() {
+                if i == j || took[i][j] == closed_at[j] || !holds(fr, &closed[i * w..][..w], tj) {
+                    continue;
+                }
+                took[i][j] = closed_at[j];
+                let (into, from) = if i < j {
+                    let (lo, hi) = closed.split_at_mut(j * w);
+                    (&mut lo[i * w..][..w], &hi[..w])
+                } else {
+                    let (lo, hi) = closed.split_at_mut(i * w);
+                    (&mut hi[..w], &lo[j * w..][..w])
+                };
+                if join(into, from) {
+                    closed_at[i] += 1;
+                    grew = true;
+                }
+            }
+        }
+        if !grew {
+            return;
         }
     }
 }

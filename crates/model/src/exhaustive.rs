@@ -42,10 +42,10 @@ pub fn check_causal_exhaustive(h: &History, budget: u64) -> Exhaustive {
         return Exhaustive::Unknown;
     }
     let co = CausalOrder::build(h);
-    if !co.unknown_reads.is_empty() {
+    if !co.index.unknown_reads.is_empty() {
         // A read of a never-written, non-⊥ value has no legal writer in
         // any serialization.
-        let (reader, _, _) = co.unknown_reads[0];
+        let (reader, _, _) = co.index.unknown_reads[0];
         return Exhaustive::Inconsistent(h.transactions()[reader].client);
     }
     if !co.causal.is_irreflexive() {

@@ -1,13 +1,13 @@
 //! Incremental causal-consistency checking: the scale path.
 //!
 //! [`crate::checker::check_causal_legacy`] rebuilds the full
-//! [`CausalOrder`] — two `n × n` bit matrices, n²/8 bytes each, and
-//! their closure — on every call, and that quadratic memory caps the
-//! histories the chaos and Table-1 pipelines can afford to verify that
-//! way. [`CausalChecker`] replaces the dense closure with
-//! per-transaction **vector-clock frontiers** and per-key, per-session
-//! **version chains**, so each of Definition 1's rules is decided by
-//! order-of-`log` chain lookups instead of matrix scans:
+//! [`CausalOrder`](crate::CausalOrder) — two `n × n` bit matrices,
+//! n²/8 bytes each, and their closure — on every call, and that
+//! quadratic memory caps the histories the chaos and Table-1 pipelines
+//! can afford to verify that way. [`CausalChecker`] replaces the dense
+//! closure with per-transaction **vector-clock frontiers** and per-key,
+//! per-session **version chains**, so each of Definition 1's rules is
+//! decided by order-of-`log` chain lookups instead of matrix scans:
 //!
 //! * `clock(t)[c]` counts the transactions of client `c` in the causal
 //!   past of `t` (inclusive of `t` itself). Because each client's
@@ -20,7 +20,7 @@
 //!   chain entries with position in `[clock(w)[c], clock(r)[c])` — a
 //!   binary-searched window. Each such writer `j` is a **stale read**
 //!   (rule 3) when `w <c j`, and otherwise a concurrent extra writer
-//!   that forces the reader's client through the rule-4 fixpoint.
+//!   that forces the reader's client through the rule-4 saturation.
 //! * A `⊥`-read by `t` of key `k` is a **bottom-read violation**
 //!   (rule 3b) for every chain entry below `clock(t)[c]`.
 //!
@@ -30,13 +30,13 @@
 //! [`Violation::CausalityCycle`], and the frontiers are well-defined. A
 //! read that resolves to a *later* writer — the one shape that can close
 //! a cycle — flips the checker into whole-verdict fallback to the legacy
-//! path. Likewise a client that needs the genuine rule-4 constraint
-//! saturation falls back to the legacy per-client fixpoint. The fallback
-//! set is precisely why [`verdict`](CausalChecker::verdict) is
-//! **bit-identical** to [`crate::check_causal_legacy`] on every history:
-//! the differential suite (`tests/differential.rs`) asserts equality
-//! over the exhaustive history enumerator, all chaos scenarios, and the
-//! proptest sweep.
+//! path. A client that needs the genuine rule-4 constraint saturation
+//! runs it over these same frontiers, with no matrix, through the one
+//! function the legacy path runs too (`checker::client_serializable`).
+//! That is why [`verdict`](CausalChecker::verdict) is **bit-identical**
+//! to [`crate::check_causal_legacy`] on every history: the differential
+//! suite (`tests/differential.rs`) asserts equality over the exhaustive
+//! history enumerator, all chaos scenarios, and the proptest sweep.
 //!
 //! The verdict-time scans run per session (client), in sorted client
 //! order; their results are merged back in the legacy emission order
@@ -47,9 +47,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::checker::{check_causal_legacy, client_serializable, Verdict, Violation};
+use crate::checker::{check_causal_legacy, client_serializable, Frontiers, Verdict, Violation};
 use crate::history::{History, TxRecord};
-use crate::relations::{CausalOrder, ReadsFrom, Relation};
+use crate::relations::{ReadIndex, ReadsFrom};
 use crate::types::{ClientId, Key, Value};
 
 /// A read that did not resolve to an already-ingested writer: either a
@@ -67,7 +67,7 @@ enum Rule4 {
     /// identity serialization works, no fixpoint needed.
     Serializable,
     /// A stale read or bottom-read violation already dooms the client —
-    /// the legacy fixpoint is guaranteed to return `false`.
+    /// the rule-4 saturation is guaranteed to return `false`.
     Violated,
     /// A writer concurrent with the read's source precedes the reader:
     /// only the constraint-graph saturation can decide this client.
@@ -189,10 +189,10 @@ impl CausalChecker {
     }
 
     /// Diagnostic: true when some client's rule-4 decision currently
-    /// requires the legacy constraint-graph fixpoint. GC harnesses use
-    /// this on an *unpruned* shadow run to decide at which points a
-    /// pruned checker can stay exact (a fixpoint need arising after
-    /// compaction is a broken workload promise and panics).
+    /// requires the constraint saturation. GC harnesses use this on an
+    /// *unpruned* shadow run to decide at which points a pruned checker
+    /// can stay exact (a fixpoint need arising after compaction is a
+    /// broken workload promise and panics).
     pub fn rule4_fixpoint_pending(&self) -> bool {
         self.state.fixpoint_pending()
     }
@@ -675,12 +675,13 @@ impl IngestState {
 
         // Rule 4, in sorted-client order. A sticky per-session verdict
         // settled by GC short-circuits exactly like a fresh stale read
-        // (the legacy fixpoint is guaranteed false forever once any
-        // constraint cycle exists). Clients that genuinely need the
-        // constraint saturation run the legacy fixpoint over a lazily
-        // built CausalOrder (at most once per verdict).
-        let mut legacy_order: Option<CausalOrder> = None;
-        let mut scratch = Relation::new(0);
+        // (once any constraint cycle exists the saturation answers false
+        // forever). Clients that genuinely need the constraint
+        // saturation run it over this state's own frontiers; their reads
+        // and the keys' writers come from the history, which is whole
+        // here even when a GC that retired nothing already settled the
+        // open edges and pruned the chains.
+        let mut index: Option<ReadIndex> = None;
         for scan in &scans {
             let ok = if self.session_violated[scan.s as usize] {
                 false
@@ -696,8 +697,8 @@ impl IngestState {
                              the fixpoint needs the full history",
                             scan.client.0
                         );
-                        let co = legacy_order.get_or_insert_with(|| CausalOrder::build(h));
-                        client_serializable(h, co, scan.client, &mut scratch)
+                        let index = index.get_or_insert_with(|| ReadIndex::build(h));
+                        client_serializable(h, index, self, scan.client)
                     }
                 }
             };
@@ -751,8 +752,8 @@ impl IngestState {
                     if self.before(w, j) {
                         found.push(j); // w <c j <c r: stale (rule 3)
                     } else {
-                        // j ∥ w but j <c r: the legacy fixpoint would
-                        // force j before w — only it can decide rule 4.
+                        // j ∥ w but j <c r: the saturation would force
+                        // j before w — only it can decide rule 4.
                         needs_fixpoint = true;
                     }
                 }
@@ -785,8 +786,8 @@ impl IngestState {
                 }
             }
             if !found.is_empty() {
-                // A causally-overwritten ⊥-read also fails the client's
-                // bottom_ok precheck in the legacy fixpoint.
+                // A causally-overwritten ⊥-read also fails the
+                // saturation's ⊥-read check.
                 violated = true;
                 found.sort_unstable();
                 bottoms.push((b_idx, found));
@@ -855,8 +856,8 @@ impl IngestState {
     }
 
     /// True when some session's rule-4 decision currently needs the
-    /// legacy constraint fixpoint (and is not already doomed by a stale
-    /// or bottom violation).
+    /// constraint saturation (and is not already doomed by a stale or
+    /// bottom violation).
     fn fixpoint_pending(&self) -> bool {
         if self.duplicate || self.forward_edge {
             return false;
@@ -949,8 +950,7 @@ impl IngestState {
         // fixpoint now: `false` settles as sticky-violated, `true`
         // refuses this GC round.
         let mut newly_violated: Vec<u32> = Vec::new();
-        let mut legacy_order: Option<CausalOrder> = None;
-        let mut scratch = Relation::new(0);
+        let mut index: Option<ReadIndex> = None;
         for scan in &scans {
             if self.session_violated[scan.s as usize] {
                 continue;
@@ -963,8 +963,8 @@ impl IngestState {
                         stats.blocked = Some("rule-4 fixpoint pending after prior compaction");
                         return stats;
                     }
-                    let co = legacy_order.get_or_insert_with(|| CausalOrder::build(h));
-                    if client_serializable(h, co, scan.client, &mut scratch) {
+                    let index = index.get_or_insert_with(|| ReadIndex::build(h));
+                    if client_serializable(h, index, self, scan.client) {
                         stats.blocked = Some("rule-4 fixpoint pending and currently serializable");
                         return stats;
                     }
@@ -1187,6 +1187,22 @@ impl IngestState {
         }
         stats.resident = self.n - self.base;
         stats
+    }
+}
+
+/// Exact causal frontiers whenever `forward_edge` is false.
+impl Frontiers for IngestState {
+    fn width(&self) -> usize {
+        self.txs_of_session.len()
+    }
+    fn session_of(&self, t: usize) -> u32 {
+        self.sess_of(t)
+    }
+    fn position(&self, t: usize) -> u32 {
+        self.pos_of(t)
+    }
+    fn clock(&self, t: usize) -> &[u32] {
+        self.clock_slice(t)
     }
 }
 
@@ -1424,6 +1440,49 @@ mod tests {
             full.ingest(t);
             assert_eq!(pruned.verdict(), full.verdict());
         }
+    }
+
+    /// A GC that settles every open edge but retires nothing leaves the
+    /// history whole, and a client that needs rule 4's fixpoint later
+    /// still owes the settled reads their constraints. Here client 3's
+    /// settled read of x from T1 is what closes the cycle once its new
+    /// read forces T4 (after T2 in program order) before T0: T1 <c T2 <c
+    /// T4 → T0 <c T3 forces T2 before T1.
+    #[test]
+    fn rule4_after_a_settling_gc_sees_the_settled_reads() {
+        let before_gc = [
+            tx(0, 0, &[], &[(1, 1)]),         // T0 writes y (live: pins the cut at 0)
+            tx(1, 1, &[], &[(0, 2)]),         // T1 writes x
+            tx(2, 2, &[(0, 2)], &[(0, 3)]),   // T2 reads T1's x, overwrites it
+            tx(3, 3, &[(0, 2), (1, 1)], &[]), // T3 reads T1's x and T0's y
+        ];
+        let after_gc = [
+            tx(4, 2, &[], &[(1, 4), (2, 5)]), // T4 overwrites y, writes z
+            tx(5, 3, &[(2, 5), (1, 1)], &[]), // T5 reads T4's z but T0's y
+        ];
+        let mut pruned = CausalChecker::new();
+        let mut full = CausalChecker::new();
+        for t in &before_gc {
+            pruned.ingest(t.clone());
+            full.ingest(t.clone());
+        }
+        let stats = pruned.gc();
+        assert_eq!(stats.blocked, None, "{stats:?}");
+        assert_eq!((stats.retired, stats.settled_edges), (0, 3), "{stats:?}");
+        for t in &after_gc {
+            pruned.ingest(t.clone());
+            full.ingest(t.clone());
+        }
+        assert!(full.rule4_fixpoint_pending());
+        let expected = check_causal_legacy(full.history());
+        assert_eq!(
+            expected.violations,
+            vec![Violation::Unserializable {
+                client: ClientId(3)
+            }]
+        );
+        assert_eq!(full.verdict(), expected);
+        assert_eq!(pruned.verdict(), expected);
     }
 
     #[test]

@@ -9,27 +9,11 @@ use std::collections::BTreeMap;
 /// bit-matrix. Rows are `ceil(n/64)` words; `get(i, j)` is bit `j` of row
 /// `i`. Dense bitsets keep the transitive closure cache-friendly — the
 /// checker's hot loop is `row_i |= row_k`.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Relation {
     n: usize,
     words: usize,
     bits: Vec<u64>,
-}
-
-impl Clone for Relation {
-    fn clone(&self) -> Self {
-        Relation {
-            bits: self.bits.clone(),
-            ..*self
-        }
-    }
-
-    /// Reuses `self`'s allocation: the rule-4 fixpoint copies the causal
-    /// relation once per client into the same scratch matrix.
-    fn clone_from(&mut self, source: &Self) {
-        (self.n, self.words) = (source.n, source.words);
-        self.bits.clone_from(&source.bits);
-    }
 }
 
 impl Relation {
@@ -85,35 +69,6 @@ impl Relation {
         (before, row_k, after)
     }
 
-    /// Add the pair `(a, b)` to a relation that is already transitively
-    /// closed, and keep it closed: every row that reaches `a` (and `a`'s
-    /// own) absorbs `row_b ∪ {b}`. One use of the new edge suffices on
-    /// any path, so this is the whole closure — including the self-pairs
-    /// a cycle through the edge creates. Two probes per row, and a row
-    /// union only where the pair is news: `O(n·n/64)` at worst.
-    pub fn add_closed(&mut self, a: usize, b: usize) {
-        debug_assert!(a < self.n && b < self.n);
-        let (aw, abit) = (a / 64, 1u64 << (a % 64));
-        let (bw, bbit) = (b / 64, 1u64 << (b % 64));
-        let w = self.words;
-        let (before, row_b, after) = self.split_row(b);
-        if a == b || row_b[aw] & abit != 0 {
-            row_b[bw] |= bbit; // b reaches a: the edge closes a cycle
-        }
-        let rows = before.chunks_exact_mut(w).chain(after.chunks_exact_mut(w));
-        for (i, row_i) in rows.enumerate() {
-            // The chain skips row `b`; a row that already reaches `b`
-            // holds all of `row_b`.
-            let i = if i < b { i } else { i + 1 };
-            if (i == a || row_i[aw] & abit != 0) && row_i[bw] & bbit == 0 {
-                for (x, y) in row_i.iter_mut().zip(row_b.iter()) {
-                    *x |= *y;
-                }
-                row_i[bw] |= bbit;
-            }
-        }
-    }
-
     /// Transitively close an *acyclic* relation in one sweep: visit the
     /// elements in reverse topological order, so each row absorbs the
     /// already-closed rows of its direct successors. `O(edges·n/64)`.
@@ -149,8 +104,7 @@ impl Relation {
     /// Bitset Floyd–Warshall: for each intermediate `k`, every row that
     /// reaches `k` absorbs `k`'s row. `O(n²·n/64)`: the checkers keep it
     /// for genuinely cyclic graphs and as the reference that
-    /// [`add_closed`](Self::add_closed) and
-    /// [`close_acyclic`](Self::close_acyclic) are property-tested against.
+    /// [`close_acyclic`](Self::close_acyclic) is property-tested against.
     pub fn transitive_close(&mut self) {
         let w = self.words;
         for k in 0..self.n {
@@ -238,6 +192,79 @@ pub struct ReadsFrom {
     pub value: Value,
 }
 
+/// The reads-from side of a history, with no matrix: every read resolved
+/// to its writer, every read nobody wrote, and each key's writers.
+#[derive(Clone, Debug)]
+pub struct ReadIndex {
+    /// Reads-from edges (one per read that found a writer), in reader
+    /// order.
+    pub reads_from: Vec<ReadsFrom>,
+    /// Reads whose value no transaction wrote (and is not `⊥`):
+    /// `(reader index, key, value)`.
+    pub unknown_reads: Vec<(usize, Key, Value)>,
+    /// Key → its writers, ascending; see [`writers_of`](Self::writers_of).
+    writers: BTreeMap<Key, Vec<usize>>,
+}
+
+impl ReadIndex {
+    /// Resolve every read of `h` against the whole history's writers.
+    ///
+    /// Requires distinct written values (`h.values_distinct()`), which
+    /// makes the reads-from relation unique — the paper makes the same
+    /// simplifying assumption when discussing its definitions.
+    pub fn build(h: &History) -> ReadIndex {
+        let txs = h.transactions();
+        // Writer indexes: (key, value) → writing transaction, and
+        // key → every writer.
+        let mut writer: BTreeMap<(Key, Value), usize> = BTreeMap::new();
+        let mut writers: BTreeMap<Key, Vec<usize>> = BTreeMap::new();
+        for (i, t) in txs.iter().enumerate() {
+            for &(k, v) in &t.writes {
+                writer.insert((k, v), i);
+                let ws = writers.entry(k).or_default();
+                if ws.last() != Some(&i) {
+                    ws.push(i);
+                }
+            }
+        }
+
+        let mut reads_from = Vec::new();
+        let mut unknown_reads = Vec::new();
+        for (i, t) in txs.iter().enumerate() {
+            for &(k, v) in &t.reads {
+                if v.is_bottom() {
+                    continue; // read of the initial ⊥: no writer
+                }
+                match writer.get(&(k, v)) {
+                    Some(&w) if w != i => reads_from.push(ReadsFrom {
+                        reader: i,
+                        writer: w,
+                        key: k,
+                        value: v,
+                    }),
+                    // Transactions are one-shot: reads observe the
+                    // pre-state, so "reading one's own write" means
+                    // reading a value that does not exist yet.
+                    Some(_) => unknown_reads.push((i, k, v)),
+                    None => unknown_reads.push((i, k, v)),
+                }
+            }
+        }
+        ReadIndex {
+            reads_from,
+            unknown_reads,
+            writers,
+        }
+    }
+
+    /// The transactions that write `k`, ascending: the only candidates
+    /// rules 3 and 3b and every client's rule-4 saturation have to look
+    /// at.
+    pub fn writers_of(&self, k: Key) -> &[usize] {
+        self.writers.get(&k).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// The causal apparatus of a history: index maps, program order,
 /// reads-from, and the (closed) causal relation
 /// `<c = (∪_c <_{H|c} ∪ <r)⁺`.
@@ -247,23 +274,15 @@ pub struct CausalOrder {
     pub tx_ids: Vec<TxId>,
     /// Program order, unclosed.
     pub program_order: Relation,
-    /// Reads-from edges (one per read that found a writer).
-    pub reads_from: Vec<ReadsFrom>,
-    /// Reads whose value no transaction wrote (and is not `⊥`):
-    /// `(reader index, key, value)`.
-    pub unknown_reads: Vec<(usize, Key, Value)>,
+    /// Reads-from edges, unknown reads and each key's writers.
+    pub index: ReadIndex,
     /// The causal relation, transitively closed.
     pub causal: Relation,
-    /// Key → its writers, ascending; see [`writers_of`](Self::writers_of).
-    writers: BTreeMap<Key, Vec<usize>>,
 }
 
 impl CausalOrder {
-    /// Build the causal order of `h`.
-    ///
-    /// Requires distinct written values (`h.values_distinct()`), which
-    /// makes the reads-from relation unique — the paper makes the same
-    /// simplifying assumption when discussing its definitions.
+    /// Build the causal order of `h` (distinct written values required,
+    /// as for [`ReadIndex::build`]).
     pub fn build(h: &History) -> CausalOrder {
         let txs = h.transactions();
         let n = txs.len();
@@ -279,45 +298,10 @@ impl CausalOrder {
             last_of_client.insert(t.client, i);
         }
 
-        // Writer indexes: (key, value) → writing transaction, and
-        // key → every writer.
-        let mut writer: BTreeMap<(Key, Value), usize> = BTreeMap::new();
-        let mut writers: BTreeMap<Key, Vec<usize>> = BTreeMap::new();
-        for (i, t) in txs.iter().enumerate() {
-            for &(k, v) in &t.writes {
-                writer.insert((k, v), i);
-                let ws = writers.entry(k).or_default();
-                if ws.last() != Some(&i) {
-                    ws.push(i);
-                }
-            }
-        }
-
-        let mut rf = Vec::new();
-        let mut unknown = Vec::new();
+        let index = ReadIndex::build(h);
         let mut causal = po.clone();
-        for (i, t) in txs.iter().enumerate() {
-            for &(k, v) in &t.reads {
-                if v.is_bottom() {
-                    continue; // read of the initial ⊥: no writer
-                }
-                match writer.get(&(k, v)) {
-                    Some(&w) if w != i => {
-                        rf.push(ReadsFrom {
-                            reader: i,
-                            writer: w,
-                            key: k,
-                            value: v,
-                        });
-                        causal.set(w, i);
-                    }
-                    // Transactions are one-shot: reads observe the
-                    // pre-state, so "reading one's own write" means
-                    // reading a value that does not exist yet.
-                    Some(_) => unknown.push((i, k, v)),
-                    None => unknown.push((i, k, v)),
-                }
-            }
+        for rf in &index.reads_from {
+            causal.set(rf.writer, rf.reader);
         }
         // `po ∪ rf` is a DAG unless a forward reads-from edge closed a
         // cycle; only then pay for Floyd–Warshall (the verdict is
@@ -329,17 +313,9 @@ impl CausalOrder {
         CausalOrder {
             tx_ids,
             program_order: po,
-            reads_from: rf,
-            unknown_reads: unknown,
+            index,
             causal,
-            writers,
         }
-    }
-
-    /// The transactions that write `k`, ascending: the only candidates
-    /// rules 3 and 3b and every client's rule-4 fixpoint have to look at.
-    pub fn writers_of(&self, k: Key) -> &[usize] {
-        self.writers.get(&k).map_or(&[], Vec::as_slice)
     }
 
     /// Number of transactions.
@@ -470,9 +446,9 @@ mod tests {
         .collect();
         let co = CausalOrder::build(&h);
         assert_eq!(co.len(), 4);
-        assert_eq!(co.reads_from.len(), 1);
-        assert_eq!(co.reads_from[0].writer, 0);
-        assert_eq!(co.reads_from[0].reader, 2);
+        assert_eq!(co.index.reads_from.len(), 1);
+        assert_eq!(co.index.reads_from[0].writer, 0);
+        assert_eq!(co.index.reads_from[0].reader, 2);
         // Closure: T0 <c T2 <c T3, T0 <c T1 (po).
         assert!(co.before(0, 2));
         assert!(co.before(0, 3));
@@ -486,15 +462,15 @@ mod tests {
     fn bottom_reads_add_no_edges() {
         let h: History = vec![tx(0, 0, &[(0, u64::MAX)], &[])].into_iter().collect();
         let co = CausalOrder::build(&h);
-        assert!(co.reads_from.is_empty());
-        assert!(co.unknown_reads.is_empty());
+        assert!(co.index.reads_from.is_empty());
+        assert!(co.index.unknown_reads.is_empty());
     }
 
     #[test]
     fn unknown_value_reads_are_reported() {
         let h: History = vec![tx(0, 0, &[(0, 42)], &[])].into_iter().collect();
         let co = CausalOrder::build(&h);
-        assert_eq!(co.unknown_reads, vec![(0, Key(0), Value(42))]);
+        assert_eq!(co.index.unknown_reads, vec![(0, Key(0), Value(42))]);
     }
 
     #[test]
@@ -503,7 +479,7 @@ mod tests {
         // observe its own (later) write.
         let h: History = vec![tx(0, 0, &[(0, 1)], &[(0, 1)])].into_iter().collect();
         let co = CausalOrder::build(&h);
-        assert!(co.reads_from.is_empty());
-        assert_eq!(co.unknown_reads.len(), 1);
+        assert!(co.index.reads_from.is_empty());
+        assert_eq!(co.index.unknown_reads.len(), 1);
     }
 }

@@ -60,6 +60,7 @@ pub fn check_read_your_writes(h: &History) -> Vec<SessionViolation> {
                 // Otherwise the observed writer must not be causally
                 // before the own write.
                 let observed = co
+                    .index
                     .reads_from
                     .iter()
                     .find(|rf| rf.reader == i && rf.key == k)
@@ -101,6 +102,7 @@ pub fn check_monotonic_reads(h: &History) -> Vec<SessionViolation> {
         for &i in &mine {
             for &(k, _) in &txs[i].reads {
                 let observed = co
+                    .index
                     .reads_from
                     .iter()
                     .find(|rf| rf.reader == i && rf.key == k)
@@ -132,6 +134,7 @@ pub fn check_read_atomicity(h: &History) -> Vec<SessionViolation> {
     for (i, t) in txs.iter().enumerate() {
         // Writers observed per key by this transaction.
         let observed: Vec<(Key, usize)> = co
+            .index
             .reads_from
             .iter()
             .filter(|rf| rf.reader == i)

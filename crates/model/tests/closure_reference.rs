@@ -1,21 +1,20 @@
-//! The word-parallel closure code against its reference, at sizes where a
-//! row spans several words. Every other generator in this directory tops
-//! out at ~60 transactions — one-word rows — so `Relation::add_closed`,
-//! the one-sweep closure in `CausalOrder::build` and the writer-index
-//! walks of `check_causal_legacy` are compared here with the code they
-//! replaced: `Relation::set` + `Relation::transitive_close`
-//! (Floyd–Warshall), and the `reads_from × transactions` scans, written
-//! out below from the public API only.
+//! The word-parallel closure code and rule 4's frontier saturation
+//! against their references, at sizes where a row spans several words.
+//! Every other generator in this directory tops out at ~60 transactions
+//! — one-word rows — so the one-sweep closure in `CausalOrder::build` and
+//! `check_causal_legacy` are compared here with the code they replaced:
+//! `Relation::set` + `Relation::transitive_close` (Floyd–Warshall), the
+//! `reads_from × transactions` scans and the dense per-client fixpoint,
+//! written out below from the public API only.
 //!
-//! 1. `add_closed` ≡ `set` + `transitive_close`, bit for bit, on random
-//!    closed relations at n ∈ {1, 63, 64, 65, 130, 200}, for edges that
-//!    are new, already present, self-pairs and cycle-closing;
-//! 2. `CausalOrder::build` ≡ the reference order on random histories
+//! 1. `CausalOrder::build` ≡ the reference order on random histories
 //!    with forward reads-from edges, acyclic and cyclic;
-//! 3. `check_causal_legacy` ≡ the old checker on 65–300-transaction
+//! 2. `check_causal_legacy` ≡ the old checker on 65–300-transaction
 //!    executions of a causal store (16 clients, 4–8 keys, concurrent
 //!    multi-key writers, a little injected noise), where several clients
-//!    need more than one saturation round.
+//!    need more than one saturation round — recorded in causal order,
+//!    and recorded out of it, so that reads-from edges point forward and
+//!    the saturation's frontiers come from a topological sweep.
 
 use cbf_model::history::TxRecord;
 use cbf_model::{
@@ -25,73 +24,6 @@ use cbf_model::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-
-// ---------------------------------------------------------------------
-// 1. Relation::add_closed
-// ---------------------------------------------------------------------
-
-/// Insert `(a, b)` both ways and demand identical matrices.
-fn add_both_ways(fast: &mut Relation, slow: &mut Relation, a: usize, b: usize) {
-    fast.add_closed(a, b);
-    slow.set(a, b);
-    slow.transitive_close();
-    assert_eq!(
-        fast,
-        slow,
-        "add_closed({a}, {b}) diverged at n = {}",
-        fast.len()
-    );
-}
-
-#[test]
-fn add_closed_matches_set_plus_transitive_close() {
-    let mut cyclic_inserts = 0usize;
-    for n in [1usize, 63, 64, 65, 130, 200] {
-        for seed in 0..12u64 {
-            let mut rng = StdRng::seed_from_u64(seed * 1_000 + n as u64);
-            // A random start: a sparse DAG (forward pairs only) on even
-            // seeds, an arbitrary sparse graph — cycles and self-pairs
-            // included — on odd ones.
-            let mut fast = Relation::new(n);
-            for _ in 0..rng.gen_range(0..n + 1) {
-                let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                if seed % 2 == 1 {
-                    fast.set(i, j);
-                } else if i != j {
-                    fast.set(i.min(j), i.max(j));
-                }
-            }
-            fast.transitive_close();
-            let mut slow = fast.clone();
-
-            for _ in 0..24 {
-                let (a, b) = match rng.gen_range(0..6) {
-                    // a self-pair
-                    0 => {
-                        let a = rng.gen_range(0..n);
-                        (a, a)
-                    }
-                    // the reverse of an existing pair: closes a cycle
-                    1 => match fast.pairs().as_slice() {
-                        [] => (0, 0),
-                        ps => {
-                            let (i, j) = ps[rng.gen_range(0..ps.len())];
-                            (j, i)
-                        }
-                    },
-                    // anything, word boundaries included
-                    _ => (rng.gen_range(0..n), rng.gen_range(0..n)),
-                };
-                add_both_ways(&mut fast, &mut slow, a, b);
-                cyclic_inserts += usize::from(!fast.is_irreflexive());
-            }
-        }
-    }
-    assert!(
-        cyclic_inserts > 100,
-        "generator lost its cycles: {cyclic_inserts}"
-    );
-}
 
 // ---------------------------------------------------------------------
 // The reference: the checker as it was before the closure work.
@@ -258,7 +190,7 @@ fn record(i: usize, client: u32, reads: Vec<(Key, Value)>, writes: Vec<(Key, Val
 }
 
 // ---------------------------------------------------------------------
-// 2. CausalOrder::build
+// 1. CausalOrder::build
 // ---------------------------------------------------------------------
 
 /// Single-key-per-op histories over 8 clients and 6 keys whose reads pick
@@ -302,8 +234,8 @@ fn build_sweep_closure_matches_floyd_warshall() {
         let h = history_with_forward_reads(&mut rng, n, forward);
         let co = CausalOrder::build(&h);
         let (rf, unknown, causal) = reference_order(&h);
-        assert_eq!(co.reads_from, rf, "seed {seed}");
-        assert_eq!(co.unknown_reads, unknown, "seed {seed}");
+        assert_eq!(co.index.reads_from, rf, "seed {seed}");
+        assert_eq!(co.index.unknown_reads, unknown, "seed {seed}");
         assert_eq!(co.causal, causal, "seed {seed}: closures differ at n = {n}");
         if !causal.is_irreflexive() {
             cyclic += 1;
@@ -318,7 +250,7 @@ fn build_sweep_closure_matches_floyd_warshall() {
 }
 
 // ---------------------------------------------------------------------
-// 3. check_causal_legacy at size
+// 2. check_causal_legacy at size
 // ---------------------------------------------------------------------
 
 /// One client's replica of a causal store without convergence: writes
@@ -425,5 +357,57 @@ fn legacy_checker_matches_its_old_self_at_multi_word_sizes() {
         multi_round >= 20 && in_fixpoint >= 100 && unserializable >= 10 && clean >= 10,
         "generator drifted: {multi_round} multi-round clients, {in_fixpoint} in the \
          fixpoint, {unserializable} unserializable, {clean} clean histories"
+    );
+}
+
+/// The same execution, recorded in another completion order: the
+/// clients' sequences interleaved at random. Program order and
+/// reads-from are unchanged, and so is the (acyclic) causal order, but a
+/// reader may now be recorded before the writer it read from.
+fn interleave(rng: &mut StdRng, h: &History) -> History {
+    let mut queues: BTreeMap<ClientId, Vec<TxRecord>> = BTreeMap::new();
+    for t in h.transactions().iter().rev() {
+        queues.entry(t.client).or_default().push(t.clone());
+    }
+    let mut queues: Vec<Vec<TxRecord>> = queues.into_values().collect();
+    let mut out = History::new();
+    while !queues.is_empty() {
+        let c = rng.gen_range(0..queues.len());
+        out.push(queues[c].pop().unwrap());
+        if queues[c].is_empty() {
+            queues.swap_remove(c);
+        }
+    }
+    out
+}
+
+#[test]
+fn legacy_checker_matches_its_old_self_out_of_causal_order() {
+    let (mut forward, mut in_fixpoint, mut unserializable) = (0, 0, 0);
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0xF0A5 + seed);
+        let n = rng.gen_range(65..301);
+        let keys = rng.gen_range(4..9);
+        let noise = [0.0, 0.002, 0.01][seed as usize % 3];
+        let run = causal_store_run(&mut rng, n, keys, noise);
+        let h = interleave(&mut rng, &run);
+        let (expected, rounds) = reference_legacy(&h);
+        let got = check_causal_legacy(&h);
+        assert_eq!(got, expected, "seed {seed}: n = {n}, {keys} keys");
+
+        let (rf, _, causal) = reference_order(&h);
+        assert!(
+            causal.is_irreflexive(),
+            "seed {seed}: interleaving made a cycle"
+        );
+        forward += usize::from(rf.iter().any(|e| e.writer > e.reader));
+        in_fixpoint += rounds.iter().filter(|&&r| r >= 1).count();
+        let bad = |v: &Violation| matches!(v, Violation::Unserializable { .. });
+        unserializable += expected.violations.iter().filter(|v| bad(v)).count();
+    }
+    assert!(
+        forward == 24 && in_fixpoint >= 100 && unserializable >= 3,
+        "generator drifted: {forward} of 24 histories with a forward edge, {in_fixpoint} \
+         clients in the fixpoint, {unserializable} unserializable"
     );
 }
