@@ -16,11 +16,13 @@
 //! that read `k` below `ts` and the ROTs blacklisted on any version
 //! `≤ ts` of `k`.
 //!
-//! A server numbers every ROT id it meets — in its read log or in an
-//! old-reader response — in order of first sight, and holds every set of
-//! ROTs as a bitset over those numbers (`ReaderSet`). The transitive
-//! union is then a word-wise OR; the sets that cross the wire are the
-//! same sorted id lists either way.
+//! A server holds every set of ROTs as a sparse bitset keyed by the ROT
+//! id itself (`ReaderSet`): sorted `(id / 64, word)` blocks. The
+//! transitive union is a merge of two block lists, a set iterates in
+//! ascending id order — which is the order the wire ships — and an
+//! arriving id list merges in without hashing. The blacklists are
+//! ordered by `(key, version)`, so `old_readers` visits only the
+//! versions `≤ ts` of the dependency's key.
 
 use crate::common::{
     Completed, LamportClock, MvStore, ProtocolNode, Topology, Version, MAX_RETRIES,
@@ -111,60 +113,112 @@ struct PendingPut {
     invisible_to: ReaderSet,
 }
 
-/// A set of ROTs as a bitset over the server's reader index: bit `i`
-/// stands for `rot_ids[i]`.
+/// A set of ROTs as a sparse bitset over their ids: `(id / 64, word)`
+/// blocks, strictly ascending by block, with no zero word. Bit `b` of
+/// block `(hi, word)` stands for `TxId(hi * 64 + b)`, so any id — even
+/// `TxId(u64::MAX)` — costs at most one 16-byte block.
 #[derive(Clone, Debug, Default)]
-struct ReaderSet(Vec<u64>);
+struct ReaderSet(Vec<(u64, u64)>);
 
 impl ReaderSet {
-    fn insert(&mut self, slot: usize) {
-        let word = slot / 64;
-        if word >= self.0.len() {
-            self.0.resize(word + 1, 0);
+    /// The index of block `hi` when it sits at its offset from the first
+    /// block, as every block does while the blocks run consecutively:
+    /// the O(1) lookup that spares the common case a search or a merge.
+    fn at_offset(&self, hi: u64) -> Option<usize> {
+        let first = self.0.first()?.0;
+        let i = usize::try_from(hi.wrapping_sub(first)).ok()?;
+        (self.0.get(i)?.0 == hi).then_some(i)
+    }
+
+    /// The index of block `hi`, or where it would be inserted.
+    fn find(&self, hi: u64) -> Result<usize, usize> {
+        match self.at_offset(hi) {
+            Some(i) => Ok(i),
+            None => self.0.binary_search_by_key(&hi, |&(b, _)| b),
         }
-        self.0[word] |= 1 << (slot % 64);
     }
 
-    fn contains(&self, slot: usize) -> bool {
-        self.0
-            .get(slot / 64)
-            .is_some_and(|w| w >> (slot % 64) & 1 == 1)
+    fn insert(&mut self, rot: TxId) {
+        let (hi, bit) = (rot.0 / 64, 1 << (rot.0 % 64));
+        match self.find(hi) {
+            Ok(i) => self.0[i].1 |= bit,
+            Err(i) => self.0.insert(i, (hi, bit)),
+        }
     }
 
+    fn contains(&self, rot: TxId) -> bool {
+        self.find(rot.0 / 64)
+            .is_ok_and(|i| self.0[i].1 >> (rot.0 % 64) & 1 == 1)
+    }
+
+    /// `self ∪= other`, in place. When every block of `other` is already
+    /// at its offset in `self`, OR them in. Otherwise count the blocks
+    /// `self` lacks, grow by that many, and merge from the back so every
+    /// block moves at most once. A union that adds no block allocates
+    /// nothing.
     fn union_with(&mut self, other: &ReaderSet) {
-        if other.0.len() > self.0.len() {
-            self.0.resize(other.0.len(), 0);
+        if other.0.iter().all(|&(hi, _)| self.at_offset(hi).is_some()) {
+            for &(hi, word) in &other.0 {
+                if let Some(i) = self.at_offset(hi) {
+                    self.0[i].1 |= word;
+                }
+            }
+            return;
         }
-        for (w, o) in self.0.iter_mut().zip(&other.0) {
-            *w |= o;
+        let a = &mut self.0;
+        let mut missing = 0;
+        let mut i = 0;
+        for &(hi, _) in &other.0 {
+            while i < a.len() && a[i].0 < hi {
+                i += 1;
+            }
+            missing += usize::from(i == a.len() || a[i].0 != hi);
+        }
+        let (mut i, mut k) = (a.len(), a.len() + missing);
+        a.resize(k, (0, 0));
+        for &(hi, word) in other.0.iter().rev() {
+            while i > 0 && a[i - 1].0 > hi {
+                i -= 1;
+                k -= 1;
+                a[k] = a[i];
+            }
+            k -= 1;
+            if i > 0 && a[i - 1].0 == hi {
+                i -= 1;
+                a[k] = (hi, a[i].1 | word);
+            } else {
+                a[k] = (hi, word);
+            }
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.0.iter().all(|&w| w == 0)
+        self.0.is_empty()
     }
 
-    /// The slots in the set, ascending.
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().enumerate().flat_map(|(i, &word)| {
+    /// The ids in the set, ascending.
+    fn iter(&self) -> impl Iterator<Item = TxId> + '_ {
+        self.0.iter().flat_map(|&(hi, word)| {
             let mut rest = word;
             std::iter::from_fn(move || {
                 (rest != 0).then(|| {
-                    let bit = rest.trailing_zeros() as usize;
+                    let bit = u64::from(rest.trailing_zeros());
                     rest &= rest - 1;
-                    i * 64 + bit
+                    TxId(hi * 64 + bit)
                 })
             })
         })
     }
 }
 
-/// `rot`'s slot in a server's reader index, numbered on first sight.
-fn slot_of(rot_index: &mut HashMap<TxId, usize>, rot_ids: &mut Vec<TxId>, rot: TxId) -> usize {
-    *rot_index.entry(rot).or_insert_with(|| {
-        rot_ids.push(rot);
-        rot_ids.len() - 1
-    })
+impl FromIterator<TxId> for ReaderSet {
+    fn from_iter<I: IntoIterator<Item = TxId>>(ids: I) -> Self {
+        let mut set = ReaderSet::default();
+        for rot in ids {
+            set.insert(rot);
+        }
+        set
+    }
 }
 
 /// COPS-SNOW server.
@@ -175,14 +229,11 @@ pub struct ServerState {
     clock: LamportClock,
     /// Versions inserted but not yet visible (old-reader queries pending).
     pending_visible: HashSet<(Key, u64)>,
-    /// Per visible version: the ROTs it is hidden from.
-    invisible: HashMap<(Key, u64), ReaderSet>,
-    /// ROT read log: per key, `(rot slot, version read)`.
-    readers: HashMap<Key, Vec<(usize, u64)>>,
-    /// The reader index: ROT id → slot, numbered on first sight ...
-    rot_index: HashMap<TxId, usize>,
-    /// ... and slot → ROT id.
-    rot_ids: Vec<TxId>,
+    /// Per visible version, in `(key, version)` order: the ROTs it is
+    /// hidden from.
+    invisible: BTreeMap<(Key, u64), ReaderSet>,
+    /// ROT read log: per key, `(rot, version read)`.
+    readers: HashMap<Key, Vec<(TxId, u64)>>,
     /// Puts awaiting old-reader responses.
     pending_puts: HashMap<TxId, PendingPut>,
     /// Puts already made visible: `tx → (key, ts)`. A re-delivered
@@ -201,17 +252,14 @@ impl ServerState {
                 out.insert(rot);
             }
         }
-        for ((k, vts), rots) in &self.invisible {
-            if *k == key && *vts <= ts {
-                out.union_with(rots);
-            }
+        for rots in self.invisible.range((key, 0)..=(key, ts)).map(|(_, r)| r) {
+            out.union_with(rots);
         }
     }
 
     /// The version of `key` served to ROT `rot`: the newest visible
     /// version not blacklisted for `rot`.
     fn serve(&mut self, key: Key, rot: TxId) -> (Value, u64) {
-        let slot = slot_of(&mut self.rot_index, &mut self.rot_ids, rot);
         let chosen = self
             .store
             .versions(key)
@@ -222,11 +270,11 @@ impl ServerState {
                     && !self
                         .invisible
                         .get(&(key, v.ts))
-                        .is_some_and(|s| s.contains(slot))
+                        .is_some_and(|s| s.contains(rot))
             })
             .map(|v| (v.value, v.ts))
             .unwrap_or((Value::BOTTOM, 0));
-        self.readers.entry(key).or_default().push((slot, chosen.1));
+        self.readers.entry(key).or_default().push((rot, chosen.1));
         chosen
     }
 
@@ -238,7 +286,10 @@ impl ServerState {
         };
         self.pending_visible.remove(&(p.key, p.ts));
         if !p.invisible_to.is_empty() {
-            self.invisible.insert((p.key, p.ts), p.invisible_to);
+            let mut set = p.invisible_to;
+            // Held until the end of the run: drop the merges' slack.
+            set.0.shrink_to_fit();
+            self.invisible.insert((p.key, p.ts), set);
         }
         self.done_puts.insert(put, (p.key, p.ts));
         ctx.send(
@@ -479,8 +530,7 @@ impl CopsSnowNode {
                     for (dk, dts) in deps {
                         s.old_readers(dk, dts, &mut set);
                     }
-                    let mut readers: Vec<TxId> = set.iter().map(|slot| s.rot_ids[slot]).collect();
-                    readers.sort_unstable();
+                    let readers = set.iter().collect();
                     ctx.send(env.from, Msg::OldReaderResp { put, readers });
                 }
                 Msg::OldReaderResp { put, readers } => {
@@ -492,10 +542,7 @@ impl CopsSnowNode {
                         if !p.waiting.remove(&env.from) {
                             continue;
                         }
-                        for rot in readers {
-                            p.invisible_to
-                                .insert(slot_of(&mut s.rot_index, &mut s.rot_ids, rot));
-                        }
+                        p.invisible_to.union_with(&readers.into_iter().collect());
                         p.waiting.is_empty()
                     };
                     if finalize {
@@ -541,10 +588,8 @@ impl ProtocolNode for CopsSnowNode {
             store: MvStore::new(),
             clock: LamportClock::new(id.0 as u8),
             pending_visible: HashSet::new(),
-            invisible: HashMap::new(),
+            invisible: BTreeMap::new(),
             readers: HashMap::new(),
-            rot_index: HashMap::new(),
-            rot_ids: Vec::new(),
             pending_puts: HashMap::new(),
             done_puts: HashMap::new(),
         })
@@ -622,7 +667,7 @@ mod tests {
         Cluster::new(Topology::minimal(4))
     }
 
-    /// A server's ROT-id sets as they were held before the reader index:
+    /// A server's ROT-id sets as they were held before the bitsets:
     /// `HashSet<TxId>` throughout. The differential test keeps one beside
     /// the real server and updates it from the messages alone.
     #[derive(Default)]
@@ -702,24 +747,25 @@ mod tests {
         ctx.into_outputs().0
     }
 
-    /// Every set the server holds, decoded through its reader index,
-    /// equals the reference's; the index is a bijection.
-    fn assert_same_sets(s: &ServerState, r: &Reference, seed: u64) {
-        let ids =
-            |set: &ReaderSet| -> HashSet<TxId> { set.iter().map(|slot| s.rot_ids[slot]).collect() };
-        assert_eq!(s.rot_index.len(), s.rot_ids.len(), "seed {seed}");
-        for (slot, rot) in s.rot_ids.iter().enumerate() {
-            assert_eq!(s.rot_index[rot], slot, "seed {seed}");
-        }
-        let readers: HashMap<Key, Vec<(TxId, u64)>> = s
-            .readers
-            .iter()
-            .map(|(&k, log)| {
-                let log = log.iter().map(|&(slot, ts)| (s.rot_ids[slot], ts));
-                (k, log.collect())
-            })
-            .collect();
-        assert_eq!(readers, r.readers, "seed {seed}: read log");
+    /// Every set the server holds is well formed — blocks strictly
+    /// ascending, no zero word — and equals the reference's. Returns
+    /// whether some held set spans two blocks or more.
+    fn assert_same_sets(s: &ServerState, r: &Reference, seed: u64) -> bool {
+        let mut spans = false;
+        let mut ids = |set: &ReaderSet| -> HashSet<TxId> {
+            let blocks = &set.0;
+            assert!(
+                blocks.windows(2).all(|w| w[0].0 < w[1].0),
+                "seed {seed}: blocks not strictly ascending: {blocks:?}"
+            );
+            assert!(
+                blocks.iter().all(|&(_, word)| word != 0),
+                "seed {seed}: zero word in {blocks:?}"
+            );
+            spans |= blocks.len() > 1;
+            set.iter().collect()
+        };
+        assert_eq!(s.readers, r.readers, "seed {seed}: read log");
         let invisible: HashMap<(Key, u64), HashSet<TxId>> =
             s.invisible.iter().map(|(&v, set)| (v, ids(set))).collect();
         assert_eq!(invisible, r.invisible, "seed {seed}: blacklists");
@@ -729,6 +775,7 @@ mod tests {
             .map(|(&put, p)| (put, ids(&p.invisible_to)))
             .collect();
         assert_eq!(pending, r.invisible_to, "seed {seed}: pending blacklists");
+        spans
     }
 
     #[test]
@@ -755,7 +802,7 @@ mod tests {
         let mut ignored_resps = 0usize; // duplicate / unexpected responses
         let mut out_of_order = 0usize; // a response for a younger put first
         let mut finalized_early = 0usize; // visible before an earlier-ts put
-        let mut two_words = 0usize; // cases whose index outgrew one word
+        let mut two_blocks = 0usize; // cases holding a set that spans two blocks
 
         for seed in 0..1_000u64 {
             let mut rng = StdRng::seed_from_u64(0x5A0C ^ seed);
@@ -884,6 +931,10 @@ mod tests {
                         match &sent[..] {
                             [(to, Msg::OldReaderResp { readers, .. })] => {
                                 assert_eq!(*to, peer);
+                                assert!(
+                                    readers.windows(2).all(|w| w[0] < w[1]),
+                                    "seed {seed}: shipped ids not strictly ascending"
+                                );
                                 assert_eq!(*readers, expected, "seed {seed}: old readers");
                                 nonempty_replies += usize::from(!readers.is_empty());
                                 max_id_shipped += usize::from(readers.contains(&TxId(u64::MAX)));
@@ -956,11 +1007,10 @@ mod tests {
                     }
                 }
             }
-            assert_same_sets(server(&node), &r, seed);
-            two_words += usize::from(server(&node).rot_ids.len() > 64);
+            two_blocks += usize::from(assert_same_sets(server(&node), &r, seed));
         }
         for (what, n) in [
-            ("index beyond one word", two_words),
+            ("a set spanning two blocks", two_blocks),
             ("dep ts = read ts", read_at_ts),
             ("dep ts = blacklisted vts", blacklist_at_ts),
             ("TxId(u64::MAX) shipped", max_id_shipped),
