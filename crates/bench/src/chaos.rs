@@ -30,7 +30,7 @@ pub struct ChaosRow {
     pub total: u64,
     /// The causal checker's verdict over the observed history.
     pub causal_ok: bool,
-    /// FNV-1a digest of the full trace: the replay fingerprint.
+    /// Digest of the full trace: the replay fingerprint.
     pub digest: u64,
     /// Checker transactions resident after one GC pass over the cell's
     /// history — the bounded-memory evidence at the chaos tier.
@@ -59,6 +59,17 @@ pub fn fault_plan(drop_pm: u16, dup_pm: u16, crash: bool, seed: u64) -> FaultPla
 /// rounds of every client writing one key and reading both — against a
 /// retry-enabled minimal deployment under the cell's fault plan.
 pub fn chaos_row<N: ProtocolNode>(drop_pm: u16, dup_pm: u16, crash: bool, seed: u64) -> ChaosRow {
+    chaos_cell::<N>(drop_pm, dup_pm, crash, seed).0
+}
+
+/// [`chaos_row`], together with the cluster the cell ran on (its trace
+/// fully retained).
+pub fn chaos_cell<N: ProtocolNode>(
+    drop_pm: u16,
+    dup_pm: u16,
+    crash: bool,
+    seed: u64,
+) -> (ChaosRow, Cluster<N>) {
     let mut cluster: Cluster<N> = Cluster::with_network(
         Topology::minimal(4).with_retry(MILLIS),
         LatencyModel::constant_default(),
@@ -103,7 +114,7 @@ pub fn chaos_row<N: ProtocolNode>(drop_pm: u16, dup_pm: u16, crash: bool, seed: 
         "{}: GC'd online verdict diverged from check_causal",
         N::NAME
     );
-    ChaosRow {
+    let row = ChaosRow {
         protocol: N::NAME.to_string(),
         drop_pm,
         dup_pm,
@@ -115,7 +126,8 @@ pub fn chaos_row<N: ProtocolNode>(drop_pm: u16, dup_pm: u16, crash: bool, seed: 
         digest: cluster.world.trace.digest(),
         checker_resident_txs: gc.resident as u64,
         checker_retired: gc.retired as u64,
-    }
+    };
+    (row, cluster)
 }
 
 /// The chaos artifact: the sweep rows plus the process memory sample

@@ -37,8 +37,6 @@
 
 #![deny(unsafe_code)]
 
-use std::fmt;
-
 use crate::hist::LogHist;
 use cbf_model::checker::Verdict;
 use cbf_model::history::TxRecord;
@@ -102,8 +100,9 @@ pub struct LoadCell {
 
 /// Drive one protocol cell: `CELL_OPS` transactions from a swarm of
 /// `CELL_CLIENTS` closed-loop clients, up to `CELL_EPOCH` in flight at
-/// once. Deterministic in `seed`.
-fn run_cell<N: ProtocolNode>(mix: Mix, mix_name: &str, seed: u64) -> LoadCell {
+/// once. Deterministic in `seed`. Returns the cell and the cluster it
+/// ran on, whose trace is fully retained.
+pub fn load_cell<N: ProtocolNode>(mix: Mix, mix_name: &str, seed: u64) -> (LoadCell, Cluster<N>) {
     let topo = Topology::sharded(CELL_SERVERS, CELL_CLIENTS, CELL_KEYS);
     let config = SimConfig {
         service: Some(ServiceModel {
@@ -220,7 +219,7 @@ fn run_cell<N: ProtocolNode>(mix: Mix, mix_name: &str, seed: u64) -> LoadCell {
     for t in cluster.history().transactions() {
         checker.ingest(t.clone());
     }
-    LoadCell {
+    let cell = LoadCell {
         protocol: N::NAME.to_string(),
         mix: mix_name.to_string(),
         ops: done,
@@ -232,7 +231,8 @@ fn run_cell<N: ProtocolNode>(mix: Mix, mix_name: &str, seed: u64) -> LoadCell {
         queued_frac: ss.delayed as f64 / ss.served.max(1) as f64,
         causal_ok: checker.verdict().is_ok(),
         digest: cluster.world.trace.digest(),
-    }
+    };
+    (cell, cluster)
 }
 
 /// The (protocol, mix) cells of the contention exhibit, in fixed order.
@@ -243,11 +243,15 @@ pub fn load_cells(seed: u64) -> Vec<LoadCell> {
     let mixes: [(Mix, &str); 2] = [(Mix::ycsb_a(), "ycsb_a"), (Mix::ycsb_b(), "ycsb_b")];
     let mut jobs: Vec<Box<dyn Fn() -> LoadCell + Send>> = Vec::new();
     for (mix, name) in mixes {
-        jobs.push(Box::new(move || run_cell::<CopsSnowNode>(mix, name, seed)));
-        jobs.push(Box::new(move || run_cell::<CopsNode>(mix, name, seed)));
-        jobs.push(Box::new(move || run_cell::<EigerNode>(mix, name, seed)));
-        jobs.push(Box::new(move || run_cell::<RampNode>(mix, name, seed)));
-        jobs.push(Box::new(move || run_cell::<SpannerNode>(mix, name, seed)));
+        jobs.push(Box::new(move || {
+            load_cell::<CopsSnowNode>(mix, name, seed).0
+        }));
+        jobs.push(Box::new(move || load_cell::<CopsNode>(mix, name, seed).0));
+        jobs.push(Box::new(move || load_cell::<EigerNode>(mix, name, seed).0));
+        jobs.push(Box::new(move || load_cell::<RampNode>(mix, name, seed).0));
+        jobs.push(Box::new(move || {
+            load_cell::<SpannerNode>(mix, name, seed).0
+        }));
     }
     cbf_par::parallel_map(jobs, |job| job())
 }
@@ -304,7 +308,7 @@ pub fn swarm_segment_bound() -> u64 {
 }
 
 /// Wire format of the swarm deployment.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub enum LoadMsg {
     /// One client operation, routed via the client's port.
     Op {
@@ -331,29 +335,10 @@ pub enum LoadMsg {
     },
 }
 
-/// The trace digest folds the `Debug` rendering of every recorded
-/// event, so at millions of ops the rendered bytes *are* the hot path.
-/// Render compactly: the digest only needs the bytes to be a total
-/// function of the message, not pretty. (Swarm digests are pinned
-/// against this rendering and no other exhibit traces `LoadMsg`.)
-impl fmt::Debug for LoadMsg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            LoadMsg::Op {
-                id,
-                client,
-                key,
-                val,
-                write,
-                at,
-            } => {
-                let rw = if write { 'W' } else { 'R' };
-                write!(f, "O({id},{client},{key},{val},{rw},{at})")
-            }
-            LoadMsg::Repl { key, val } => write!(f, "G({key},{val})"),
-        }
-    }
-}
+cbf_protocols::wire_enum!(LoadMsg as "LoadMsg" {
+    0 => Op { id, client, key, val, write, at },
+    1 => Repl { key, val },
+});
 
 /// Process ids inside one shard's world: the key-value server (the
 /// only serviced process), the ingress port, and the gossip replica.
@@ -931,8 +916,8 @@ mod tests {
 
     #[test]
     fn cells_separate_snow_from_a_slower_protocol() {
-        let snow = run_cell::<CopsSnowNode>(Mix::ycsb_b(), "ycsb_b", 11);
-        let spanner = run_cell::<SpannerNode>(Mix::ycsb_b(), "ycsb_b", 11);
+        let snow = load_cell::<CopsSnowNode>(Mix::ycsb_b(), "ycsb_b", 11).0;
+        let spanner = load_cell::<SpannerNode>(Mix::ycsb_b(), "ycsb_b", 11).0;
         assert!(snow.causal_ok && spanner.causal_ok);
         assert!(
             snow.read_hist_us.percentile(50.0) < spanner.read_hist_us.percentile(50.0),

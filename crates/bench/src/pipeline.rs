@@ -109,6 +109,12 @@ pub enum KvMsg {
     },
 }
 
+cbf_protocols::wire_enum!(KvMsg as "KvMsg" {
+    0 => Write { id, key, val },
+    1 => Read { id, key },
+    2 => Repl { key, val },
+});
+
 /// One key-value server: applies writes/reads for the keys it owns,
 /// appends a [`TxRecord`] per operation to its commit log, and gossips
 /// every fourth write to its ring neighbour.

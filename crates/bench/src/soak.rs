@@ -138,7 +138,7 @@ pub struct SoakReport {
     pub reads_skipped: u64,
     /// Final causal verdict (and every sample's — see `samples`).
     pub causal_ok: bool,
-    /// Trace digest: recycling folds segments into a running FNV state,
+    /// Trace digest: recycling folds segments into a running digest state,
     /// so this fingerprints the whole run.
     pub digest: u64,
     /// Checker resident sizes at the end, summed across shards.

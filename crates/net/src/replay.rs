@@ -34,7 +34,7 @@ use std::collections::HashMap;
 pub struct ReplayReport {
     /// Steps replayed across all processes.
     pub steps: usize,
-    /// FNV-1a digest of the replay world's trace — the run's
+    /// Digest of the replay world's trace — the run's
     /// fingerprint. Replaying the same recording twice must produce the
     /// same digest (checked by [`replay_and_diff`]).
     pub digest: u64,

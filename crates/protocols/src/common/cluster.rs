@@ -568,6 +568,13 @@ mod tests {
         Kick,
     }
 
+    crate::wire_enum!(SMsg as "SMsg" {
+        0 => Invoke { id, keys },
+        1 => Req { id, round },
+        2 => Resp { id, round },
+        3 => Kick,
+    });
+
     impl<const ROUNDS: u8, const DEFER: bool> Actor for Scripted<ROUNDS, DEFER> {
         type Msg = SMsg;
         fn step(&mut self, ctx: &mut Ctx<SMsg>) {

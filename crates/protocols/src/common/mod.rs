@@ -12,7 +12,7 @@ pub mod wire;
 
 pub use api::{Completed, ProtocolNode, TxError};
 pub use snow::SnowLink;
-pub use wire::{Wire, WireError, MAX_SEQ_LEN};
+pub use wire::{Payload, Wire, WireError, MAX_SEQ_LEN};
 
 /// Maximum client retry attempts when [`Topology::retry_after`] is set.
 /// With exponential doubling the total retry window is

@@ -23,6 +23,7 @@
 //!    same binary, so there is no negotiation or evolution machinery.
 
 use cbf_model::{ClientId, Key, TxId, Value};
+pub use cbf_sim::Payload;
 use cbf_sim::ProcessId;
 
 /// Why a buffer failed to decode.
@@ -229,7 +230,8 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 /// { fields in wire order }`, or `tag => Variant` for a unit variant.
 /// `what` names the type in [`WireError::BadTag`]. A variant without a
 /// row fails to compile (the generated `match` is not exhaustive), and
-/// so does a tag used twice.
+/// so does a tag used twice. The enum's [`Payload`] — the bytes the
+/// simulator's trace digest folds — is its wire encoding.
 #[macro_export]
 macro_rules! wire_enum {
     ($ty:ident as $what:literal {
@@ -252,6 +254,12 @@ macro_rules! wire_enum {
                     })?,)*
                     tag => return Err($crate::common::WireError::BadTag { what: $what, tag }),
                 })
+            }
+        }
+
+        impl $crate::common::Payload for $ty {
+            fn payload(&self, out: &mut Vec<u8>) {
+                $crate::common::Wire::encode(self, out);
             }
         }
     };

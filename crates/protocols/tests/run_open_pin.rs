@@ -113,19 +113,19 @@ fn cops_stops_where_it_used_to() {
     pin::<CopsNode>(
         false,
         &[
-            (280_000, 72, 0xfef6_85e4_23dc_0ce5),
-            (700_000, 186, 0xf970_2920_bac5_1bbb),
-            (1_140_000, 282, 0xa114_72e3_0f08_cecf),
-            (1_540_000, 380, 0xfe50_d2af_5c6d_3de0),
+            (280_000, 72, 0xb9a0_3c20_4751_40ed),
+            (700_000, 186, 0x8e0f_ce2b_313a_7058),
+            (1_140_000, 282, 0x45a4_68a8_f6fa_3ed0),
+            (1_540_000, 380, 0x289b_44ae_3cb6_b299),
         ],
     );
     pin::<CopsNode>(
         true,
         &[
-            (1_120_000, 104, 0x1121_3895_18c0_48c9),
-            (2_260_000, 266, 0x5bbd_4b9e_5df6_d0ac),
-            (2_760_000, 378, 0xad05_9a82_1d0a_1c96),
-            (3_920_000, 548, 0xa708_f3d4_6d84_a0c1),
+            (1_120_000, 104, 0x566e_9fcb_95f6_15b2),
+            (2_260_000, 266, 0x8eb3_2ee5_3442_4704),
+            (2_760_000, 378, 0x10ce_467d_5b22_45ec),
+            (3_920_000, 548, 0xf8b8_df0a_a737_15a7),
         ],
     );
 }
@@ -135,19 +135,19 @@ fn cops_snow_stops_where_it_used_to() {
     pin::<CopsSnowNode>(
         false,
         &[
-            (280_000, 72, 0xfef6_85e4_23dc_0ce5),
-            (700_000, 186, 0xe34a_f9a5_f32a_8fb8),
-            (1_160_000, 288, 0xeef7_8676_b804_f97d),
-            (1_660_000, 390, 0x3898_2319_6ee7_29b1),
+            (280_000, 72, 0x338e_f023_3137_106e),
+            (700_000, 186, 0x2c0f_0292_cfe9_e4a7),
+            (1_160_000, 288, 0x92b0_f69a_a826_0d17),
+            (1_660_000, 390, 0xae15_6357_3548_f0c7),
         ],
     );
     pin::<CopsSnowNode>(
         true,
         &[
-            (1_120_000, 104, 0x1121_3895_18c0_48c9),
-            (2_260_000, 266, 0xc368_dbd2_87a6_5238),
-            (2_800_000, 386, 0x3260_0c42_0221_5c50),
-            (3_940_000, 563, 0x8fe6_0c7f_fe93_7ee8),
+            (1_120_000, 104, 0xc38e_f5f2_8e21_72b7),
+            (2_260_000, 266, 0x05dc_abc2_531b_4e5b),
+            (2_800_000, 386, 0xa694_ff4b_d263_082e),
+            (3_940_000, 563, 0x384e_e92d_0335_ea93),
         ],
     );
 }
@@ -176,38 +176,38 @@ fn cops_snow_stops_where_it_used_to_under_contention() {
         "COPS-SNOW (contended)",
         &got,
         &[
-            (320_000, 72, 0x07dd_f2f7_194d_f3ad),
-            (660_000, 162, 0xf6ee_42f5_b84c_6ae2),
-            (1_150_000, 272, 0x726a_fe4c_8837_016c),
-            (1_710_000, 372, 0x0548_cbaa_d3f3_d1de),
-            (2_220_000, 486, 0x1788_6ac0_4132_1181),
-            (2_800_000, 604, 0x8648_eb38_761d_fa9f),
-            (3_400_000, 718, 0x63f3_0062_c31d_1105),
-            (3_960_000, 842, 0x2b57_78e1_0e21_5c20),
-            (4_630_000, 974, 0x0c03_8afa_ec13_d76b),
-            (5_310_000, 1_108, 0x37ae_fe06_1f4d_5e0b),
-            (5_930_000, 1_240, 0x9e78_a0b6_b52a_a360),
-            (6_590_000, 1_372, 0x7140_6552_da5d_9332),
-            (7_350_000, 1_516, 0xe859_b086_9070_81eb),
-            (8_090_000, 1_648, 0xe726_81d3_7b3e_74a4),
-            (8_830_000, 1_780, 0x5dd9_f19b_ee5f_2b7c),
-            (9_590_000, 1_920, 0x0bcc_a291_e921_8ef0),
-            (10_230_000, 2_050, 0x5f49_5d21_27c8_3ef0),
-            (10_950_000, 2_196, 0xdf7c_5d03_7624_5d89),
-            (11_710_000, 2_338, 0x70b2_ec2f_2060_fbe0),
-            (12_470_000, 2_472, 0xac4a_d4f6_e75c_aeed),
-            (13_310_000, 2_618, 0x050b_b01c_602a_5b28),
-            (14_050_000, 2_752, 0xefa7_748b_c718_7388),
-            (14_790_000, 2_890, 0x07fc_b550_dda5_e9cd),
-            (15_430_000, 3_024, 0xc464_5cb8_a72d_94b7),
-            (16_170_000, 3_170, 0xf11f_86d5_57f0_53bb),
-            (16_870_000, 3_304, 0x8774_42df_a1f2_1a59),
-            (17_690_000, 3_444, 0xc5a3_630c_7dc2_4af5),
-            (18_490_000, 3_588, 0x1b3b_5ef0_0e51_1bc5),
-            (19_190_000, 3_726, 0xf197_5607_303e_3a03),
-            (19_990_000, 3_864, 0xf1d2_962f_d6c2_d741),
-            (20_710_000, 4_000, 0xffda_79dc_d682_38f9),
-            (21_510_000, 4_140, 0x71c4_50d2_82e3_d73a),
+            (320_000, 72, 0x440c_a927_e63e_bab4),
+            (660_000, 162, 0x48af_c0df_f79d_e541),
+            (1_150_000, 272, 0x0973_0275_9a45_7a75),
+            (1_710_000, 372, 0xba19_87e3_08a1_3c14),
+            (2_220_000, 486, 0xb6cf_231a_07ce_5b84),
+            (2_800_000, 604, 0xc2de_8f89_6ebf_a703),
+            (3_400_000, 718, 0x066f_4dfd_e3a8_c5a8),
+            (3_960_000, 842, 0xcb16_8760_1ba3_dce1),
+            (4_630_000, 974, 0x43d7_d02f_e69d_bb3d),
+            (5_310_000, 1_108, 0xb2d4_fa59_5a4d_e37e),
+            (5_930_000, 1_240, 0x0d80_a582_a0a7_5df3),
+            (6_590_000, 1_372, 0x331f_7a64_5b86_956f),
+            (7_350_000, 1_516, 0x7074_560f_df56_5a39),
+            (8_090_000, 1_648, 0x9903_8bfd_a70e_536d),
+            (8_830_000, 1_780, 0xd894_b4d3_f322_c649),
+            (9_590_000, 1_920, 0xb35f_afdb_7c56_3ca1),
+            (10_230_000, 2_050, 0xf506_3d1c_5cf5_684e),
+            (10_950_000, 2_196, 0xc586_187f_72dd_e2b9),
+            (11_710_000, 2_338, 0xfb8b_1373_2bac_9fbd),
+            (12_470_000, 2_472, 0x4c71_371b_5461_06f4),
+            (13_310_000, 2_618, 0x934b_c328_59ce_fdc6),
+            (14_050_000, 2_752, 0xa205_eee1_7d67_e498),
+            (14_790_000, 2_890, 0xb8f7_9149_90b2_1974),
+            (15_430_000, 3_024, 0xb1b5_5dd2_76c4_72d2),
+            (16_170_000, 3_170, 0x59fb_8289_7b47_8242),
+            (16_870_000, 3_304, 0xd2c3_a1e6_0989_5de0),
+            (17_690_000, 3_444, 0x3db1_d0da_8849_8769),
+            (18_490_000, 3_588, 0x2d69_085d_6e15_64a8),
+            (19_190_000, 3_726, 0x5dcd_7fb2_f4d8_a531),
+            (19_990_000, 3_864, 0x859b_53d0_2666_fd74),
+            (20_710_000, 4_000, 0x632f_f2e8_749c_28bb),
+            (21_510_000, 4_140, 0x474c_d59f_351d_add8),
         ],
     );
 }
@@ -217,19 +217,19 @@ fn eiger_stops_where_it_used_to() {
     pin::<EigerNode>(
         false,
         &[
-            (640_000, 130, 0x383b_91f8_68d0_680e),
-            (1_200_000, 265, 0x809f_6973_7731_55b3),
-            (1_750_000, 379, 0x488d_7da5_f273_7d7e),
-            (2_290_000, 486, 0x1504_635c_c9f5_4f88),
+            (640_000, 130, 0x80c3_4ab2_9789_e169),
+            (1_200_000, 265, 0xd991_be66_25b7_ee55),
+            (1_750_000, 379, 0x1063_4a35_9bd2_96fe),
+            (2_290_000, 486, 0x25ce_7b18_211c_39e8),
         ],
     );
     pin::<EigerNode>(
         true,
         &[
-            (1_300_000, 197, 0x62b8_b50e_37dd_f766),
-            (2_540_000, 367, 0xcff4_92d2_651f_3384),
-            (5_660_000, 564, 0x3087_4b05_9ad2_e385),
-            (6_920_000, 723, 0x7b8a_38a0_b604_1cfa),
+            (1_300_000, 197, 0xfb8e_011f_8da4_96d4),
+            (2_540_000, 367, 0x610a_562a_9e12_3d30),
+            (5_660_000, 564, 0xd75c_0f97_3d8a_e63d),
+            (6_920_000, 723, 0xc17c_f2d8_3bfa_1e0c),
         ],
     );
 }
@@ -239,19 +239,19 @@ fn spanner_stops_where_it_used_to() {
     pin::<SpannerNode>(
         false,
         &[
-            (1_150_000, 343, 0xb610_269e_1a4b_7c90),
-            (2_330_000, 1_060, 0x6b26_32c1_424c_892e),
-            (3_400_000, 1_382, 0xba0c_f65c_9ecc_4c27),
-            (4_460_000, 1_640, 0xc5d6_9a95_0777_3483),
+            (1_150_000, 343, 0x66af_1c13_f41c_2a4d),
+            (2_330_000, 1_060, 0x0d15_050b_05ad_60cf),
+            (3_400_000, 1_382, 0x4358_ddd4_cc4c_de9b),
+            (4_460_000, 1_640, 0x14fb_bdea_96fd_4fe2),
         ],
     );
     pin::<SpannerNode>(
         true,
         &[
-            (2_170_000, 1_362, 0xb0dc_bfdf_c591_3c1c),
-            (3_330_000, 1_901, 0x19e1_d3fd_57db_76c3),
-            (6_450_000, 2_287, 0x5ec4_07a2_6843_b8f4),
-            (7_640_000, 2_566, 0x71a1_034f_4aa3_0e5e),
+            (2_170_000, 1_362, 0xf0b8_5581_2aa8_121d),
+            (3_330_000, 1_901, 0xfe9e_b7d8_ac03_6a51),
+            (6_450_000, 2_287, 0xac07_c75d_91c9_32d9),
+            (7_640_000, 2_566, 0xe079_580d_c3f5_67a4),
         ],
     );
 }

@@ -124,6 +124,41 @@ impl<M> Ctx<M> {
     }
 }
 
+/// A message's canonical bytes: what [`Trace::digest`](crate::Trace::digest)
+/// fingerprints, and what crash-window timer coalescing compares.
+///
+/// The bytes must be a total, injective function of the value — equal
+/// bytes for equal messages, distinct bytes for distinct ones — and
+/// must not depend on anything outside it (addresses, hash seeds,
+/// iteration order of a hash map). A protocol's alphabet forwards to
+/// its wire codec; toy alphabets write their fields out by hand.
+pub trait Payload {
+    /// Append this value's bytes to `out`.
+    fn payload(&self, out: &mut Vec<u8>);
+}
+
+impl Payload for () {
+    fn payload(&self, _: &mut Vec<u8>) {}
+}
+
+impl Payload for u8 {
+    fn payload(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+}
+
+impl Payload for u32 {
+    fn payload(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+}
+
+impl Payload for u64 {
+    fn payload(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+}
+
 /// A process: a deterministic state machine driven by computation steps.
 ///
 /// `Clone` is required so that entire configurations (the [`crate::World`])
@@ -133,8 +168,9 @@ impl<M> Ctx<M> {
 /// independent exhibit cells run their clusters on `cbf-par` workers.
 pub trait Actor: Clone + Send + Sync {
     /// The protocol's message alphabet (requests, responses, replication,
-    /// timer payloads — everything that crosses a link).
-    type Msg: Clone + Send + Sync + std::fmt::Debug;
+    /// timer payloads — everything that crosses a link). `Debug` renders
+    /// traces for people; [`Payload`] fingerprints them.
+    type Msg: Clone + Send + Sync + std::fmt::Debug + Payload;
 
     /// One computation step. All messages delivered since the previous
     /// step are available via [`Ctx::recv`].

@@ -51,7 +51,7 @@ mod trace;
 mod types;
 mod world;
 
-pub use actor::{Actor, Ctx, Envelope};
+pub use actor::{Actor, Ctx, Envelope, Payload};
 pub use fault::{Crash, FaultPlan, Partition};
 pub use latency::{LatencyKind, LatencyModel};
 pub use sink::{CountingSink, FnSink, SegmentSink};

@@ -5,7 +5,7 @@
 //! floor. The streaming flow hands each sealed [`SEAL_CAP`]-event
 //! segment to a [`SegmentSink`] the moment it seals, and the trace
 //! *recycles* the segment: the events leave memory, but their
-//! contribution to [`Trace::digest`] is folded into a running FNV-1a
+//! contribution to [`Trace::digest`] is folded into the running digest
 //! state first, so the digest of a recycled trace is bit-identical to
 //! the digest of a fully retained one. Peak memory becomes
 //! O(undrained segments), not O(trace).

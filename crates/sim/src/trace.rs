@@ -25,6 +25,7 @@
 //! it (the common "what did this sub-execution do" audit) and
 //! materializes a copy only when the range crosses sealed segments.
 
+use crate::actor::Payload;
 use crate::sink::SegmentSink;
 use crate::types::{MsgId, ProcessId, Time};
 use std::fmt;
@@ -35,44 +36,56 @@ use std::sync::Arc;
 /// many events, which is what makes [`Trace::event_at`] O(1).
 pub const SEAL_CAP: usize = 512;
 
-/// FNV-1a offset basis (the digest's initial state).
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100000001b3;
+/// The digest's initial state.
+const DIGEST_SEED: u64 = 0xcbf29ce484222325;
+/// The digest's odd multiplier (2⁶⁴ / φ).
+const DIGEST_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Fold one event into an FNV-1a state, factored out so the recycled
+/// Mix one 64-bit word into the digest state: a 64 × 64 → 128-bit
+/// multiply whose halves are folded together, so every input bit
+/// reaches every state bit within one word.
+#[inline]
+fn mix(h: &mut u64, word: u64) {
+    let m = u128::from(*h ^ word) * u128::from(DIGEST_MUL);
+    *h = (m as u64) ^ ((m >> 64) as u64);
+}
+
+/// Mix a message's [`Payload`] bytes: their length, then the bytes in
+/// 8-byte little-endian words, the last one zero-padded. The length
+/// keeps `[1]` and `[1, 0]` apart. `buf` is scratch space reused across
+/// events.
+#[inline]
+fn mix_payload<M: Payload>(h: &mut u64, buf: &mut Vec<u8>, msg: &M) {
+    buf.clear();
+    msg.payload(buf);
+    mix(h, buf.len() as u64);
+    let mut words = buf.chunks_exact(8);
+    for w in &mut words {
+        let mut b = [0; 8];
+        b.copy_from_slice(w);
+        mix(h, u64::from_le_bytes(b));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut b = [0; 8];
+        b[..tail.len()].copy_from_slice(tail);
+        mix(h, u64::from_le_bytes(b));
+    }
+}
+
+/// Fold one event into the digest state, factored out so the recycled
 /// prefix and the resident suffix use one code path.
 ///
-/// The byte stream is a compact binary encoding: a one-byte variant
-/// tag, then each envelope field (times, message ids, process ids) as
-/// little-endian bytes, then — for the variants that carry one — the
-/// message payload's `Debug` rendering. The digest used to hash the
-/// whole event's `Debug` rendering; at the swarm tiers' millions of
-/// events per second the formatter became the single hottest path in
-/// the repository, and integer fields don't need decimal rendering to
-/// be fingerprinted. Changing this encoding changes every trace digest
-/// — the pinned fixtures (`load_digests.txt` and the pin suites) were
-/// repinned when it landed.
-fn fold_event<M: fmt::Debug>(h: &mut u64, ev: &TraceEvent<M>) {
-    use fmt::Write as _;
-    #[inline]
-    fn mix(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    // Streaming adapter: hashes the formatter's output as it is
-    // produced instead of materializing a `String` per message — the
-    // digest fold runs once per trace event, so the allocation would be
-    // the hot path's dominant cost.
-    struct Fnv<'a>(&'a mut u64);
-    impl fmt::Write for Fnv<'_> {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            mix(self.0, s.as_bytes());
-            Ok(())
-        }
-    }
+/// The event is a sequence of 64-bit words: the variant tag, then one
+/// word per envelope field (times, message ids, process ids, flags),
+/// then — for the variants that carry one — the message's
+/// [`Payload`] bytes (see [`mix_payload`]). No field is formatted:
+/// fingerprinting a 400-id old-reader response costs ~50 multiplies.
+/// Changing this encoding changes every trace digest; the pinned
+/// fixtures (`load_digests.txt` and the pin suites) are repinned
+/// together with it.
+fn fold_event<M: Payload>(h: &mut u64, buf: &mut Vec<u8>, ev: &TraceEvent<M>) {
+    let pid = |p: &ProcessId| u64::from(p.0);
     match ev {
         TraceEvent::Send {
             at,
@@ -81,42 +94,36 @@ fn fold_event<M: fmt::Debug>(h: &mut u64, ev: &TraceEvent<M>) {
             to,
             msg,
         } => {
-            mix(h, &[0]);
-            mix(h, &at.to_le_bytes());
-            mix(h, &id.0.to_le_bytes());
-            mix(h, &from.0.to_le_bytes());
-            mix(h, &to.0.to_le_bytes());
-            let _ = write!(Fnv(h), "{msg:?}");
+            for w in [0, *at, id.0, pid(from), pid(to)] {
+                mix(h, w);
+            }
+            mix_payload(h, buf, msg);
         }
         TraceEvent::Deliver { at, id, from, to } => {
-            mix(h, &[1]);
-            mix(h, &at.to_le_bytes());
-            mix(h, &id.0.to_le_bytes());
-            mix(h, &from.0.to_le_bytes());
-            mix(h, &to.0.to_le_bytes());
+            for w in [1, *at, id.0, pid(from), pid(to)] {
+                mix(h, w);
+            }
         }
-        TraceEvent::Step { at, pid } => {
-            mix(h, &[2]);
-            mix(h, &at.to_le_bytes());
-            mix(h, &pid.0.to_le_bytes());
+        TraceEvent::Step { at, pid: p } => {
+            for w in [2, *at, pid(p)] {
+                mix(h, w);
+            }
         }
-        TraceEvent::Inject { at, pid, msg } => {
-            mix(h, &[3]);
-            mix(h, &at.to_le_bytes());
-            mix(h, &pid.0.to_le_bytes());
-            let _ = write!(Fnv(h), "{msg:?}");
+        TraceEvent::Inject { at, pid: p, msg } => {
+            for w in [3, *at, pid(p)] {
+                mix(h, w);
+            }
+            mix_payload(h, buf, msg);
         }
-        TraceEvent::TimerFire { at, pid } => {
-            mix(h, &[4]);
-            mix(h, &at.to_le_bytes());
-            mix(h, &pid.0.to_le_bytes());
+        TraceEvent::TimerFire { at, pid: p } => {
+            for w in [4, *at, pid(p)] {
+                mix(h, w);
+            }
         }
         TraceEvent::Drop { at, id, from, to } => {
-            mix(h, &[5]);
-            mix(h, &at.to_le_bytes());
-            mix(h, &id.0.to_le_bytes());
-            mix(h, &from.0.to_le_bytes());
-            mix(h, &to.0.to_le_bytes());
+            for w in [5, *at, id.0, pid(from), pid(to)] {
+                mix(h, w);
+            }
         }
         TraceEvent::Duplicate {
             at,
@@ -125,29 +132,24 @@ fn fold_event<M: fmt::Debug>(h: &mut u64, ev: &TraceEvent<M>) {
             from,
             to,
         } => {
-            mix(h, &[6]);
-            mix(h, &at.to_le_bytes());
-            mix(h, &id.0.to_le_bytes());
-            mix(h, &of.0.to_le_bytes());
-            mix(h, &from.0.to_le_bytes());
-            mix(h, &to.0.to_le_bytes());
+            for w in [6, *at, id.0, of.0, pid(from), pid(to)] {
+                mix(h, w);
+            }
         }
         TraceEvent::Partition { at, a, b, healed } => {
-            mix(h, &[7]);
-            mix(h, &at.to_le_bytes());
-            mix(h, &a.0.to_le_bytes());
-            mix(h, &b.0.to_le_bytes());
-            mix(h, &[u8::from(*healed)]);
+            for w in [7, *at, pid(a), pid(b), u64::from(*healed)] {
+                mix(h, w);
+            }
         }
-        TraceEvent::Crash { at, pid } => {
-            mix(h, &[8]);
-            mix(h, &at.to_le_bytes());
-            mix(h, &pid.0.to_le_bytes());
+        TraceEvent::Crash { at, pid: p } => {
+            for w in [8, *at, pid(p)] {
+                mix(h, w);
+            }
         }
-        TraceEvent::Recover { at, pid } => {
-            mix(h, &[9]);
-            mix(h, &at.to_le_bytes());
-            mix(h, &pid.0.to_le_bytes());
+        TraceEvent::Recover { at, pid: p } => {
+            for w in [9, *at, pid(p)] {
+                mix(h, w);
+            }
         }
     }
 }
@@ -275,12 +277,12 @@ pub struct Trace<M> {
     /// prefix of the logical event sequence; indices below this are no
     /// longer addressable.
     recycled: usize,
-    /// Running FNV-1a state over the recycled prefix, so
+    /// Running digest state over the recycled prefix, so
     /// [`Trace::digest`] stays bit-identical to full retention.
     recycled_digest: u64,
 }
 
-impl<M: Clone + fmt::Debug> Trace<M> {
+impl<M: Clone + fmt::Debug + Payload> Trace<M> {
     /// A new trace; when `enabled` is false, pushes are dropped.
     pub fn new(enabled: bool) -> Self {
         Trace {
@@ -288,7 +290,7 @@ impl<M: Clone + fmt::Debug> Trace<M> {
             tail: Vec::new(),
             enabled,
             recycled: 0,
-            recycled_digest: FNV_OFFSET,
+            recycled_digest: DIGEST_SEED,
         }
     }
 
@@ -386,7 +388,7 @@ impl<M: Clone + fmt::Debug> Trace<M> {
         self.segments.clear();
         self.tail.clear();
         self.recycled = 0;
-        self.recycled_digest = FNV_OFFSET;
+        self.recycled_digest = DIGEST_SEED;
     }
 
     /// Hand every *resident sealed* segment to `sink`, fold it into the
@@ -396,10 +398,11 @@ impl<M: Clone + fmt::Debug> Trace<M> {
     /// [`Trace::drain_rest`] once at the end.
     pub fn drain_sealed<S: SegmentSink<M> + ?Sized>(&mut self, sink: &mut S) -> usize {
         let n = self.segments.len();
+        let mut buf = Vec::new();
         for seg in self.segments.drain(..) {
             sink.consume(&seg);
             for ev in seg.iter() {
-                fold_event(&mut self.recycled_digest, ev);
+                fold_event(&mut self.recycled_digest, &mut buf, ev);
             }
             self.recycled += seg.len();
         }
@@ -416,8 +419,9 @@ impl<M: Clone + fmt::Debug> Trace<M> {
         if !self.tail.is_empty() {
             let tail = std::mem::take(&mut self.tail);
             sink.consume(&tail);
+            let mut buf = Vec::new();
             for ev in &tail {
-                fold_event(&mut self.recycled_digest, ev);
+                fold_event(&mut self.recycled_digest, &mut buf, ev);
             }
             self.recycled += tail.len();
             n += 1;
@@ -438,17 +442,19 @@ impl<M: Clone + fmt::Debug> Trace<M> {
         self.segments.len()
     }
 
-    /// A 64-bit FNV-1a digest of the whole trace (over each event's
-    /// `Debug` rendering). Two runs with the same digest took the same
+    /// A 64-bit digest of the whole trace: each event's envelope fields
+    /// and its message's [`Payload`] bytes, folded a word at a time (see
+    /// `fold_event`). Two runs with the same digest took the same
     /// schedule; the determinism sweeps compare these, and a chaos
     /// failure is replayed by matching its digest from the same seed.
     pub fn digest(&self) -> u64 {
-        // FNV-1a is sequential over the event stream, so the state
+        // The fold is sequential over the event stream, so the state
         // folded in at recycle time continues seamlessly over the
         // resident suffix: recycling never changes the digest.
         let mut h = self.recycled_digest;
+        let mut buf = Vec::new();
         for ev in self.iter() {
-            fold_event(&mut h, ev);
+            fold_event(&mut h, &mut buf, ev);
         }
         h
     }
@@ -582,9 +588,10 @@ impl<M: Clone + fmt::Debug> Trace<M> {
                 } => {
                     lane(&mut cols, *from, &format!("{id:?}→"));
                     format!(
-                        "t={at:>9} {} sends {id:?} to {}: {msg:?}",
+                        "t={at:>9} {} sends {id:?} to {}: {:?}",
                         names(*from),
-                        names(*to)
+                        names(*to),
+                        msg
                     )
                 }
                 TraceEvent::Deliver { at, id, from, to } => {
@@ -601,7 +608,7 @@ impl<M: Clone + fmt::Debug> Trace<M> {
                 }
                 TraceEvent::Inject { at, pid, msg } => {
                     lane(&mut cols, *pid, "◆");
-                    format!("t={at:>9} {} invoked: {msg:?}", names(*pid))
+                    format!("t={at:>9} {} invoked: {:?}", names(*pid), msg)
                 }
                 TraceEvent::TimerFire { at, pid } => {
                     lane(&mut cols, *pid, "⏲");
@@ -874,6 +881,36 @@ mod tests {
         let mut sink = crate::sink::CountingSink::default();
         t.drain_sealed(&mut sink);
         let _ = t.event_at(0);
+    }
+
+    /// A payload that is its bytes, verbatim.
+    #[derive(Clone, Debug)]
+    struct Bytes(Vec<u8>);
+    impl Payload for Bytes {
+        fn payload(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.0);
+        }
+    }
+
+    fn digest_of_inject(bytes: &[u8]) -> u64 {
+        let mut t = Trace::new(true);
+        t.push(TraceEvent::Inject {
+            at: 3,
+            pid: ProcessId(1),
+            msg: Bytes(bytes.to_vec()),
+        });
+        t.digest()
+    }
+
+    #[test]
+    fn payload_length_and_padded_tail_are_folded() {
+        // Equal after zero-padding to whole words; apart by length.
+        assert_ne!(digest_of_inject(&[0; 8]), digest_of_inject(&[0; 9]));
+        assert_ne!(digest_of_inject(&[1]), digest_of_inject(&[1, 0]));
+        assert_ne!(digest_of_inject(&[]), digest_of_inject(&[0]));
+        // The tail word carries its bytes, little-endian.
+        assert_ne!(digest_of_inject(&[1, 2, 3]), digest_of_inject(&[3, 2, 1]));
+        assert_eq!(digest_of_inject(&[7; 13]), digest_of_inject(&[7; 13]));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   [`World::hold`]): the adversary picks every delivery and step — this
 //!   is what the theorem machinery in `cbf-core` drives.
 
-use crate::actor::{Actor, Ctx, Envelope};
+use crate::actor::{Actor, Ctx, Envelope, Payload};
 use crate::latency::LatencyModel;
 use crate::trace::{Trace, TraceEvent};
 use crate::types::{Link, MsgId, ProcessId, RunOutcome, ServiceStats, SimConfig, Time};
@@ -202,11 +202,11 @@ pub struct World<A: Actor> {
     /// and proceeds; swallowed *identical* duplicates carried no other
     /// information, while timers that differ in any payload field (a
     /// per-request retry id, say) are all kept. The kind key is the
-    /// message's `Debug` rendering — `A::Msg` promises no `Eq`/`Ord`,
-    /// and `Debug` is already required and deterministic. Entries clear
-    /// at recovery; linear scan on purpose (the set is small and a hash
+    /// message's [`Payload`] bytes — `A::Msg` promises no `Eq`/`Ord`,
+    /// and its payload is injective and deterministic. Entries clear at
+    /// recovery; linear scan on purpose (the set is small and a hash
     /// map would break the sim's determinism rules).
-    deferred_timer_kinds: Vec<(ProcessId, String)>,
+    deferred_timer_kinds: Vec<(ProcessId, Vec<u8>)>,
     /// Same guard for `StepDue` events: all due steps deferred by one
     /// dark window collapse into a single step at recovery (a step
     /// drains the whole income buffer, so one is exact too).
@@ -868,7 +868,8 @@ impl<A: Actor> World<A> {
                         // instant, so keeping one of each identical
                         // message is exact and keeps a long dark window
                         // from growing the queue linearly.
-                        let kind = format!("{msg:?}");
+                        let mut kind = Vec::new();
+                        msg.payload(&mut kind);
                         if self
                             .deferred_timer_kinds
                             .iter()
@@ -1092,6 +1093,17 @@ mod tests {
     enum Msg {
         Ping(u32),
         Pong(u32),
+    }
+
+    impl Payload for Msg {
+        fn payload(&self, out: &mut Vec<u8>) {
+            let (tag, x) = match *self {
+                Msg::Ping(x) => (0, x),
+                Msg::Pong(x) => (1, x),
+            };
+            out.push(tag);
+            x.payload(out);
+        }
     }
 
     #[derive(Clone)]
@@ -1722,6 +1734,62 @@ mod tests {
         let n1 = w.actor(ProcessId(1));
         assert_eq!(n1.zero_fires.len(), 4);
         assert_eq!(n1.one_fires.len(), 1);
+    }
+
+    /// A retry timer with two fields, so two kinds can differ in either.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Retry {
+        id: u32,
+        attempt: u32,
+    }
+
+    impl Payload for Retry {
+        fn payload(&self, out: &mut Vec<u8>) {
+            self.id.payload(out);
+            self.attempt.payload(out);
+        }
+    }
+
+    #[derive(Clone, Default)]
+    struct RetryNode {
+        fired: Vec<(Time, Retry)>,
+    }
+    impl Actor for RetryNode {
+        type Msg = Retry;
+        fn on_start(&mut self, ctx: &mut Ctx<Retry>) {
+            let arm = [(7, 0), (7, 0), (7, 1), (7, 0), (8, 0), (1 << 8, 0)];
+            for (i, (id, attempt)) in arm.into_iter().enumerate() {
+                ctx.set_timer((20 + 10 * i as Time) * MICROS, Retry { id, attempt });
+            }
+        }
+        fn step(&mut self, ctx: &mut Ctx<Retry>) {
+            for env in ctx.recv() {
+                self.fired.push((ctx.now(), env.msg));
+            }
+        }
+    }
+
+    /// Crash-window coalescing keys on the payload bytes: timers with
+    /// equal bytes collapse into one fire at recovery, and timers that
+    /// differ in any field — here the attempt, or the id in its second
+    /// byte — all fire.
+    #[test]
+    fn crash_deferred_timers_coalesce_on_equal_payload_bytes() {
+        let mut w = World::new(
+            vec![RetryNode::default()],
+            LatencyModel::constant_default(),
+            SimConfig {
+                fault: Some(FaultPlan::new(0).with_crash(ProcessId(0), 10 * MICROS, MILLIS, false)),
+                ..SimConfig::default()
+            },
+        );
+        w.run_until_quiescent();
+        let retry = |id, attempt| (MILLIS, Retry { id, attempt });
+        assert_eq!(
+            w.actor(ProcessId(0)).fired,
+            vec![retry(7, 0), retry(7, 1), retry(8, 0), retry(1 << 8, 0)]
+        );
+        assert_eq!(w.stats().timers_coalesced, 2);
     }
 
     /// Regression (satellite): freezing a process's links must not stall

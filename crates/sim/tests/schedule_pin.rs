@@ -5,10 +5,13 @@
 //! drops, and the id order of each in-flight inspection call. The pinned
 //! values were recorded at the parent of the commit that replaced the
 //! calendar queue and the generation slab with `BinaryHeap` and `BTreeMap`.
+//! The digest was repinned once since, when the trace fold moved from
+//! each payload's `Debug` text to its `Payload` bytes; the schedule
+//! values below it did not move.
 
 use cbf_sim::{
-    Actor, Ctx, FaultPlan, LatencyKind, LatencyModel, MsgId, ProcessId, RunOutcome, SimConfig,
-    TraceEvent, World, MILLIS, SECONDS,
+    Actor, Ctx, FaultPlan, LatencyKind, LatencyModel, MsgId, Payload, ProcessId, RunOutcome,
+    SimConfig, TraceEvent, World, MILLIS, SECONDS,
 };
 
 const SERVER: ProcessId = ProcessId(0);
@@ -21,6 +24,22 @@ enum Msg {
     Ping(u32),
     Pong(u32),
     Tick,
+}
+
+impl Payload for Msg {
+    fn payload(&self, out: &mut Vec<u8>) {
+        match *self {
+            Msg::Ping(x) => {
+                out.push(0);
+                x.payload(out);
+            }
+            Msg::Pong(x) => {
+                out.push(1);
+                x.payload(out);
+            }
+            Msg::Tick => out.push(2),
+        }
+    }
 }
 
 /// Clients forward injected pings to the server, which answers each one.
@@ -145,5 +164,5 @@ fn special_cased_schedule_keeps_its_digest() {
     assert!(w.stats().timers_coalesced > 0);
     assert_eq!([A, B, C].map(|p| w.actor(p).pongs), [1921, 1247, 215]);
     assert_eq!(w.stats().events, 154);
-    assert_eq!(w.trace.digest(), 9621912337442053031);
+    assert_eq!(w.trace.digest(), 3289276254418055051);
 }
