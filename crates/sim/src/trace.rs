@@ -24,6 +24,15 @@
 //! borrows directly from the tail when the requested range lies inside
 //! it (the common "what did this sub-execution do" audit) and
 //! materializes a copy only when the range crosses sealed segments.
+//!
+//! ## Digest
+//!
+//! [`Trace::digest`] fingerprints the event sequence a 64-bit word at a
+//! time: each event's tag and envelope fields, then — for sends and
+//! injections — the message's [`Payload`] bytes, length-prefixed and
+//! zero-padded to whole words. No payload is formatted. The fold runs
+//! over recycled segments as they drain, so recycling never changes the
+//! digest.
 
 use crate::actor::Payload;
 use crate::sink::SegmentSink;
@@ -79,9 +88,8 @@ fn mix_payload<M: Payload>(h: &mut u64, buf: &mut Vec<u8>, msg: &M) {
 /// The event is a sequence of 64-bit words: the variant tag, then one
 /// word per envelope field (times, message ids, process ids, flags),
 /// then — for the variants that carry one — the message's
-/// [`Payload`] bytes (see [`mix_payload`]). No field is formatted:
-/// fingerprinting a 400-id old-reader response costs ~50 multiplies.
-/// Changing this encoding changes every trace digest; the pinned
+/// [`Payload`] bytes (see [`mix_payload`]). Nothing is formatted: a
+/// payload costs one multiply per 8 bytes. Changing this encoding changes every trace digest; the pinned
 /// fixtures (`load_digests.txt` and the pin suites) are repinned
 /// together with it.
 fn fold_event<M: Payload>(h: &mut u64, buf: &mut Vec<u8>, ev: &TraceEvent<M>) {
