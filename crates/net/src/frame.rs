@@ -60,29 +60,40 @@ pub enum Frame {
     Shutdown,
 }
 
-/// Write one frame. Flushes, so a frame is on the wire when this
-/// returns (the runtime's steps are paper-faithful only if sends of a
-/// completed step are visible to the network).
+/// Write one frame as a single `write_all` of `[len][kind][payload]`,
+/// then flush, so a frame is on the wire when this returns (the
+/// runtime's steps are paper-faithful only if sends of a completed step
+/// are visible to the network). One write per frame also means one TCP
+/// segment on a `TCP_NODELAY` socket, and one wake-up of the peer's
+/// reader.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let mut body = Vec::new();
     match frame {
-        Frame::Hello { host } => {
-            body.push(KIND_HELLO);
-            body.extend_from_slice(&host.to_le_bytes());
-        }
-        Frame::Msg(m) => {
-            body.push(KIND_MSG);
-            body.extend_from_slice(&m.from.0.to_le_bytes());
-            body.extend_from_slice(&m.to.0.to_le_bytes());
-            body.extend_from_slice(&m.seq.to_le_bytes());
-            body.extend_from_slice(&m.bytes);
-        }
-        Frame::Shutdown => body.push(KIND_SHUTDOWN),
+        Frame::Hello { host } => write_parts(w, KIND_HELLO, &host.to_le_bytes(), &[]),
+        Frame::Msg(m) => write_msg(w, m),
+        Frame::Shutdown => write_parts(w, KIND_SHUTDOWN, &[], &[]),
     }
-    let len = u32::try_from(body.len()).expect("frame fits in u32");
+}
+
+/// [`write_frame`] of a `MSG` frame, encoded from the borrowed message.
+pub(crate) fn write_msg(w: &mut impl Write, m: &NetMsg) -> io::Result<()> {
+    let mut head = [0u8; 16];
+    head[..4].copy_from_slice(&m.from.0.to_le_bytes());
+    head[4..8].copy_from_slice(&m.to.0.to_le_bytes());
+    head[8..].copy_from_slice(&m.seq.to_le_bytes());
+    write_parts(w, KIND_MSG, &head, &m.bytes)
+}
+
+/// Assemble `[len][kind][head][tail]` in one buffer and write it once.
+fn write_parts(w: &mut impl Write, kind: u8, head: &[u8], tail: &[u8]) -> io::Result<()> {
+    let body = 1 + head.len() + tail.len();
+    let len = u32::try_from(body).expect("frame fits in u32");
     assert!(len <= MAX_FRAME, "oversized frame");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&body)?;
+    let mut buf = Vec::with_capacity(4 + body);
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.push(kind);
+    buf.extend_from_slice(head);
+    buf.extend_from_slice(tail);
+    w.write_all(&buf)?;
     w.flush()
 }
 
@@ -162,6 +173,52 @@ mod tests {
             seq: 0,
             bytes: vec![],
         }));
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let msg = Frame::Msg(NetMsg {
+            from: ProcessId(2),
+            to: ProcessId(5),
+            seq: 99,
+            bytes: vec![1, 2, 3],
+        });
+        #[rustfmt::skip]
+        let cases: [(Frame, Vec<u8>); 3] = [
+            (Frame::Hello { host: 3 }, vec![5, 0, 0, 0, KIND_HELLO, 3, 0, 0, 0]),
+            (msg, vec![
+                20, 0, 0, 0, KIND_MSG,
+                2, 0, 0, 0, 5, 0, 0, 0, 99, 0, 0, 0, 0, 0, 0, 0,
+                1, 2, 3,
+            ]),
+            (Frame::Shutdown, vec![1, 0, 0, 0, KIND_SHUTDOWN]),
+        ];
+        for (frame, wire) in cases {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &frame).unwrap();
+            assert_eq!(w.writes, 1, "{frame:?} took {} writes", w.writes);
+            assert_eq!(w.bytes, wire, "{frame:?}");
+            assert_eq!(read_frame(&mut &w.bytes[..]).unwrap(), frame);
+        }
     }
 
     #[test]

@@ -18,12 +18,12 @@ use crate::NetError;
 use cbf_model::{ClientId, History, Key, TxId, TxRecord, Value};
 use cbf_protocols::common::{ProtocolNode, Topology, Wire};
 use cbf_workloads::{Op, Workload, WorkloadSpec};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, Receiver};
 use std::time::{Duration, Instant};
 
 /// Everything a cluster run needs.
@@ -64,8 +64,8 @@ pub struct NetRun {
     pub wtx_ns: Vec<u64>,
 }
 
-/// A spawned server that is killed if the launcher unwinds before the
-/// orderly shutdown disarms it.
+/// A spawned server, killed if the guard drops before `wait` reaped it:
+/// on unwind, on an early error, or at the reaping deadline.
 struct ChildGuard {
     pid: u32,
     child: Option<Child>,
@@ -79,32 +79,63 @@ impl ChildGuard {
         }
     }
 
-    /// Wait for a clean exit, with a deadline; nonzero statuses become
-    /// errors so a crashed server can never produce a quiet-looking
-    /// partial run.
-    fn wait(mut self, deadline: Duration) -> Result<(), NetError> {
-        let mut child = self.child.take().expect("not yet waited");
-        let start = Instant::now();
-        loop {
-            match child.try_wait()? {
-                Some(status) if status.success() => return Ok(()),
-                Some(status) => {
-                    return Err(NetError::Child {
-                        pid: self.pid,
-                        status: status.to_string(),
-                    })
-                }
-                None if start.elapsed() > deadline => {
-                    let _ = child.kill();
-                    return Err(NetError::Child {
-                        pid: self.pid,
-                        status: "did not exit after SHUTDOWN (killed)".into(),
-                    });
-                }
-                None => std::thread::sleep(Duration::from_millis(5)),
-            }
+    /// Reap an exited child; nonzero statuses become errors so a
+    /// crashed server can never produce a quiet-looking partial run.
+    fn wait(mut self) -> Result<(), NetError> {
+        let status = self.child.take().expect("not yet waited").wait()?;
+        if status.success() {
+            Ok(())
+        } else {
+            Err(NetError::Child {
+                pid: self.pid,
+                status: status.to_string(),
+            })
         }
     }
+}
+
+/// Reap every server after `SHUTDOWN`, with one deadline for all.
+///
+/// A server closes its connection to the launcher only as it finishes
+/// (after its last step, before it saves its recording and exits), or
+/// when it dies, so its reader's `Closed` event is the exit signal and
+/// no polling is needed: `wait` then blocks only for the save, and
+/// collects the status. A server whose connection is still open at the
+/// deadline is killed and reported; a corrupt frame fails the run, as it
+/// does mid-run. Late protocol traffic on `rx` is dropped: nobody steps
+/// the clients any more, and the recording ends at their last step.
+fn reap(
+    children: Vec<ChildGuard>,
+    rx: &Receiver<Event>,
+    deadline: Duration,
+) -> Result<(), NetError> {
+    let until = Instant::now() + deadline;
+    let mut open: BTreeSet<u32> = children.iter().map(|c| c.pid).collect();
+    while !open.is_empty() {
+        match rx.recv_timeout(until.saturating_duration_since(Instant::now())) {
+            Ok(Event::Closed { host }) => {
+                open.remove(&host);
+            }
+            Ok(Event::Failed { host, error }) => {
+                return Err(NetError::Handshake(format!(
+                    "connection to server {host} failed: {error}"
+                )))
+            }
+            Ok(Event::Net(_) | Event::Shutdown) => {}
+            Err(_) => break,
+        }
+    }
+    for guard in children {
+        if open.contains(&guard.pid) {
+            // Dropping the guard kills the child.
+            return Err(NetError::Child {
+                pid: guard.pid,
+                status: "did not exit after SHUTDOWN (killed)".into(),
+            });
+        }
+        guard.wait()?;
+    }
+    Ok(())
 }
 
 impl Drop for ChildGuard {
@@ -268,26 +299,14 @@ where
             issued += 1;
         }
 
-        // Wait for network traffic or the next timer, then run steps.
-        let wait = match host.next_timer_deadline() {
-            Some(deadline) => Duration::from_nanos(deadline.saturating_sub(host.clock().now()))
-                .min(Duration::from_millis(1)),
-            None => Duration::from_millis(1),
-        };
-        match rx.recv_timeout(wait) {
-            Ok(ev) => handle_event(&mut host, ev)?,
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(NetError::Handshake("all server connections lost".into()))
-            }
-        }
-        while let Ok(ev) = rx.try_recv() {
-            handle_event(&mut host, ev)?;
-        }
+        // Step before blocking: no wait may begin while a client holds
+        // unstepped input, or a fresh transaction would sit in its inbox
+        // until some other reply (or the 1 ms cap) woke the loop.
         host.fire_due_timers();
         host.step_all_pending()?;
 
         // Poll for completions.
+        let mut progressed = false;
         let busy: Vec<ClientId> = in_flight.keys().copied().collect();
         for client in busy {
             let id = in_flight[&client].id;
@@ -314,6 +333,11 @@ where
             });
             free.push_back(client);
             last_progress = Instant::now();
+            progressed = true;
+        }
+        if progressed {
+            // The freed clients get their next transactions at once.
+            continue;
         }
 
         if last_progress.elapsed() > cfg.stall_timeout {
@@ -325,14 +349,30 @@ where
                 in_flight.len()
             )));
         }
+
+        // Wait for network traffic or the next timer; the next round
+        // steps whatever arrived.
+        let wait = match host.next_timer_deadline() {
+            Some(deadline) => Duration::from_nanos(deadline.saturating_sub(host.clock().now()))
+                .min(Duration::from_millis(1)),
+            None => Duration::from_millis(1),
+        };
+        match rx.recv_timeout(wait) {
+            Ok(ev) => handle_event(&mut host, ev)?,
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                return Err(NetError::Handshake("all server connections lost".into()))
+            }
+        }
+        while let Ok(ev) = rx.try_recv() {
+            handle_event(&mut host, ev)?;
+        }
     }
 
     // Orderly shutdown: servers flush their recordings and exit; a
     // nonzero child status is propagated, never swallowed.
     host.send_shutdowns()?;
-    for guard in children {
-        guard.wait(Duration::from_secs(10))?;
-    }
+    reap(children, &rx, Duration::from_secs(10))?;
 
     let mut recording = host.finish();
     for pid in 0..cfg.num_servers {
@@ -368,4 +408,58 @@ where
 
 fn record_path(dir: &std::path::Path, pid: u32) -> PathBuf {
     dir.join(format!("node_{pid}.rec"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A reader for `host` on a loopback connection; the returned far end
+    /// stands for the server process: dropping it is the exit's close.
+    fn server_conn(host: u32, tx: &mpsc::Sender<Event>) -> TcpStream {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (far, _) = listener.accept().unwrap();
+        spawn_reader(host, near, tx.clone());
+        far
+    }
+
+    #[test]
+    fn a_server_that_never_closes_is_killed_at_the_deadline() {
+        let (tx, rx) = mpsc::channel();
+        let _open = server_conn(0, &tx);
+        let child = Command::new("sleep").arg("30").spawn().unwrap();
+        let start = Instant::now();
+        let err = reap(
+            vec![ChildGuard::new(0, child)],
+            &rx,
+            Duration::from_millis(200),
+        )
+        .unwrap_err();
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "killed, not waited out"
+        );
+        match err {
+            NetError::Child { pid: 0, status } => {
+                assert!(status.contains("did not exit after SHUTDOWN"), "{status}")
+            }
+            other => panic!("unexpected {other}"),
+        }
+    }
+
+    #[test]
+    fn a_closed_connection_reaps_the_exit_status() {
+        let (tx, rx) = mpsc::channel();
+        drop(server_conn(0, &tx));
+        drop(server_conn(1, &tx));
+        let clean = Command::new("true").spawn().unwrap();
+        let failing = Command::new("false").spawn().unwrap();
+        let children = vec![ChildGuard::new(0, clean), ChildGuard::new(1, failing)];
+        match reap(children, &rx, Duration::from_secs(10)) {
+            Err(NetError::Child { pid: 1, .. }) => {}
+            other => panic!("expected server 1's nonzero exit, got {other:?}"),
+        }
+    }
 }

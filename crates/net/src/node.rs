@@ -17,7 +17,7 @@
 
 #![deny(unsafe_code)]
 
-use crate::frame::{read_frame, write_frame, Frame, NetMsg, CLIENT_HOST};
+use crate::frame::{read_frame, write_frame, write_msg, Frame, NetMsg, CLIENT_HOST};
 use crate::msgid::{link_msg_id, self_msg_id};
 use crate::record::{ProcessLog, Recording, StepInput, StepRecord};
 use crate::NetError;
@@ -183,7 +183,7 @@ impl Router {
             .conns
             .get_mut(&host)
             .ok_or_else(|| NetError::Route(format!("no connection to host {host} for {m:?}")))?;
-        match write_frame(conn, &Frame::Msg(m.clone())) {
+        match write_msg(conn, m) {
             Err(e)
                 if host != CLIENT_HOST
                     && self.host_of(m.from) != CLIENT_HOST
