@@ -341,13 +341,39 @@ fn fig3() -> Result<(), String> {
 
 fn theorem1() -> Result<(), String> {
     println!("THEOREM 1 — Lemma 3's prefixes α_k against the claimant family\n");
-    println!("{}", run_theorem::<NaiveNode<1>>(12).render());
-    println!("{}", run_theorem::<NaiveNode<2>>(12).render());
-    println!("{}", run_theorem::<NaiveNode<3>>(12).render());
-    println!("{}", run_theorem::<NaiveNode<4>>(12).render());
+    for report in [
+        run_theorem::<NaiveNode<1>>(12),
+        run_theorem::<NaiveNode<2>>(12),
+        run_theorem::<NaiveNode<3>>(12),
+        run_theorem::<NaiveNode<4>>(12),
+    ] {
+        println!("{}", report.render());
+        // Every claimant is caught with the snapshot Lemma 1 forbids.
+        match &report.conclusion {
+            Conclusion::Caught { witness, .. }
+                if witness.snapshot_kind() == SnapshotKind::Mixed => {}
+            other => return Err(format!("theorem1: claimant not caught mixed: {other:?}")),
+        }
+    }
     println!("P coordination phases ⇒ 2P−3 forced messages, caught at k = 2P−2");
     println!("(P=1 caught immediately). A true fast+W+causal protocol would go on");
     println!("forever — that is the impossibility.\n");
+    // The same γ schedule leaves the legal corners causal: each gives up
+    // one of the four properties (one-round, non-blocking, one-value).
+    for corner in [
+        attack_all_servers(&setup_c0::<WrenNode>(minimal_topology()).expect("setup")),
+        attack_all_servers(&setup_c0::<EigerNode>(minimal_topology()).expect("setup")),
+        attack_all_servers(&setup_c0::<SpannerNode>(minimal_topology()).expect("setup")),
+        attack_all_servers(&setup_c0::<CopsRwNode>(minimal_topology()).expect("setup")),
+    ] {
+        let out = corner.map_err(|e| format!("theorem1: attack on a legal corner: {e:?}"))?;
+        if out.caught() {
+            return Err(format!(
+                "theorem1: a legal corner was caught: {:?}",
+                out.reads
+            ));
+        }
+    }
     // Claim 2's other shoe: a claimant whose servers do communicate
     // (decoy gossip) but whose values become visible mid-induction is
     // caught by the δ execution instead of γ.
@@ -868,11 +894,15 @@ fn soak() -> Result<(), String> {
     }
     if !report.plateau_ok {
         return Err(format!(
-            "soak: memory did not plateau — {} kB at 10% progress vs {} kB at the end (x{:.3} > x{})",
+            "soak: memory did not plateau — {} kB at 10% progress vs {} kB at the end \
+             (x{:.3}, budget x{}); checker rows + stubs {} vs {} (budget x{})",
             report.plateau_baseline_rss_kb,
             report.plateau_final_rss_kb,
             report.plateau_ratio,
-            cbf_bench::soak::PLATEAU_HEADROOM
+            cbf_bench::soak::PLATEAU_HEADROOM,
+            report.checker_baseline,
+            report.checker_final,
+            cbf_bench::soak::CHECKER_HEADROOM
         ));
     }
     println!(

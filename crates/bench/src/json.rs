@@ -301,6 +301,7 @@ impl ToJson for crate::soak::SoakSample {
             .u64("txs", self.txs)
             .u64("resident_txs", self.resident_txs)
             .u64("resident_chain_entries", self.resident_chain_entries)
+            .u64("resident_stubs", self.resident_stubs)
             .u64("retired", self.retired)
             .u64("current_rss_kb", self.current_rss_kb)
             .bool("causal_ok", self.causal_ok)
@@ -311,7 +312,7 @@ impl ToJson for crate::soak::SoakSample {
 impl ToJson for crate::soak::SoakReport {
     fn to_json(&self, indent: usize) -> String {
         Obj::new()
-            .str("schema", "snowbound-soak-v2")
+            .str("schema", "snowbound-soak-v3")
             .u64("target_events", self.target_events)
             .u64("events", self.events)
             .u64("ops", self.ops)
@@ -331,6 +332,8 @@ impl ToJson for crate::soak::SoakReport {
             .u64("plateau_baseline_rss_kb", self.plateau_baseline_rss_kb)
             .u64("plateau_final_rss_kb", self.plateau_final_rss_kb)
             .f64("plateau_ratio", self.plateau_ratio)
+            .u64("checker_baseline", self.checker_baseline)
+            .u64("checker_final", self.checker_final)
             .bool("plateau_ok", self.plateau_ok)
             .raw("samples", self.samples.to_json(indent + 1))
             .render(indent)

@@ -77,6 +77,7 @@ pub fn resident_json(r: &ResidentStats, indent: usize) -> String {
         .u64("open_edges", r.open_edges as u64)
         .u64("spill_entries", r.spill_entries as u64)
         .u64("settled_violations", r.settled_violations as u64)
+        .u64("stubs", r.stubs as u64)
         .render(indent)
 }
 
@@ -117,6 +118,7 @@ mod tests {
             "open_edges",
             "spill_entries",
             "settled_violations",
+            "stubs",
         ] {
             assert!(s.contains(field), "missing {field}: {s}");
         }

@@ -19,8 +19,10 @@
 //! * **memory sampling**: every few batches the run records process
 //!   RSS, checker resident sizes and the running verdict. The report
 //!   asserts a *flat plateau*: final RSS within [`PLATEAU_HEADROOM`] of
-//!   the RSS at 10% progress. A leak anywhere in the sim → check path
-//!   shows up as a failed plateau, not as an OOM three days in.
+//!   the RSS at 10% progress, and the checker's resident rows plus
+//!   stubs after GC within [`CHECKER_HEADROOM`] of their peak up to
+//!   then. A leak anywhere in the sim → check path shows up as a failed
+//!   plateau, not as an OOM three days in.
 //!
 //! Batches advance by a fixed virtual-time slice ([`BATCH_SLICE`],
 //! via [`World::run_for`]) rather than running to quiescence: the fault
@@ -67,6 +69,13 @@ const SOAK_DUP_PM: u16 = 10;
 /// plateau the forever-run claim rests on.
 pub const PLATEAU_HEADROOM: f64 = 1.15;
 
+/// Budget for the checker's post-GC footprint (resident rows plus stubs)
+/// at the end, relative to its peak up to 10% progress. Post-GC
+/// residency wanders with the slowest session (73–118 over the 100M-event
+/// run), so this is looser than the RSS budget; a footprint that grows
+/// with the run still blows through it.
+pub const CHECKER_HEADROOM: f64 = 3.0;
+
 /// The rolling fault plan: continuous drops/dups, a crash cycling
 /// through the servers every 5 virtual ms (dark for 1 ms, store kept —
 /// a restart, not a disk loss), and a ring partition every 23 ms
@@ -104,6 +113,8 @@ pub struct SoakSample {
     pub resident_txs: u64,
     /// Checker version-chain entries resident (across shards).
     pub resident_chain_entries: u64,
+    /// Retired live writers the checker keeps as stubs (across shards).
+    pub resident_stubs: u64,
     /// Transactions retired by GC so far (cumulative).
     pub retired: u64,
     /// Process RSS at the sample, kB.
@@ -151,7 +162,13 @@ pub struct SoakReport {
     pub plateau_final_rss_kb: u64,
     /// `final / baseline`; must stay ≤ [`PLATEAU_HEADROOM`].
     pub plateau_ratio: f64,
-    /// The flat-plateau claim: `plateau_ratio ≤ PLATEAU_HEADROOM`.
+    /// Largest checker footprint (resident rows + stubs) over the
+    /// post-GC samples up to 10% progress.
+    pub checker_baseline: u64,
+    /// Checker footprint at the last post-GC sample.
+    pub checker_final: u64,
+    /// The flat-plateau claim: `plateau_ratio ≤ PLATEAU_HEADROOM` and
+    /// `checker_final ≤ CHECKER_HEADROOM × checker_baseline`.
     pub plateau_ok: bool,
     /// The sampled timeline.
     pub samples: Vec<SoakSample>,
@@ -225,6 +242,7 @@ pub fn run_soak_gc(target_events: u64, seed: u64, gc: bool) -> SoakReport {
                 txs: checker.len() as u64,
                 resident_txs: resident.txs as u64,
                 resident_chain_entries: resident.chain_entries as u64,
+                resident_stubs: resident.stubs as u64,
                 retired,
                 current_rss_kb: MemStats::sample().current_rss_kb,
                 causal_ok: checker.verdict().is_ok(),
@@ -258,6 +276,24 @@ pub fn run_soak_gc(target_events: u64, seed: u64, gc: bool) -> SoakReport {
     } else {
         1.0
     };
+    // The checker's half of the plateau, over the samples taken right
+    // after a GC pass (every sample batch but possibly the last).
+    let post_gc: Vec<&SoakSample> = samples
+        .iter()
+        .filter(|s| s.batch.is_multiple_of(GC_EVERY_BATCHES))
+        .collect();
+    let footprint = |s: &&SoakSample| s.resident_txs + s.resident_stubs;
+    let warm = post_gc
+        .iter()
+        .position(|s| 10 * s.events >= target_events)
+        .unwrap_or(0);
+    let checker_baseline = post_gc
+        .iter()
+        .take(warm + 1)
+        .map(footprint)
+        .max()
+        .unwrap_or(0);
+    let checker_final = post_gc.last().map(footprint).unwrap_or(0);
 
     SoakReport {
         target_events,
@@ -276,7 +312,10 @@ pub fn run_soak_gc(target_events: u64, seed: u64, gc: bool) -> SoakReport {
         plateau_baseline_rss_kb: baseline,
         plateau_final_rss_kb: final_rss,
         plateau_ratio,
-        plateau_ok: plateau_ratio <= PLATEAU_HEADROOM,
+        checker_baseline,
+        checker_final,
+        plateau_ok: plateau_ratio <= PLATEAU_HEADROOM
+            && checker_final as f64 <= CHECKER_HEADROOM * checker_baseline as f64,
         samples,
     }
 }
@@ -293,8 +332,9 @@ pub fn render_soak(r: &SoakReport) -> String {
         r.dups_absorbed, r.reads_skipped, r.retired, r.gc_blocked_passes
     ));
     out.push_str(&format!(
-        "   resident: txs {}, chains {}, clock slots {} | rss {} kB (peak {})\n",
+        "   resident: txs {}, stubs {}, chains {}, clock slots {} | rss {} kB (peak {})\n",
         r.resident.txs,
+        r.resident.stubs,
         r.resident.chain_entries,
         r.resident.clock_slots,
         r.memory.current_rss_kb,
@@ -307,6 +347,10 @@ pub fn render_soak(r: &SoakReport) -> String {
         r.plateau_ratio,
         PLATEAU_HEADROOM,
         if r.plateau_ok { "OK" } else { "FAIL" }
+    ));
+    out.push_str(&format!(
+        "   checker after GC: {} rows + stubs peak @10% -> {} final (budget x{})\n",
+        r.checker_baseline, r.checker_final, CHECKER_HEADROOM
     ));
     out.push_str(&format!(
         "   causal {} | digest {:016x}\n",

@@ -13,10 +13,20 @@
 //! (a fresh client reads a newer version, then an older one), so the
 //! rendering comparison also covers the failure path, not just the
 //! all-OK case.
+//!
+//! The memory guard drives the benchmark's `rot-stream` shape at small
+//! scale — every key written once, then a read-only YCSB-C stream — on
+//! real COPS and Spanner clusters, GC'ing the streaming checker every 64
+//! epochs: the verdict must match legacy, GC must retire past the
+//! preload's live writers, and the resident state must not grow with the
+//! stream.
 
 use cbf_bench::chaos::fault_plan;
-use cbf_model::{check_causal_legacy, ShardedChecker, TxRecord, Verdict};
-use cbf_sim::{CountingSink, LatencyModel, SimConfig, MILLIS, SEAL_CAP};
+use cbf_model::{
+    check_causal_legacy, FallbackCounts, ResidentStats, ShardedChecker, TxRecord, Verdict,
+};
+use cbf_sim::{CountingSink, LatencyModel, ServiceModel, SimConfig, MICROS, MILLIS, SEAL_CAP};
+use cbf_workloads::{ClientSwarm, SwarmOp, SwarmSpec};
 use snowbound::prelude::*;
 
 /// Seeds 19..32: one per chaos scenario below.
@@ -213,4 +223,192 @@ fn poisoned_chaos_histories_render_identically() {
         "no poisoned cell produced a violation — the rendering \
          comparison never saw the failure path"
     );
+}
+
+/// What one preload-then-read-only stream left in its checker.
+struct StreamCell {
+    streaming: Verdict,
+    legacy: Verdict,
+    txs: usize,
+    retired: usize,
+    blocked_passes: u64,
+    resident: ResidentStats,
+    fallbacks: FallbackCounts,
+}
+
+/// The `rot-stream` epoch loop at small scale: `sharded(3, 48, 256)`
+/// with a 20 µs service time, 24 transactions in flight per epoch, the
+/// preload (key `k` written by client `k % 48`), then `periods` × 64
+/// read-only epochs. Every epoch's records go through the streaming
+/// checker; GC runs every 64 stream epochs, so the last epoch ends on a
+/// pass.
+fn rot_stream_cell<N: ProtocolNode>(periods: u64, seed: u64) -> StreamCell {
+    const KEYS: u32 = 256;
+    const CLIENTS: u32 = 48;
+    const EPOCH: usize = 24;
+    const GC_EVERY: u64 = 64;
+    let config = SimConfig {
+        service: Some(ServiceModel {
+            servers: 3,
+            service_time: 20 * MICROS,
+        }),
+        ..SimConfig::default()
+    };
+    let mut cluster: Cluster<N> = Cluster::with_network(
+        Topology::sharded(3, CLIENTS, KEYS),
+        LatencyModel::constant_default(),
+        config,
+    );
+    let mut checker = ShardedChecker::new(1);
+    let mut sink = CountingSink::default();
+    let (mut ingested, mut retired, mut blocked_passes) = (0usize, 0usize, 0u64);
+    let mut epoch = |cluster: &mut Cluster<N>, ops: &[SwarmOp], gc: bool| {
+        let open: Vec<_> = ops
+            .iter()
+            .map(|op| {
+                let keys: Vec<Key> = op.keys[..op.nkeys as usize]
+                    .iter()
+                    .map(|&k| Key(k))
+                    .collect();
+                let client = ClientId(op.client);
+                if op.write {
+                    cluster
+                        .begin_write_tx(client, &keys)
+                        .expect("single-key writes")
+                } else {
+                    cluster.begin_read_tx(client, &keys)
+                }
+            })
+            .collect();
+        assert!(cluster.run_open(&open), "{}: epoch stalled", N::NAME);
+        for t in open {
+            cluster.finish_tx(t).expect("fault-free epochs complete");
+        }
+        cluster.world.trace.drain_sealed(&mut sink);
+        for t in &cluster.history().transactions()[ingested..] {
+            checker.ingest(t.clone());
+        }
+        ingested = cluster.history().len();
+        if gc {
+            let stats = checker.gc();
+            retired += stats.retired;
+            blocked_passes += stats.blocked.is_some() as u64;
+        }
+    };
+
+    let preload: Vec<SwarmOp> = (0..KEYS)
+        .map(|k| SwarmOp {
+            client: k % CLIENTS,
+            write: true,
+            nkeys: 1,
+            keys: [k, 0, 0, 0],
+        })
+        .collect();
+    for ops in preload.chunks(EPOCH) {
+        epoch(&mut cluster, ops, false);
+    }
+
+    let mut swarm = ClientSwarm::new(
+        SwarmSpec {
+            num_clients: CLIENTS,
+            num_keys: KEYS,
+            theta: 0.99,
+            mix: Mix::ycsb_c(),
+            read_keys: 2,
+            write_keys: 2,
+            wheel_slots: 16,
+        },
+        seed,
+    );
+    // At most one op per client per epoch; the rest wait their turn.
+    let (mut carry, mut fresh, mut ops) = (Vec::new(), Vec::new(), Vec::new());
+    for e in 1..=periods * GC_EVERY {
+        let mut busy = [false; CLIENTS as usize];
+        ops.clear();
+        carry.retain(|op: &SwarmOp| {
+            let take = ops.len() < EPOCH && !busy[op.client as usize];
+            if take {
+                busy[op.client as usize] = true;
+                ops.push(*op);
+            }
+            !take
+        });
+        while ops.len() < EPOCH {
+            swarm.fill_batch(EPOCH - ops.len(), &mut fresh);
+            for &op in &fresh {
+                if std::mem::replace(&mut busy[op.client as usize], true) {
+                    carry.push(op);
+                } else {
+                    ops.push(op);
+                }
+            }
+        }
+        epoch(&mut cluster, &ops, e % GC_EVERY == 0);
+    }
+
+    StreamCell {
+        streaming: checker.verdict(),
+        legacy: check_causal_legacy(cluster.history()),
+        txs: checker.len(),
+        retired,
+        blocked_passes,
+        resident: checker.resident_stats(),
+        fallbacks: checker.fallbacks(),
+    }
+}
+
+/// Tier-1 memory guard for checker GC on the `rot-stream` shape: GC'd
+/// streaming agrees with legacy, retires at least 90 % of the run
+/// (the preload's writers, live forever, become stubs instead of pinning
+/// the cut), and the resident rows plus stubs do not grow when the
+/// stream doubles.
+#[test]
+fn rot_stream_checker_memory_stays_flat() {
+    fn check<N: ProtocolNode>(seed: u64) {
+        let short = rot_stream_cell::<N>(1, seed);
+        let long = rot_stream_cell::<N>(2, seed);
+        for cell in [&short, &long] {
+            assert_eq!(
+                cell.streaming,
+                cell.legacy,
+                "{}: verdicts diverged",
+                N::NAME
+            );
+            assert!(
+                cell.streaming.is_ok(),
+                "{}: {}",
+                N::NAME,
+                cell.streaming.render()
+            );
+            assert_eq!(cell.blocked_passes, 0, "{}: a GC pass refused", N::NAME);
+            assert_eq!(
+                cell.fallbacks,
+                FallbackCounts::default(),
+                "{}: a fallback arm fired on a read-only stream",
+                N::NAME
+            );
+            assert!(
+                cell.retired * 10 >= cell.txs * 9,
+                "{}: retired {} of {} transactions",
+                N::NAME,
+                cell.retired,
+                cell.txs
+            );
+            assert!(
+                cell.resident.stubs > 0,
+                "{}: no live writer was stubbed",
+                N::NAME
+            );
+        }
+        let footprint = |c: &StreamCell| c.resident.txs + c.resident.stubs;
+        assert!(
+            footprint(&long) <= footprint(&short) + 48,
+            "{}: resident rows + stubs grew from {} to {} when the stream doubled",
+            N::NAME,
+            footprint(&short),
+            footprint(&long)
+        );
+    }
+    check::<CopsNode>(7);
+    check::<SpannerNode>(8);
 }

@@ -62,6 +62,11 @@ pub enum Violation {
     /// No serialization respecting the causal order makes this client's
     /// reads legal (fractured reads across concurrent write transactions).
     Unserializable { client: ClientId },
+    /// A garbage-collected incremental checker met a shape only the
+    /// compacted history could decide (a forward reads-from edge, or a
+    /// client that needs the rule-4 fixpoint). The verdict is not OK,
+    /// and `reason` says which shape. The legacy checker never emits it.
+    Undecided { reason: &'static str },
 }
 
 impl std::fmt::Display for Violation {
@@ -86,6 +91,9 @@ impl std::fmt::Display for Violation {
                 f,
                 "no serialization respecting causality makes client {client}'s reads legal"
             ),
+            Violation::Undecided { reason } => {
+                write!(f, "undecided after GC compacted the history: {reason}")
+            }
         }
     }
 }

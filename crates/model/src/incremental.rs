@@ -45,12 +45,21 @@
 
 #![deny(unsafe_code)]
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::checker::{check_causal_legacy, client_serializable, Frontiers, Verdict, Violation};
 use crate::history::{History, TxRecord};
 use crate::relations::{ReadIndex, ReadsFrom};
-use crate::types::{ClientId, Key, Value};
+use crate::types::{ClientId, Key, TxId, Value};
+
+/// [`Violation::Undecided`] reason: the legacy fallback needs every
+/// transaction back to index 0.
+const FORWARD_EDGE_AFTER_GC: &str =
+    "a forward reads-from edge needs the legacy checker over the whole history";
+/// [`Violation::Undecided`] reason: the rule-4 saturation reads the
+/// client's reads and the keys' writers from the whole history.
+const FIXPOINT_AFTER_GC: &str = "a client needs the rule-4 fixpoint over the whole history";
 
 /// A read that did not resolve to an already-ingested writer: either a
 /// forward reference (resolved later ⇒ fallback) or an unknown value.
@@ -84,6 +93,19 @@ struct SessionScan {
     /// `(bottom-read index, causally-preceding writers ascending)`.
     bottoms: Vec<(usize, Vec<usize>)>,
     rule4: Rule4,
+}
+
+/// A live writer compacted out of the per-transaction rows: exactly what
+/// later scans read of it. Reads-from windows need its session, position
+/// and frontier, violations name its id, and the self-derived live set
+/// reads its writes.
+#[derive(Clone, Debug)]
+struct Stub {
+    id: TxId,
+    session: u32,
+    pos: u32,
+    clock: Vec<u32>,
+    writes: Vec<(Key, Value)>,
 }
 
 /// An online causal-consistency checker: ingest transactions one at a
@@ -153,15 +175,22 @@ impl CausalChecker {
     /// [`verdict`](Self::verdict) is bit-identical to the unpruned
     /// checker's. Open edges are settled into cached violations first —
     /// their window scans are provably final at ingest time — then the
-    /// longest fully-dead history prefix is compacted out of the
+    /// history prefix below the cut is compacted out of the
     /// per-transaction arrays, the clock arena, the version chains and
-    /// the value ledgers. States that still need the full history
-    /// (forward edges, unresolved reads, pending rule-4 fixpoints,
-    /// duplicate values) refuse to retire and report
-    /// [`GcStats::blocked`] instead of becoming lossy; a *broken*
-    /// promise after a successful GC (a write below the floor, a read of
-    /// a settled value, a `⊥`-read of a pruned key, a brand-new writer
-    /// client) panics loudly rather than weakening the verdict.
+    /// the value ledgers. The cut is the oldest of each client's latest
+    /// transaction and every version-chain entry that is not a live
+    /// writer; a live writer below it keeps a *stub* (session, position,
+    /// frontier, id, writes) for as long as a live value or a chain
+    /// names it, so a key written once and read forever does not pin
+    /// the history. States that still need the full history (forward
+    /// edges, unresolved reads, pending rule-4 fixpoints, duplicate
+    /// values) refuse to retire and report [`GcStats::blocked`] instead
+    /// of becoming lossy. If a forward edge or a rule-4 fixpoint shows
+    /// up *after* a GC retired something, the verdict reports
+    /// [`Violation::Undecided`] for it (never OK, never a panic); a
+    /// *broken* promise (a write below the floor, a read of a settled
+    /// value, a `⊥`-read of a pruned key, a brand-new writer client)
+    /// panics loudly rather than weakening the verdict.
     pub fn gc_with(
         &mut self,
         live: &BTreeSet<(Key, Value)>,
@@ -191,8 +220,8 @@ impl CausalChecker {
     /// Diagnostic: true when some client's rule-4 decision currently
     /// requires the constraint saturation. GC harnesses use this on an
     /// *unpruned* shadow run to decide at which points a pruned checker
-    /// can stay exact (a fixpoint need arising after compaction is a
-    /// broken workload promise and panics).
+    /// can stay exact (a fixpoint need arising after compaction makes
+    /// the verdict [`Violation::Undecided`]).
     pub fn rule4_fixpoint_pending(&self) -> bool {
         self.state.fixpoint_pending()
     }
@@ -200,6 +229,11 @@ impl CausalChecker {
     /// Resident-state sizes, for soak-style memory sampling.
     pub fn resident_stats(&self) -> ResidentStats {
         self.state.resident()
+    }
+
+    /// How often each fallback arm has fired over this checker's life.
+    pub fn fallbacks(&self) -> FallbackCounts {
+        self.state.fallbacks.get()
     }
 }
 
@@ -251,9 +285,11 @@ struct IngestState {
     writer_slots: Vec<(u32, u32)>,
     /// Writers of values at or above [`DENSE_VALUES`].
     writer_spill: BTreeMap<(Key, Value), usize>,
-    /// Version chains: key → session → writing transactions in program
-    /// order (each transaction at most once per key).
-    chains: BTreeMap<Key, BTreeMap<u32, Vec<usize>>>,
+    /// Version chains: key → session → `(writing transaction, its
+    /// program-order position)` in program order (each transaction at
+    /// most once per key). Carrying the position keeps the window scans
+    /// from looking up every entry's row (or stub).
+    chains: BTreeMap<Key, BTreeMap<u32, Vec<(usize, u32)>>>,
     /// Resolved (backward) reads-from edges, in legacy list order.
     reads_from: Vec<ReadsFrom>,
     /// Reads with no writer yet, in read order: unknown values unless a
@@ -280,6 +316,14 @@ struct IngestState {
     /// Global transaction indices `< base` are retired: the per-tx
     /// arrays and the owned history start at `base`.
     base: usize,
+    /// Retired transactions that a live value or a version chain still
+    /// names, in ascending index order: the row accessors binary-search
+    /// `stub_txs` for any index below `base` and read the stub at the
+    /// same position. Each GC pass drops the stubs nothing names any
+    /// more, so a stub lives exactly as long as something references it.
+    stub_txs: Vec<usize>,
+    /// The stubs, parallel to `stub_txs`.
+    stubs: Vec<Stub>,
     /// First clock-arena slot still resident (`clock_off` is absolute).
     arena_base: usize,
     /// Retired (compacted-out) transactions per session: the retained
@@ -320,6 +364,31 @@ struct IngestState {
     /// bottom violation it is unserializable forever (constraint cycles
     /// never dissolve), so GC folds that bit here and clears the edges.
     session_violated: Vec<bool>,
+    /// Fallback-arm counters; a `Cell` so the `&self` verdict can count.
+    fallbacks: Cell<FallbackCounts>,
+}
+
+/// How often each fallback arm of one checker has fired, cumulative over
+/// its life (summed over shards by
+/// [`ShardedChecker::fallbacks`](crate::ShardedChecker::fallbacks)).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FallbackCounts {
+    /// Verdicts answered wholesale by the legacy checker, because a read
+    /// resolved forward before anything was compacted.
+    pub legacy_verdicts: u64,
+    /// Rule-4 constraint saturations run, one per client that needed one,
+    /// at verdict or GC time.
+    pub fixpoint_runs: u64,
+    /// [`Violation::Undecided`] entries emitted: a forward edge or a
+    /// rule-4 fixpoint met a history GC had already compacted.
+    pub undecided: u64,
+    /// GC passes refused because of a forward reads-from edge.
+    pub gc_blocked_forward_edge: u64,
+    /// GC passes refused because a rule-4 fixpoint was pending.
+    pub gc_blocked_fixpoint: u64,
+    /// GC passes refused for another reason: duplicate values, reads
+    /// that could still resolve forward, a live value with no writer.
+    pub gc_blocked_other: u64,
 }
 
 /// What one [`CausalChecker::gc`] call did (or why it did nothing).
@@ -333,6 +402,8 @@ pub struct GcStats {
     pub settled_edges: usize,
     /// Clock-arena slots freed by this call.
     pub freed_clock_slots: usize,
+    /// Rule-4 constraint saturations this call ran to settle clients.
+    pub fixpoint_runs: usize,
     /// `Some(reason)` when the checker refused to retire anything: a
     /// legacy-fallback path (forward edge, pending rule-4 fixpoint,
     /// duplicate values) or an unresolved read still needs the full
@@ -355,6 +426,8 @@ pub struct ResidentStats {
     pub spill_entries: usize,
     /// Violations settled by GC so far.
     pub settled_violations: usize,
+    /// Retired live writers kept as stubs (not counted in `txs`).
+    pub stubs: usize,
 }
 
 /// Width of the dense, value-indexed ledger window (the seen-bitset and
@@ -450,34 +523,91 @@ impl IngestState {
         s
     }
 
-    /// Session of global transaction `t` (resident rows only).
+    /// The stub of retired transaction `t`. Kept out of line so the row
+    /// accessors stay small enough to inline into the saturation's and
+    /// the scans' hot loops.
+    #[inline(never)]
+    fn stub(&self, t: usize) -> &Stub {
+        match self.stub_txs.binary_search(&t) {
+            Ok(i) => &self.stubs[i],
+            Err(_) => panic!(
+                "GC contract broken: transaction {t} was retired as dead but is \
+                 referenced again (the caller promised its values were no \
+                 longer readable)"
+            ),
+        }
+    }
+
+    /// Session of global transaction `t`.
     #[inline]
     fn sess_of(&self, t: usize) -> u32 {
+        if t < self.base {
+            return self.stub(t).session;
+        }
         self.session_of[t - self.base]
     }
 
     /// Program-order position of global transaction `t`.
     #[inline]
     fn pos_of(&self, t: usize) -> u32 {
+        if t < self.base {
+            return self.stub(t).pos;
+        }
         self.pos[t - self.base]
     }
 
     /// The frontier slice of global transaction `t`.
     #[inline]
     fn clock_slice(&self, t: usize) -> &[u32] {
-        let off = self.clock_off[t - self.base] - self.arena_base;
-        let len = self.clock_len[t - self.base] as usize;
-        &self.clock_arena[off..off + len]
+        if t < self.base {
+            return &self.stub(t).clock;
+        }
+        self.resident_clock(t - self.base)
+    }
+
+    /// The frontier slice of resident row `i` (global index `base + i`).
+    #[inline]
+    fn resident_clock(&self, i: usize) -> &[u32] {
+        let off = self.clock_off[i] - self.arena_base;
+        &self.clock_arena[off..off + self.clock_len[i] as usize]
+    }
+
+    /// Session, position and frontier of `t`, for callers that need all
+    /// three (one stub lookup instead of three).
+    fn row(&self, t: usize) -> (u32, u32, &[u32]) {
+        if t < self.base {
+            let st = self.stub(t);
+            return (st.session, st.pos, &st.clock);
+        }
+        (self.sess_of(t), self.pos_of(t), self.clock_slice(t))
     }
 
     /// `clock(t)[s]`, with absent entries reading 0.
     fn clk(&self, t: usize, s: u32) -> u32 {
+        if t < self.base {
+            return self.stub(t).clock.get(s as usize).copied().unwrap_or(0);
+        }
         let i = t - self.base;
         if s < self.clock_len[i] {
             self.clock_arena[self.clock_off[i] - self.arena_base + s as usize]
         } else {
             0
         }
+    }
+
+    /// The id of global transaction `t`; `txs` is the resident history.
+    fn tx_id(&self, txs: &[TxRecord], t: usize) -> TxId {
+        if t < self.base {
+            return self.stub(t).id;
+        }
+        txs[t - self.base].id
+    }
+
+    /// Count one fallback-arm event.
+    fn bump(&self, f: impl FnOnce(&mut FallbackCounts)) {
+        let mut c = self.fallbacks.get();
+        f(&mut c);
+        self.fallbacks.set(c);
     }
 
     /// `a <c b` under the frontier encoding (requires `a ≠ b`).
@@ -528,8 +658,8 @@ impl IngestState {
             }
             self.set_writer(k, v, idx);
             let chain = self.chains.entry(k).or_default().entry(s).or_default();
-            if chain.last() != Some(&idx) {
-                chain.push(idx);
+            if chain.last().map(|e| e.0) != Some(idx) {
+                chain.push((idx, pos));
             }
         }
 
@@ -604,13 +734,16 @@ impl IngestState {
         }
         if self.forward_edge {
             // A forward reads-from edge is the one shape that can close a
-            // causality cycle; the frontiers are not sound for it.
-            assert!(
-                !self.gc_engaged,
-                "GC contract broken: a forward reads-from edge appeared after \
-                 history was compacted — the legacy fallback needs the full \
-                 history (the caller promised no pending value would be written)"
-            );
+            // causality cycle; the frontiers are not sound for it, and the
+            // legacy fallback needs every transaction GC may have retired.
+            if self.gc_engaged {
+                self.bump(|c| c.undecided += 1);
+                v.violations.push(Violation::Undecided {
+                    reason: FORWARD_EDGE_AFTER_GC,
+                });
+                return v;
+            }
+            self.bump(|c| c.legacy_verdicts += 1);
             return check_causal_legacy(h);
         }
         let txs = h.transactions();
@@ -649,8 +782,8 @@ impl IngestState {
                 v.violations.push(Violation::StaleRead {
                     reader: txs[rf.reader - base].id,
                     key: rf.key,
-                    read_from: txs[rf.writer - base].id,
-                    overwritten_by: txs[j - base].id,
+                    read_from: self.tx_id(txs, rf.writer),
+                    overwritten_by: self.tx_id(txs, j),
                 });
             }
         }
@@ -668,7 +801,7 @@ impl IngestState {
                 v.violations.push(Violation::BottomReadAfterWrite {
                     reader: txs[reader - base].id,
                     key,
-                    written_by: txs[j - base].id,
+                    written_by: self.tx_id(txs, j),
                 });
             }
         }
@@ -680,7 +813,8 @@ impl IngestState {
         // saturation run it over this state's own frontiers; their reads
         // and the keys' writers come from the history, which is whole
         // here even when a GC that retired nothing already settled the
-        // open edges and pruned the chains.
+        // open edges and pruned the chains. Once GC has retired anything
+        // the history is not whole, and the client is reported undecided.
         let mut index: Option<ReadIndex> = None;
         for scan in &scans {
             let ok = if self.session_violated[scan.s as usize] {
@@ -689,14 +823,15 @@ impl IngestState {
                 match scan.rule4 {
                     Rule4::Serializable => true,
                     Rule4::Violated => false,
+                    Rule4::NeedsFixpoint if self.gc_engaged => {
+                        self.bump(|c| c.undecided += 1);
+                        v.violations.push(Violation::Undecided {
+                            reason: FIXPOINT_AFTER_GC,
+                        });
+                        continue;
+                    }
                     Rule4::NeedsFixpoint => {
-                        assert!(
-                            !self.gc_engaged,
-                            "GC contract broken: client {} needs the rule-4 \
-                             constraint fixpoint after history was compacted — \
-                             the fixpoint needs the full history",
-                            scan.client.0
-                        );
+                        self.bump(|c| c.fixpoint_runs += 1);
                         let index = index.get_or_insert_with(|| ReadIndex::build(h));
                         client_serializable(h, index, self, scan.client)
                     }
@@ -733,6 +868,12 @@ impl IngestState {
             };
             let mut found: Vec<usize> = Vec::new();
             for (&s2, chain) in per_session {
+                // `w` and `r` are never window members: a chain holding
+                // nothing else (a key written once and only read since)
+                // needs no frontier at all.
+                if chain.iter().all(|&(j, _)| j == w || j == r) {
+                    continue;
+                }
                 // Writers of `key` by session `s2` inside
                 // `past(r) \ (past(w) ∪ {w})`: chain positions in
                 // `[clock(w)[s2], clock(r)[s2])`.
@@ -741,9 +882,9 @@ impl IngestState {
                 if lo >= hi {
                     continue;
                 }
-                let from = chain.partition_point(|&j| self.pos_of(j) < lo);
-                for &j in &chain[from..] {
-                    if self.pos_of(j) >= hi {
+                let from = chain.partition_point(|&(_, p)| p < lo);
+                for &(j, p) in &chain[from..] {
+                    if p >= hi {
                         break;
                     }
                     if j == w || j == r {
@@ -776,8 +917,8 @@ impl IngestState {
             let mut found: Vec<usize> = Vec::new();
             for (&s2, chain) in per_session {
                 let hi = self.clk(reader, s2);
-                for &j in chain {
-                    if self.pos_of(j) >= hi {
+                for &(j, p) in chain {
+                    if p >= hi {
                         break;
                     }
                     if j != reader {
@@ -827,6 +968,7 @@ impl IngestState {
                 + self.settled_stale.len()
                 + self.settled_bottom.len()
                 + self.session_violated.iter().filter(|&&b| b).count(),
+            stubs: self.stubs.len(),
         }
     }
 
@@ -871,15 +1013,20 @@ impl IngestState {
     /// most recent writer's value (the store content), and a floor one
     /// past the largest value ever written.
     fn derive_live(&self, h: &History) -> (BTreeSet<(Key, Value)>, u64) {
-        let mut live = BTreeSet::new();
-        for (&k, per_session) in &self.chains {
-            let tail = per_session.values().filter_map(|c| c.last().copied()).max();
-            if let Some(t) = tail {
-                if let Some(v) = h.transactions()[t - self.base].wrote(k) {
-                    live.insert((k, v));
-                }
-            }
-        }
+        let live = self
+            .chains
+            .iter()
+            .filter_map(|(&k, per_session)| {
+                let t = per_session.values().filter_map(|c| c.last()).max()?.0;
+                let v = if t < self.base {
+                    let writes = &self.stub(t).writes;
+                    writes.iter().rev().find(|w| w.0 == k).map(|w| w.1)
+                } else {
+                    h.transactions()[t - self.base].wrote(k)
+                };
+                Some((k, v?))
+            })
+            .collect();
         (live, self.next_floor)
     }
 
@@ -901,12 +1048,15 @@ impl IngestState {
         if self.n == self.base {
             return stats;
         }
-        // --- Phase 0: refusal checks (no mutation past this block). ---
+        // --- Phase 0: refusal checks (no mutation past this block but
+        // the fallback counters). ---
         if self.duplicate {
+            self.bump(|c| c.gc_blocked_other += 1);
             stats.blocked = Some("duplicate values: terminal legacy verdict");
             return stats;
         }
         if self.forward_edge {
+            self.bump(|c| c.gc_blocked_forward_edge += 1);
             stats.blocked = Some("forward reads-from edge: whole-verdict legacy fallback");
             return stats;
         }
@@ -914,25 +1064,23 @@ impl IngestState {
             // An unresolved read could still match a later writer and
             // flip the checker into the legacy fallback — which needs
             // every transaction back to index 0.
+            self.bump(|c| c.gc_blocked_other += 1);
             stats.blocked = Some("unresolved reads could still resolve forward");
             return stats;
         }
         let floor = floor.max(self.value_floor);
-        // Writers of every declared-live value must be resident: future
-        // reads-from edges will point at them and their frontiers bound
-        // the chain windows below.
-        let mut live_writer: BTreeMap<(Key, Value), usize> = BTreeMap::new();
-        for &(k, v) in live {
-            match self.writer_of(k, v) {
-                Some(w) => {
-                    live_writer.insert((k, v), w);
-                }
-                None => {
-                    stats.blocked = Some("live value with no ingested writer");
-                    return stats;
-                }
-            }
-        }
+        // Writers of every declared-live value must be known (resident
+        // or stubbed): future reads-from edges will point at them and
+        // their frontiers bound the chain windows below.
+        let live_writer: Option<BTreeMap<(Key, Value), usize>> = live
+            .iter()
+            .map(|&(k, v)| Some(((k, v), self.writer_of(k, v)?)))
+            .collect();
+        let Some(live_writer) = live_writer else {
+            self.bump(|c| c.gc_blocked_other += 1);
+            stats.blocked = Some("live value with no ingested writer");
+            return stats;
+        };
 
         // Scan every open edge once. Scan results are final at ingest
         // time: a future writer of session `s2` lands at a program-order
@@ -960,11 +1108,15 @@ impl IngestState {
                 Rule4::Violated => newly_violated.push(scan.s),
                 Rule4::NeedsFixpoint => {
                     if self.base != 0 {
+                        self.bump(|c| c.gc_blocked_fixpoint += 1);
                         stats.blocked = Some("rule-4 fixpoint pending after prior compaction");
                         return stats;
                     }
                     let index = index.get_or_insert_with(|| ReadIndex::build(h));
+                    self.bump(|c| c.fixpoint_runs += 1);
+                    stats.fixpoint_runs += 1;
                     if client_serializable(h, index, self, scan.client) {
+                        self.bump(|c| c.gc_blocked_fixpoint += 1);
                         stats.blocked = Some("rule-4 fixpoint pending and currently serializable");
                         return stats;
                     }
@@ -997,8 +1149,8 @@ impl IngestState {
                 self.settled_stale.push(Violation::StaleRead {
                     reader: txs[rf.reader - base].id,
                     key: rf.key,
-                    read_from: txs[rf.writer - base].id,
-                    overwritten_by: txs[j - base].id,
+                    read_from: self.tx_id(txs, rf.writer),
+                    overwritten_by: self.tx_id(txs, j),
                 });
             }
         }
@@ -1013,7 +1165,7 @@ impl IngestState {
                 self.settled_bottom.push(Violation::BottomReadAfterWrite {
                     reader: txs[reader - base].id,
                     key,
-                    written_by: txs[j - base].id,
+                    written_by: self.tx_id(txs, j),
                 });
             }
         }
@@ -1040,17 +1192,21 @@ impl IngestState {
             }
         }
 
-        // Retained set: last of each session, live writers, and every
-        // chain entry at or above its floor. The cut is its minimum.
+        // Retained set: last of each session, and every chain entry at or
+        // above its floor that is not a live writer. The cut is its
+        // minimum. Live writers do not pin it: one below the cut keeps a
+        // stub (phase 3), which is all later scans read of it.
+        let mut live_txs: Vec<usize> = live_writer.values().copied().collect();
+        live_txs.sort_unstable();
+        live_txs.dedup();
         let mut cut = self.n;
         for s in 0..nsess {
             cut = cut.min(*self.txs_of_session[s].last().expect("nonempty session"));
         }
-        for &w in live_writer.values() {
-            cut = cut.min(w);
-        }
         let mut chains = std::mem::take(&mut self.chains);
         let mut newly_pruned: Vec<Key> = Vec::new();
+        // Retired transactions the surviving chains still name.
+        let mut chain_stubs: Vec<usize> = Vec::new();
         for (&k, per_session) in chains.iter_mut() {
             let pinned = bottom_keys.contains(&k);
             for (&s2, chain) in per_session.iter_mut() {
@@ -1065,20 +1221,25 @@ impl IngestState {
                     // value is still readable (a cold key written once
                     // and read forever after). Keep the live writer's
                     // entry resident in its own session's chain.
-                    let bound = if self.sess_of(w) == s2 {
-                        self.pos_of(w)
+                    let (ws, wp, wc) = self.row(w);
+                    let bound = if ws == s2 {
+                        wp
                     } else {
-                        self.clk(w, s2)
+                        wc.get(s2 as usize).copied().unwrap_or(0)
                     };
                     fl = fl.min(bound);
                 }
-                let drop_n = chain.partition_point(|&j| self.pos_of(j) < fl);
+                let drop_n = chain.partition_point(|&(_, p)| p < fl);
                 if drop_n > 0 {
                     chain.drain(..drop_n);
                     newly_pruned.push(k);
                 }
-                for &j in chain.iter() {
-                    cut = cut.min(j);
+                for &(j, _) in chain.iter() {
+                    if j < self.base {
+                        chain_stubs.push(j);
+                    } else if live_txs.binary_search(&j).is_err() {
+                        cut = cut.min(j);
+                    }
                 }
             }
             per_session.retain(|_, c| !c.is_empty());
@@ -1091,14 +1252,19 @@ impl IngestState {
         // (the only place `writer_of` consults below the floor); dead
         // entries below it are dropped. Seen-state at or above the floor
         // is retained so duplicate detection stays exact; writes below
-        // the floor panic instead.
-        for (&(k, v), &w) in &live_writer {
-            if v.0 < floor {
-                self.writer_spill.insert((k, v), w);
-            }
-        }
-        self.writer_spill
-            .retain(|&(k, v), _| v.0 >= floor || live.contains(&(k, v)));
+        // the floor panic instead. One sorted rebuild, not a patch per
+        // entry.
+        let spill = std::mem::take(&mut self.writer_spill);
+        self.writer_spill = spill
+            .into_iter()
+            .filter(|&((_, v), _)| v.0 >= floor)
+            .chain(
+                live_writer
+                    .iter()
+                    .filter(|&(&(_, v), _)| v.0 < floor)
+                    .map(|(&kv, &w)| (kv, w)),
+            )
+            .collect();
         self.seen_spill.retain(|&v| v.0 >= floor);
         self.value_floor = floor;
 
@@ -1161,7 +1327,46 @@ impl IngestState {
             }
         }
 
-        // --- Phase 3: compact the retired prefix `[base, cut)`. ---
+        // --- Phase 3: compact the retired prefix `[base, cut)`. Every
+        // transaction below the cut that a live value or a surviving chain
+        // entry names keeps a stub; every other stub is dropped. A chain
+        // entry in `[base, cut)` is a live writer (any other pins the
+        // cut), so live writers plus the chains' old stubs name them all.
+        let mut named: Vec<usize> = live_txs.into_iter().filter(|&t| t < cut).collect();
+        named.extend(chain_stubs);
+        named.sort_unstable();
+        named.dedup();
+        // Named indices below `base` keep their stubs; the rest are new
+        // and sort after every old one, so keep-then-append preserves the
+        // order.
+        let (old, new) = named.split_at(named.partition_point(|&t| t < self.base));
+        let mut names = old.iter().peekable();
+        let kept: Vec<bool> = self
+            .stub_txs
+            .iter()
+            .map(|t| {
+                while names.next_if(|&n| n < t).is_some() {}
+                names.next_if_eq(&t).is_some()
+            })
+            .collect();
+        let mut k = kept.iter();
+        self.stubs.retain(|_| k.next() == Some(&true));
+        let mut k = kept.iter();
+        self.stub_txs.retain(|_| k.next() == Some(&true));
+        let txs = h.transactions();
+        for &t in new {
+            let r = &txs[t - self.base];
+            let stub = Stub {
+                id: r.id,
+                session: self.sess_of(t),
+                pos: self.pos_of(t),
+                clock: self.clock_slice(t).to_vec(),
+                writes: r.writes.clone(),
+            };
+            self.stub_txs.push(t);
+            self.stubs.push(stub);
+        }
+
         let retire = cut - self.base;
         if retire > 0 {
             self.gc_engaged = true;
@@ -1190,19 +1395,22 @@ impl IngestState {
     }
 }
 
-/// Exact causal frontiers whenever `forward_edge` is false.
+/// Exact causal frontiers whenever `forward_edge` is false. The rule-4
+/// saturation, their only reader, runs only before any compaction
+/// (`base == 0`), so they read the resident rows without the stub check
+/// its inner loops would otherwise pay on every call.
 impl Frontiers for IngestState {
     fn width(&self) -> usize {
         self.txs_of_session.len()
     }
     fn session_of(&self, t: usize) -> u32 {
-        self.sess_of(t)
+        self.session_of[t - self.base]
     }
     fn position(&self, t: usize) -> u32 {
-        self.pos_of(t)
+        self.pos[t - self.base]
     }
     fn clock(&self, t: usize) -> &[u32] {
-        self.clock_slice(t)
+        self.resident_clock(t - self.base)
     }
 }
 
@@ -1387,6 +1595,7 @@ mod tests {
             assert_eq!(stats.blocked, None, "warmup {round}: {stats:?}");
         }
         // The cold write: key 0 gets value 100, then is only ever read.
+        let cold = pruned.len();
         both_ingest(&mut pruned, &mut full, tx(id, 0, &[], &[(0, 100)]));
         id += 1;
         hot_val = 101;
@@ -1405,10 +1614,116 @@ mod tests {
             assert_eq!(stats.blocked, None, "round {round}: {stats:?}");
             assert_eq!(pruned.verdict(), full.verdict(), "round {round}");
         }
-        // The traffic before the cold write retired; the cold writer
-        // itself (and everything after it) is pinned by liveness.
+        // The traffic before the cold write retired, and so did the cold
+        // writer itself: liveness keeps only its stub.
         assert!(pruned.retired() > 0, "retired {}", pruned.retired());
+        assert!(
+            pruned.retired() > cold,
+            "the cold writer (tx {cold}) still pins the cut at {}",
+            pruned.retired()
+        );
+        assert_eq!(pruned.resident_stats().stubs, 1);
         assert!(pruned.verdict().is_ok());
+    }
+
+    /// Four writer clients, each writing its own key and reading the
+    /// others' latest values: frontiers overlap, so GC retires. Ids stay
+    /// below 100.
+    fn compacted_pair() -> (CausalChecker, CausalChecker) {
+        let mut pruned = CausalChecker::new();
+        let mut full = CausalChecker::new();
+        let mut latest = [0u64; 4];
+        let mut val = 1u64;
+        for round in 0..6u64 {
+            for c in 0..4u32 {
+                let reads: Vec<(u32, u64)> = (0..4u32)
+                    .filter(|&k| k != c && latest[k as usize] != 0)
+                    .map(|k| (10 + k, latest[k as usize]))
+                    .collect();
+                let t = tx(round * 4 + c as u64, c, &reads, &[(10 + c, val)]);
+                latest[c as usize] = val;
+                val += 1;
+                pruned.ingest(t.clone());
+                full.ingest(t);
+            }
+            assert_eq!(pruned.gc().blocked, None, "round {round}");
+        }
+        assert!(pruned.retired() > 0, "nothing retired");
+        (pruned, full)
+    }
+
+    /// Four writing clients, a GC that retires, then a read that
+    /// resolves forward. The pruned checker cannot run the legacy
+    /// fallback over a compacted history, so it says so in the verdict;
+    /// it neither panics nor answers OK.
+    #[test]
+    fn forward_edge_after_compaction_is_undecided() {
+        let (mut pruned, mut full) = compacted_pair();
+        let records = [
+            tx(100, 0, &[(11, 5000)], &[]), // reads a value not yet written
+            tx(101, 1, &[], &[(11, 5000)]),
+        ];
+        for t in records {
+            pruned.ingest(t.clone());
+            full.ingest(t);
+        }
+        let expected = check_causal_legacy(full.history());
+        assert_eq!(full.verdict(), expected);
+        assert_eq!(full.fallbacks().legacy_verdicts, 1);
+        let v = pruned.verdict();
+        assert_eq!(
+            v.violations,
+            vec![Violation::Undecided {
+                reason: FORWARD_EDGE_AFTER_GC
+            }]
+        );
+        assert!(
+            v.render().contains("forward reads-from edge"),
+            "{}",
+            v.render()
+        );
+        assert_eq!(pruned.fallbacks().undecided, 1);
+        assert_eq!(pruned.fallbacks().legacy_verdicts, 0);
+        let stats = pruned.gc();
+        assert!(stats.blocked.is_some());
+        assert_eq!(pruned.fallbacks().gc_blocked_forward_edge, 1);
+    }
+
+    /// A client that needs the rule-4 fixpoint after a GC retired
+    /// something: client 2 sees T_a (through `y`) and then reads `x` from
+    /// T_b, which is concurrent with T_a's write of `x`. The unpruned
+    /// checker saturates and answers; the pruned one reports the client
+    /// undecided.
+    #[test]
+    fn fixpoint_after_compaction_is_undecided() {
+        let (mut pruned, mut full) = compacted_pair();
+        let records = [
+            tx(100, 0, &[], &[(0, 6000), (1, 6001)]), // T_a writes x, y
+            tx(101, 1, &[], &[(0, 6002)]),            // T_b writes x, ∥ T_a
+            tx(102, 2, &[(1, 6001)], &[]),            // sees T_a
+            tx(103, 2, &[(0, 6002)], &[]),            // reads x from T_b
+        ];
+        for t in records {
+            pruned.ingest(t.clone());
+            full.ingest(t);
+        }
+        assert!(full.rule4_fixpoint_pending());
+        let expected = check_causal_legacy(full.history());
+        assert_eq!(full.verdict(), expected);
+        assert!(full.fallbacks().fixpoint_runs > 0);
+        let v = pruned.verdict();
+        assert!(!v.is_ok());
+        assert!(
+            v.violations.contains(&Violation::Undecided {
+                reason: FIXPOINT_AFTER_GC
+            }),
+            "{v:?}"
+        );
+        assert_eq!(pruned.fallbacks().fixpoint_runs, 0);
+        assert_eq!(pruned.fallbacks().undecided, 1);
+        let stats = pruned.gc();
+        assert!(stats.blocked.is_some());
+        assert_eq!(pruned.fallbacks().gc_blocked_fixpoint, 1);
     }
 
     /// Settled violations survive compaction bit-for-bit: the stale read

@@ -51,7 +51,9 @@ pub use checker::{check_causal, check_causal_legacy, Verdict, Violation};
 pub use exhaustive::{check_causal_exhaustive, Exhaustive};
 pub use freshness::{measure_freshness, FreshnessReport};
 pub use history::{History, TxRecord, TxSpec};
-pub use incremental::{check_causal_incremental, CausalChecker, GcStats, ResidentStats};
+pub use incremental::{
+    check_causal_incremental, CausalChecker, FallbackCounts, GcStats, ResidentStats,
+};
 pub use relations::{CausalOrder, ReadIndex, ReadsFrom, Relation};
 pub use session::{
     check_monotonic_reads, check_read_atomicity, check_read_your_writes, SessionViolation,

@@ -25,7 +25,7 @@
 
 use crate::checker::Verdict;
 use crate::history::TxRecord;
-use crate::incremental::{CausalChecker, GcStats, ResidentStats};
+use crate::incremental::{CausalChecker, FallbackCounts, GcStats, ResidentStats};
 
 /// `n` independent online checkers plus the client/key→shard ledger
 /// that enforces the isolation promise. See module docs.
@@ -125,6 +125,7 @@ impl ShardedChecker {
             total.resident += s.resident;
             total.settled_edges += s.settled_edges;
             total.freed_clock_slots += s.freed_clock_slots;
+            total.fixpoint_runs += s.fixpoint_runs;
             if total.blocked.is_none() {
                 total.blocked = s.blocked;
             }
@@ -143,6 +144,22 @@ impl ShardedChecker {
             total.open_edges += r.open_edges;
             total.spill_entries += r.spill_entries;
             total.settled_violations += r.settled_violations;
+            total.stubs += r.stubs;
+        }
+        total
+    }
+
+    /// Summed fallback-arm counters across shards.
+    pub fn fallbacks(&self) -> FallbackCounts {
+        let mut total = FallbackCounts::default();
+        for shard in &self.shards {
+            let c = shard.fallbacks();
+            total.legacy_verdicts += c.legacy_verdicts;
+            total.fixpoint_runs += c.fixpoint_runs;
+            total.undecided += c.undecided;
+            total.gc_blocked_forward_edge += c.gc_blocked_forward_edge;
+            total.gc_blocked_fixpoint += c.gc_blocked_fixpoint;
+            total.gc_blocked_other += c.gc_blocked_other;
         }
         total
     }

@@ -11,10 +11,11 @@
 //! at `i` and asserts every subsequent verdict (including the one
 //! immediately after GC) is bit-identical to an unpruned twin.
 //!
-//! Split points whose suffix breaks the contract in ways the checker
-//! deliberately *panics* on (forward-resolving reads, rule-4 fixpoint
-//! needs, brand-new writer clients) are skipped — those are promises no
-//! honest caller could make, not GC bugs. Everything else, including
+//! Split points whose suffix the compacted checker cannot decide
+//! (forward-resolving reads, rule-4 fixpoint needs: the verdict says
+//! `Undecided`) or that breaks the contract in a way it deliberately
+//! *panics* on (brand-new writer clients) are skipped — those are
+//! promises no honest caller could make, not GC bugs. Everything else, including
 //! histories that are already violating, duplicated, or pending, goes
 //! through the full ingest→gc→ingest→verdict comparison; GC refusals
 //! must be graceful (verdicts unchanged) and engagements invisible.
@@ -25,7 +26,7 @@
 //! 1-shard GC ≡ no GC).
 
 use cbf_model::history::TxRecord;
-use cbf_model::{CausalChecker, ClientId, Key, ShardedChecker, TxId, Value};
+use cbf_model::{CausalChecker, ClientId, Key, ShardedChecker, TxId, Value, Violation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,9 +101,10 @@ fn first_writers(txs: &[TxRecord]) -> BTreeMap<(Key, Value), usize> {
     first
 }
 
-/// Can an honest caller GC after ingesting `txs[..i]`? The checker
-/// *panics* (by design) when the suffix does something the contract
-/// forbids, so the harness skips splits where:
+/// Can an honest caller GC after ingesting `txs[..i]`? The compacted
+/// checker answers `Undecided` or *panics* (by design) when the suffix
+/// does something the contract forbids, so the harness skips splits
+/// where:
 ///
 /// * some suffix step still needs the rule-4 constraint fixpoint in the
 ///   unpruned run (`fixpoint[j]` from the prepass) — only the full
@@ -221,6 +223,208 @@ fn gc_everywhere_matches(txs: &[TxRecord]) -> usize {
         }
     }
     engaged
+}
+
+/// The repeated-GC twin of [`gc_everywhere_matches`]: one checker, GC'd
+/// at the omniscient contract after every step `gc_at` selects (where an
+/// honest caller could), every verdict and rendering compared to the
+/// unpruned twin. Returns the retired count and the stub count after
+/// each step.
+fn gc_repeatedly_matches(txs: &[TxRecord], gc_at: impl Fn(usize) -> bool) -> (usize, Vec<usize>) {
+    let mut pre = CausalChecker::new();
+    let mut fixpoint = Vec::with_capacity(txs.len());
+    let mut verdicts = Vec::with_capacity(txs.len());
+    for t in txs {
+        pre.ingest(t.clone());
+        fixpoint.push(pre.rule4_fixpoint_pending());
+        verdicts.push(pre.verdict());
+    }
+    let first_w = first_writers(txs);
+    let mut ck = CausalChecker::new();
+    let mut stubs = Vec::with_capacity(txs.len());
+    for (i, t) in txs.iter().enumerate() {
+        ck.ingest(t.clone());
+        let done = i + 1;
+        let mut stats = None;
+        if gc_at(done) && gc_allowed(txs, done, &fixpoint, &first_w) {
+            let (live, bottoms, floor) = suffix_contract(txs, done);
+            stats = Some(ck.gc_with(&live, &bottoms, floor));
+        }
+        let v = ck.verdict();
+        assert_eq!(v, verdicts[i], "step {i} ({stats:?}) of {txs:?}");
+        assert_eq!(v.render(), verdicts[i].render(), "step {i}");
+        stubs.push(ck.resident_stats().stubs);
+    }
+    (ck.retired(), stubs)
+}
+
+/// Every key written once up front (key `k` by client `k % clients`),
+/// then a tail of one- and two-key reads of each key's latest value.
+/// With `write_pm > 0` the tail is read-mostly: that share (per mille)
+/// of tail transactions also overwrites a key, and one read in ten
+/// returns the version before the latest.
+fn head_loaded(seed: u64, keys: u32, clients: u32, tail: usize, write_pm: u32) -> Vec<TxRecord> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut versions: Vec<Vec<Value>> = (0..keys).map(|k| vec![Value(1000 + k as u64)]).collect();
+    let mut next = 1000 + keys as u64;
+    let mut txs: Vec<TxRecord> = (0..keys)
+        .map(|k| TxRecord {
+            id: TxId(k as u64),
+            client: ClientId(k % clients),
+            reads: vec![],
+            writes: vec![(Key(k), versions[k as usize][0])],
+            invoked_at: 0,
+            completed_at: 0,
+        })
+        .collect();
+    for i in 0..tail {
+        let mut reads = Vec::new();
+        for _ in 0..rng.gen_range(1..3) {
+            let k = rng.gen_range(0..keys);
+            let vs = &versions[k as usize];
+            let stale = write_pm > 0 && vs.len() >= 2 && rng.gen_range(0..10) == 0;
+            let v = vs[vs.len() - 1 - stale as usize];
+            reads.push((Key(k), v));
+        }
+        let mut writes = Vec::new();
+        if rng.gen_range(0..1000) < write_pm {
+            let k = rng.gen_range(0..keys);
+            writes.push((Key(k), Value(next)));
+            versions[k as usize].push(Value(next));
+            next += 1;
+        }
+        txs.push(TxRecord {
+            id: TxId(keys as u64 + i as u64),
+            client: ClientId(rng.gen_range(0..clients)),
+            reads,
+            writes,
+            invoked_at: 0,
+            completed_at: 0,
+        });
+    }
+    txs
+}
+
+/// The `rot-stream` shape: a preload whose writers stay live forever,
+/// then a read-only tail. GC every `k` transactions must retire past the
+/// preload (its writers become stubs) and stay invisible.
+#[test]
+fn head_loaded_read_only_tail_retires_past_the_preload() {
+    const KEYS: u32 = 32;
+    const TAIL: usize = 400;
+    for seed in 0..8u64 {
+        let k = 8 + 4 * seed as usize;
+        let txs = head_loaded(seed, KEYS, 6, TAIL, 0);
+        let (retired, stubs) = gc_repeatedly_matches(&txs, |i| i % k == 0);
+        assert!(
+            retired as f64 > 0.9 * txs.len() as f64,
+            "seed {seed}: retired {retired} of {}",
+            txs.len()
+        );
+        assert!(
+            retired > KEYS as usize,
+            "seed {seed}: the preload pins the cut"
+        );
+        assert!(
+            stubs.last().is_some_and(|&n| n > 0),
+            "seed {seed}: no live writer was stubbed"
+        );
+    }
+}
+
+/// The read-mostly variant: overwrites of stubbed writers, stale reads
+/// and the fixpoint shapes concurrent overwrites bring; GC skips the
+/// points an honest caller could not promise and stays invisible at the
+/// rest.
+#[test]
+fn head_loaded_read_mostly_tail_survives_gc() {
+    let mut retired_total = 0usize;
+    for seed in 0..8u64 {
+        let txs = head_loaded(100 + seed, 16, 4, 240, 50);
+        let (retired, _) = gc_repeatedly_matches(&txs, |i| i % 12 == 0);
+        retired_total += retired;
+    }
+    assert!(retired_total > 0, "GC never engaged on a read-mostly tail");
+}
+
+fn rec(id: u64, client: u32, reads: &[(u32, u64)], writes: &[(u32, u64)]) -> TxRecord {
+    TxRecord {
+        id: TxId(id),
+        client: ClientId(client),
+        reads: reads.iter().map(|&(k, v)| (Key(k), Value(v))).collect(),
+        writes: writes.iter().map(|&(k, v)| (Key(k), Value(v))).collect(),
+        invoked_at: 0,
+        completed_at: 0,
+    }
+}
+
+/// A stubbed live writer is overwritten, and its chain entry outlives
+/// its liveness: client Z never observes writer A, so A's entry on `x`
+/// stays in the chain (and its stub stays) after B overwrites `x`; once
+/// Z catches up, the entry is pruned and the stub goes with it. With
+/// `bottom_read`, R finally reads `x` as `⊥`: the chain is pinned in
+/// full by the contract, and the violation names the stubbed writer.
+fn overwritten_stub_history(bottom_read: bool) -> Vec<TxRecord> {
+    const A: u32 = 0;
+    const B: u32 = 1;
+    const R: u32 = 2;
+    const Z: u32 = 3;
+    let (x, y) = (0u32, 1u32);
+    let mut txs = vec![
+        rec(0, A, &[], &[(x, 1)]), // T0: the writer that gets stubbed
+        rec(1, B, &[], &[(y, 2)]),
+        rec(2, Z, &[(y, 2)], &[]),
+        rec(3, R, &[(x, 1), (y, 2)], &[]),
+        rec(4, A, &[(y, 2)], &[]),
+        rec(5, B, &[(x, 1)], &[]),
+        rec(6, R, &[(y, 2)], &[]), // GC: T0 is live and retires as a stub
+        rec(7, R, &[(x, 1)], &[]),
+        rec(8, Z, &[(y, 2)], &[]),
+        rec(9, B, &[], &[(x, 3)]), // overwrites T0's value
+        rec(10, A, &[(y, 2)], &[]),
+        rec(11, R, &[(x, 3)], &[]),
+        rec(12, Z, &[(y, 2)], &[]), // GC: T0 is dead but still chained
+        rec(13, Z, &[(x, 3)], &[]), // Z now sees A through T9
+        rec(14, A, &[(x, 3)], &[]),
+        rec(15, B, &[(y, 2)], &[]),
+        rec(16, R, &[(y, 2)], &[]), // GC: T0's entry is pruned
+        rec(17, R, &[(y, 2)], &[]),
+    ];
+    if bottom_read {
+        txs.push(rec(18, R, &[(x, u64::MAX)], &[]));
+    }
+    txs
+}
+
+#[test]
+fn overwritten_stub_outlives_liveness_while_chained() {
+    let gc_points = |i: usize| matches!(i, 7 | 13 | 17);
+    let txs = overwritten_stub_history(false);
+    let (retired, stubs) = gc_repeatedly_matches(&txs, gc_points);
+    assert!(retired > 9, "retired {retired}");
+    // After the first GC, T0 and T1 are live stubs; after the second, T0
+    // is a dead but chained stub beside T1; after the third, T0 is gone.
+    assert_eq!((stubs[6], stubs[12]), (2, 2), "{stubs:?}");
+    assert!(stubs[16] < stubs[12], "{stubs:?}");
+
+    let txs = overwritten_stub_history(true);
+    let (_, stubs) = gc_repeatedly_matches(&txs, gc_points);
+    assert_eq!((stubs[6], stubs[12]), (2, 2), "{stubs:?}");
+    assert_eq!(stubs[16], 2, "the ⊥-read pins T0's chain entry: {stubs:?}");
+    let mut full = CausalChecker::new();
+    for t in &txs {
+        full.ingest(t.clone());
+    }
+    // The ⊥-read's violation names T0: the pruned checker read that id
+    // from T0's stub.
+    assert!(full
+        .verdict()
+        .violations
+        .contains(&Violation::BottomReadAfterWrite {
+            reader: TxId(18),
+            key: Key(0),
+            written_by: TxId(0),
+        }));
 }
 
 #[test]
