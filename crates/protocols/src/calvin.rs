@@ -18,7 +18,7 @@
 //! dispatch, so multi-shard writes apply independently — atomicity
 //! falls out of determinism, exactly as in Calvin.
 
-use crate::common::{Completed, ProtocolNode, Topology};
+use crate::common::{Completed, Gather, ProtocolNode, Topology};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::HashMap;
@@ -53,21 +53,13 @@ pub enum Msg {
     ShardResp { id: TxId, reads: Vec<(Key, Value)> },
 }
 
-/// In-flight transaction at the client.
-#[derive(Clone, Debug)]
-struct Pending {
-    keys: Vec<Key>,
-    got: HashMap<Key, Value>,
-    awaiting: usize,
-    is_read: bool,
-    invoked_at: u64,
-}
-
 /// Calvin client.
 #[derive(Clone, Debug)]
 pub struct ClientState {
     topo: Topology,
-    pending: HashMap<TxId, Pending>,
+    /// In-flight transactions (a write gathers empty acks), each beside
+    /// whether it is read-only.
+    pending: HashMap<TxId, (Gather<Value>, bool)>,
     completed: HashMap<TxId, Completed>,
 }
 
@@ -125,16 +117,8 @@ impl CalvinNode {
                         },
                     );
                     let awaiting = c.topo.group_by_primary(&keys).len();
-                    c.pending.insert(
-                        id,
-                        Pending {
-                            keys,
-                            got: HashMap::new(),
-                            awaiting,
-                            is_read: true,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.pending
+                        .insert(id, (Gather::new(keys, awaiting, ctx.now()), true));
                 }
                 Msg::InvokeWtx { id, writes } => {
                     let keys: Vec<Key> = writes.iter().map(|&(k, _)| k).collect();
@@ -147,50 +131,30 @@ impl CalvinNode {
                             writes,
                         },
                     );
-                    c.pending.insert(
-                        id,
-                        Pending {
-                            keys,
-                            got: HashMap::new(),
-                            awaiting,
-                            is_read: false,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.pending
+                        .insert(id, (Gather::new(keys, awaiting, ctx.now()), false));
                 }
                 Msg::SeqResp { .. } => {
                     // Round 1 complete; the dispatches are on their way to
                     // the shards. Nothing to do but wait for round 2.
                 }
                 Msg::ShardResp { id, reads } => {
-                    let now = ctx.now();
-                    if let Some(p) = c.pending.get_mut(&id) {
-                        for (k, v) in reads {
-                            p.got.insert(k, v);
-                        }
-                        p.awaiting -= 1;
-                        if p.awaiting == 0 {
-                            let Some(p) = c.pending.remove(&id) else {
-                                continue;
-                            };
-                            let reads = if p.is_read {
-                                p.keys
-                                    .iter()
-                                    .map(|&k| (k, p.got.get(&k).copied().unwrap_or(Value::BOTTOM)))
-                                    .collect()
-                            } else {
-                                Vec::new()
-                            };
-                            c.completed.insert(
-                                id,
-                                Completed {
-                                    id,
-                                    reads,
-                                    invoked_at: p.invoked_at,
-                                    completed_at: now,
-                                },
-                            );
-                        }
+                    let Some((p, _)) = c.pending.get_mut(&id) else {
+                        continue;
+                    };
+                    for (k, v) in reads {
+                        p.got.insert(k, v);
+                    }
+                    if p.arrived() {
+                        let Some((p, is_read)) = c.pending.remove(&id) else {
+                            continue;
+                        };
+                        let done = if is_read {
+                            p.finish(id, ctx.now(), |_, v| v.copied().unwrap_or(Value::BOTTOM))
+                        } else {
+                            Completed::write(id, p.invoked_at, ctx.now())
+                        };
+                        c.completed.insert(id, done);
                     }
                 }
                 _ => {}

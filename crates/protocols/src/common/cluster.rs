@@ -613,12 +613,8 @@ mod tests {
                                 ctx.send(s, SMsg::Req { id, round: rr });
                             }
                         } else if let Some((pid, keys)) = pending.take() {
-                            completed.push(Completed {
-                                id: pid,
-                                reads: keys.iter().map(|&k| (k, Value(1))).collect(),
-                                invoked_at: 0,
-                                completed_at: ctx.now(),
-                            });
+                            let reads = keys.iter().map(|&k| (k, Value(1))).collect();
+                            completed.push(Completed::read(pid, reads, 0, ctx.now()));
                         }
                     }
                     (Scripted::Server { parked }, SMsg::Req { id, round }) => {

@@ -4,6 +4,12 @@
 use cbf_model::{ClientId, Key};
 use cbf_sim::ProcessId;
 
+/// Maximum client retry attempts when [`Topology::retry_after`] is set.
+/// With exponential doubling the total retry window is
+/// `retry_after * (2^MAX_RETRIES - 1)` virtual ns — for a 1 ms base that
+/// is ~1.02 s, well inside the harness horizons.
+pub const MAX_RETRIES: u32 = 10;
+
 /// The shape of a simulated deployment.
 ///
 /// Process ids are laid out as `[servers..., clients...]`: server `i` is
@@ -37,7 +43,7 @@ pub struct Topology {
     /// byte-identical to the pre-nemesis simulator. When set, clients
     /// arm a timer per transaction and re-send outstanding requests with
     /// exponential backoff (base, 2×base, 4×base, …) up to
-    /// [`crate::common::MAX_RETRIES`] attempts.
+    /// [`MAX_RETRIES`] attempts.
     pub retry_after: u64,
 }
 
@@ -98,6 +104,12 @@ impl Topology {
     pub fn with_retry(mut self, base: u64) -> Self {
         self.retry_after = base;
         self
+    }
+
+    /// The backoff before retry `attempt` (0-based): `retry_after <<
+    /// attempt`, or `None` when retries are disabled or exhausted.
+    pub fn retry_delay(&self, attempt: u32) -> Option<u64> {
+        (self.retry_after != 0 && attempt < MAX_RETRIES).then(|| self.retry_after << attempt)
     }
 
     /// Total processes.
@@ -214,6 +226,19 @@ mod tests {
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0], (ProcessId(0), vec![Key(0), Key(2)]));
         assert_eq!(groups[1], (ProcessId(1), vec![Key(1), Key(3)]));
+    }
+
+    #[test]
+    fn retry_delay_doubles_until_the_budget_runs_out() {
+        assert_eq!(Topology::minimal(1).retry_delay(0), None);
+        let t = Topology::minimal(1).with_retry(100);
+        assert_eq!(t.retry_delay(0), Some(100));
+        assert_eq!(t.retry_delay(3), Some(800));
+        assert_eq!(
+            t.retry_delay(MAX_RETRIES - 1),
+            Some(100 << (MAX_RETRIES - 1))
+        );
+        assert_eq!(t.retry_delay(MAX_RETRIES), None);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * clients cache their own recent writes for read-your-writes and keep
 //!   a snapshot floor for monotonic reads.
 
-use crate::common::{Completed, HybridClock, MvStore, ProtocolNode, Topology, Version};
+use crate::common::tx::read_your_writes;
+use crate::common::{Completed, Gather, HybridClock, MvStore, ProtocolNode, Topology, Version};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId, Time, MICROS};
 use std::collections::HashMap;
@@ -61,16 +62,6 @@ pub enum Msg {
     PutAck { id: TxId, key: Key, ts: u64 },
 }
 
-/// In-flight ROT at the client.
-#[derive(Clone, Debug)]
-struct PendingRot {
-    keys: Vec<Key>,
-    snapshot: u64,
-    got: HashMap<Key, (Value, u64)>,
-    awaiting: usize,
-    invoked_at: u64,
-}
-
 /// Contrarian client.
 #[derive(Clone, Debug)]
 pub struct ClientState {
@@ -79,7 +70,8 @@ pub struct ClientState {
     cache: HashMap<Key, (Value, u64)>,
     dep_ts: u64,
     last_snapshot: u64,
-    rots: HashMap<TxId, PendingRot>,
+    /// In-flight ROTs, each beside the snapshot it reads at.
+    rots: HashMap<TxId, (Gather<(Value, u64)>, u64)>,
     /// In-flight single-key writes: id → (value, invoked_at).
     puts: HashMap<TxId, (Value, u64)>,
     completed: HashMap<TxId, Completed>,
@@ -126,63 +118,34 @@ impl ContrarianNode {
                 Msg::InvokeRot { id, keys } => {
                     let server = c.topo.primary(keys[0]);
                     ctx.send(server, Msg::GssReq { id });
-                    c.rots.insert(
-                        id,
-                        PendingRot {
-                            keys,
-                            snapshot: 0,
-                            got: HashMap::new(),
-                            awaiting: 0,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.rots.insert(id, (Gather::new(keys, 0, ctx.now()), 0));
                 }
                 Msg::GssResp { id, gss } => {
-                    let Some(p) = c.rots.get_mut(&id) else {
+                    let Some((p, snapshot)) = c.rots.get_mut(&id) else {
                         continue;
                     };
                     let at = gss.max(c.last_snapshot);
                     c.last_snapshot = at;
-                    p.snapshot = at;
-                    let groups = c.topo.group_by_primary(&p.keys);
-                    p.awaiting = groups.len();
-                    for (server, ks) in groups {
+                    *snapshot = at;
+                    for (server, ks) in p.by_primary(&c.topo) {
                         ctx.send(server, Msg::ReadAt { id, keys: ks, at });
                     }
                 }
                 Msg::ReadAtResp { id, reads } => {
-                    let Some(p) = c.rots.get_mut(&id) else {
+                    let Some((p, _)) = c.rots.get_mut(&id) else {
                         continue;
                     };
                     for (k, v, ts) in reads {
                         p.got.insert(k, (v, ts));
                     }
-                    p.awaiting -= 1;
-                    if p.awaiting == 0 {
-                        let Some(p) = c.rots.remove(&id) else {
+                    if p.arrived() {
+                        let Some((p, snap)) = c.rots.remove(&id) else {
                             continue;
                         };
-                        let mut out = Vec::with_capacity(p.keys.len());
-                        for &k in &p.keys {
-                            let (mut v, ts) = p.got.get(&k).copied().unwrap_or((Value::BOTTOM, 0));
-                            if let Some(&(cv, cts)) = c.cache.get(&k) {
-                                if cts > ts {
-                                    v = cv;
-                                }
-                            }
-                            out.push((k, v));
-                        }
-                        let snap = p.snapshot;
+                        let done =
+                            p.finish(id, ctx.now(), |k, r| read_your_writes(r, c.cache.get(&k)));
                         c.cache.retain(|_, &mut (_, ts)| ts > snap);
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: out,
-                                invoked_at: p.invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed.insert(id, done);
                     }
                 }
                 Msg::InvokeWtx { id, writes } => {
@@ -204,15 +167,8 @@ impl ContrarianNode {
                         // Cache the write for read-your-writes until the
                         // snapshot catches up to it.
                         c.cache.insert(key, (value, ts));
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: Vec::new(),
-                                invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed
+                            .insert(id, Completed::write(id, invoked_at, ctx.now()));
                     }
                 }
                 _ => {}

@@ -22,9 +22,7 @@
 //! implementation shards without replication, which preserves exactly the
 //! message pattern (rounds, values, blocking) the theorem is about.
 
-use crate::common::{
-    Completed, LamportClock, MvStore, ProtocolNode, Topology, Version, MAX_RETRIES,
-};
+use crate::common::{Completed, LamportClock, MvStore, ProtocolNode, Topology, Version};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::{BTreeSet, HashMap};
@@ -198,15 +196,8 @@ impl CopsNode {
                     if let Some(pw) = c.puts.remove(&id) {
                         let slot = c.context.entry(key).or_insert(0);
                         *slot = (*slot).max(ts);
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: Vec::new(),
-                                invoked_at: pw.invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed
+                            .insert(id, Completed::write(id, pw.invoked_at, ctx.now()));
                     }
                 }
                 Msg::GetResp { id, items } => {
@@ -280,11 +271,9 @@ impl CopsNode {
     /// Arm (or re-arm, with exponential backoff) the per-transaction
     /// retry timer. No-op when retries are disabled or exhausted.
     fn arm_retry(c: &ClientState, id: TxId, attempt: u32, ctx: &mut Ctx<Msg>) {
-        if c.topo.retry_after == 0 || attempt >= MAX_RETRIES {
-            return;
+        if let Some(delay) = c.topo.retry_delay(attempt) {
+            ctx.set_timer(delay, Msg::RetryTick { id, attempt });
         }
-        let delay = c.topo.retry_after << attempt;
-        ctx.set_timer(delay, Msg::RetryTick { id, attempt });
     }
 
     /// After all round-1 responses: compute the causally-correct-version
@@ -318,15 +307,8 @@ impl CopsNode {
                 *slot = (*slot).max(ts);
             }
         }
-        c.completed.insert(
-            id,
-            Completed {
-                id,
-                reads,
-                invoked_at: p.invoked_at,
-                completed_at: now,
-            },
-        );
+        c.completed
+            .insert(id, Completed::read(id, reads, p.invoked_at, now));
     }
 
     fn server_step(s: &mut ServerState, ctx: &mut Ctx<Msg>) {

@@ -31,7 +31,7 @@
 //! Each client owns its log — causal consistency does not require
 //! clients to agree on the order of concurrent transactions.
 
-use crate::common::{Completed, LamportClock, ProtocolNode, Topology};
+use crate::common::{Completed, Gather, LamportClock, ProtocolNode, Topology};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::{HashMap, HashSet};
@@ -79,15 +79,6 @@ pub enum Msg {
     FatWriteAck { id: TxId },
 }
 
-/// In-flight ROT at the client.
-#[derive(Clone, Debug)]
-struct PendingRot {
-    keys: Vec<Key>,
-    items: Vec<FatItem>,
-    awaiting: usize,
-    invoked_at: u64,
-}
-
 /// In-flight write: `(record, awaiting, invoked_at)`.
 type PendingWtx = (TxDep, usize, u64);
 
@@ -102,7 +93,9 @@ pub struct ClientState {
     applied: HashSet<TxId>,
     /// The folded store: key → value after applying the log in order.
     store: HashMap<Key, Value>,
-    rots: HashMap<TxId, PendingRot>,
+    /// In-flight ROTs, each beside the fat items returned so far (the
+    /// values come from the folded store, not from the responses).
+    rots: HashMap<TxId, (Gather<()>, Vec<FatItem>)>,
     wtxs: HashMap<TxId, PendingWtx>,
     completed: HashMap<TxId, Completed>,
 }
@@ -152,28 +145,18 @@ impl CopsRwNode {
         for env in ctx.recv() {
             match env.msg {
                 Msg::InvokeRot { id, keys } => {
-                    let groups = c.topo.group_by_primary(&keys);
-                    let awaiting = groups.len();
-                    for (server, ks) in groups {
+                    let mut p = Gather::new(keys, 0, ctx.now());
+                    for (server, ks) in p.by_primary(&c.topo) {
                         ctx.send(server, Msg::FatRead { id, keys: ks });
                     }
-                    c.rots.insert(
-                        id,
-                        PendingRot {
-                            keys,
-                            items: Vec::new(),
-                            awaiting,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.rots.insert(id, (p, Vec::new()));
                 }
                 Msg::FatReadResp { id, items } => {
-                    let Some(p) = c.rots.get_mut(&id) else {
+                    let Some((p, fat)) = c.rots.get_mut(&id) else {
                         continue;
                     };
-                    p.items.extend(items);
-                    p.awaiting -= 1;
-                    if p.awaiting == 0 {
+                    fat.extend(items);
+                    if p.arrived() {
                         Self::resolve_rot(c, id, ctx.now());
                     }
                 }
@@ -214,15 +197,8 @@ impl CopsRwNode {
                             continue;
                         };
                         c.absorb(&record);
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: Vec::new(),
-                                invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed
+                            .insert(id, Completed::write(id, invoked_at, ctx.now()));
                     }
                 }
                 _ => {}
@@ -233,31 +209,21 @@ impl CopsRwNode {
     /// All responses in: absorb every learned transaction into the
     /// session log, then answer from the folded store.
     fn resolve_rot(c: &mut ClientState, id: TxId, now: u64) {
-        let Some(p) = c.rots.remove(&id) else {
+        let Some((p, items)) = c.rots.remove(&id) else {
             return;
         };
         let mut batch = Vec::new();
-        for item in p.items {
+        for item in items {
             if let Some(rec) = item.record {
                 batch.push(rec);
             }
             batch.extend(item.deps);
         }
         c.absorb_batch(batch);
-        let reads: Vec<(Key, Value)> = p
-            .keys
-            .iter()
-            .map(|&k| (k, c.store.get(&k).copied().unwrap_or(Value::BOTTOM)))
-            .collect();
-        c.completed.insert(
-            id,
-            Completed {
-                id,
-                reads,
-                invoked_at: p.invoked_at,
-                completed_at: now,
-            },
-        );
+        let done = p.finish(id, now, |k, _| {
+            c.store.get(&k).copied().unwrap_or(Value::BOTTOM)
+        });
+        c.completed.insert(id, done);
     }
 
     fn server_step(s: &mut ServerState, ctx: &mut Ctx<Msg>) {

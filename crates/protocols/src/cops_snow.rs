@@ -24,9 +24,7 @@
 //! ordered by `(key, version)`, so `old_readers` visits only the
 //! versions `≤ ts` of the dependency's key.
 
-use crate::common::{
-    Completed, LamportClock, MvStore, ProtocolNode, Topology, Version, MAX_RETRIES,
-};
+use crate::common::{Completed, LamportClock, MvStore, ProtocolNode, Topology, Version};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -382,15 +380,8 @@ impl CopsSnowNode {
                                 *slot = (*slot).max(ts);
                             }
                         }
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: out,
-                                invoked_at: p.invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed
+                            .insert(id, Completed::read(id, out, p.invoked_at, ctx.now()));
                     }
                 }
                 Msg::PutAck { id, key, ts } => {
@@ -398,15 +389,8 @@ impl CopsSnowNode {
                     if let Some(pw) = c.puts.remove(&id) {
                         let slot = c.context.entry(key).or_insert(0);
                         *slot = (*slot).max(ts);
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: Vec::new(),
-                                invoked_at: pw.invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed
+                            .insert(id, Completed::write(id, pw.invoked_at, ctx.now()));
                     }
                 }
                 Msg::RetryTick { id, attempt } => {
@@ -443,13 +427,9 @@ impl CopsSnowNode {
     /// Arm (or re-arm, with exponential backoff) the per-transaction
     /// retry timer. No-op when retries are disabled or exhausted.
     fn arm_retry(c: &ClientState, id: TxId, attempt: u32, ctx: &mut Ctx<Msg>) {
-        if c.topo.retry_after == 0 || attempt >= MAX_RETRIES {
-            return;
+        if let Some(delay) = c.topo.retry_delay(attempt) {
+            ctx.set_timer(delay, Msg::RetryTick { id, attempt });
         }
-        ctx.set_timer(
-            c.topo.retry_after << attempt,
-            Msg::RetryTick { id, attempt },
-        );
     }
 
     fn server_step(s: &mut ServerState, ctx: &mut Ctx<Msg>) {

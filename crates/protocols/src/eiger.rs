@@ -27,9 +27,7 @@
 //!
 //! No server ever defers a response: non-blocking throughout.
 
-use crate::common::{
-    Completed, LamportClock, MvStore, ProtocolNode, Topology, Version, MAX_RETRIES,
-};
+use crate::common::{Completed, LamportClock, MvStore, ProtocolNode, Topology, Version};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -247,15 +245,8 @@ impl EigerNode {
                 Msg::WtxAck { id, ts } => {
                     if let Some(w) = c.wtxs.remove(&id) {
                         c.dep_ts = c.dep_ts.max(ts);
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: Vec::new(),
-                                invoked_at: w.invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed
+                            .insert(id, Completed::write(id, w.invoked_at, ctx.now()));
                     }
                 }
                 Msg::Read1Resp {
@@ -398,13 +389,9 @@ impl EigerNode {
     /// Arm (or re-arm, with exponential backoff) the per-transaction
     /// retry timer. No-op when retries are disabled or exhausted.
     fn arm_retry(c: &ClientState, id: TxId, attempt: u32, ctx: &mut Ctx<Msg>) {
-        if c.topo.retry_after == 0 || attempt >= MAX_RETRIES {
-            return;
+        if let Some(delay) = c.topo.retry_delay(attempt) {
+            ctx.set_timer(delay, Msg::RetryTick { id, attempt });
         }
-        ctx.set_timer(
-            c.topo.retry_after << attempt,
-            Msg::RetryTick { id, attempt },
-        );
     }
 
     /// Round 1 done: pick the snapshot; settled servers are covered,
@@ -487,15 +474,8 @@ impl EigerNode {
             max_seen = max_seen.max(ts);
         }
         c.dep_ts = c.dep_ts.max(max_seen);
-        c.completed.insert(
-            id,
-            Completed {
-                id,
-                reads,
-                invoked_at: p.invoked_at,
-                completed_at: now,
-            },
-        );
+        c.completed
+            .insert(id, Completed::read(id, reads, p.invoked_at, now));
     }
 
     fn server_step(s: &mut ServerState, ctx: &mut Ctx<Msg>) {

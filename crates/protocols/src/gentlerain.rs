@@ -13,7 +13,7 @@
 //! therefore blocks for up to a stabilization period — the N violation
 //! the paper's Table 1 records.
 
-use crate::common::{Completed, HybridClock, MvStore, ProtocolNode, Topology, Version};
+use crate::common::{Completed, Gather, HybridClock, MvStore, ProtocolNode, Topology, Version};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId, Time, MILLIS};
 use std::collections::HashMap;
@@ -58,15 +58,6 @@ pub enum Msg {
     PutAck { id: TxId, key: Key, ts: u64 },
 }
 
-/// In-flight ROT at the client.
-#[derive(Clone, Debug)]
-struct PendingRot {
-    keys: Vec<Key>,
-    got: HashMap<Key, (Value, u64)>,
-    awaiting: usize,
-    invoked_at: u64,
-}
-
 /// A read parked at a server until its GST reaches `at`.
 #[derive(Clone, Debug)]
 struct ParkedRead {
@@ -83,7 +74,7 @@ pub struct ClientState {
     /// Highest timestamp observed (own writes and reads).
     dep_ts: u64,
     last_snapshot: u64,
-    rots: HashMap<TxId, PendingRot>,
+    rots: HashMap<TxId, Gather<Value>>,
     puts: HashMap<TxId, u64>,
     completed: HashMap<TxId, Completed>,
 }
@@ -152,15 +143,7 @@ impl GentleRainNode {
                 Msg::InvokeRot { id, keys } => {
                     let server = c.topo.primary(keys[0]);
                     ctx.send(server, Msg::GstReq { id });
-                    c.rots.insert(
-                        id,
-                        PendingRot {
-                            keys,
-                            got: HashMap::new(),
-                            awaiting: 0,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.rots.insert(id, Gather::new(keys, 0, ctx.now()));
                 }
                 Msg::GstResp { id, gst } => {
                     let Some(p) = c.rots.get_mut(&id) else {
@@ -171,9 +154,7 @@ impl GentleRainNode {
                     // the server will block until it is stable.
                     let at = gst.max(c.dep_ts).max(c.last_snapshot);
                     c.last_snapshot = at;
-                    let groups = c.topo.group_by_primary(&p.keys);
-                    p.awaiting = groups.len();
-                    for (server, ks) in groups {
+                    for (server, ks) in p.by_primary(&c.topo) {
                         ctx.send(server, Msg::ReadAt { id, keys: ks, at });
                     }
                 }
@@ -183,27 +164,15 @@ impl GentleRainNode {
                     };
                     for (k, v, ts) in reads {
                         c.dep_ts = c.dep_ts.max(ts);
-                        p.got.insert(k, (v, ts));
+                        p.got.insert(k, v);
                     }
-                    p.awaiting -= 1;
-                    if p.awaiting == 0 {
+                    if p.arrived() {
                         let Some(p) = c.rots.remove(&id) else {
                             continue;
                         };
-                        let reads = p
-                            .keys
-                            .iter()
-                            .map(|&k| (k, p.got.get(&k).map_or(Value::BOTTOM, |&(v, _)| v)))
-                            .collect();
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads,
-                                invoked_at: p.invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        let done =
+                            p.finish(id, ctx.now(), |_, v| v.copied().unwrap_or(Value::BOTTOM));
+                        c.completed.insert(id, done);
                     }
                 }
                 Msg::InvokeWtx { id, writes } => {
@@ -222,15 +191,8 @@ impl GentleRainNode {
                 Msg::PutAck { id, ts, .. } => {
                     if let Some(invoked_at) = c.puts.remove(&id) {
                         c.dep_ts = c.dep_ts.max(ts);
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: Vec::new(),
-                                invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed
+                            .insert(id, Completed::write(id, invoked_at, ctx.now()));
                     }
                 }
                 _ => {}

@@ -179,15 +179,8 @@ impl<const P: u8, const GOSSIP: bool> NaiveNode<P, GOSSIP> {
                             };
                             let mut reads = p.reads;
                             reads.sort_by_key(|(k, _)| *k);
-                            c.completed.insert(
-                                id,
-                                Completed {
-                                    id,
-                                    reads,
-                                    invoked_at: p.invoked_at,
-                                    completed_at: now,
-                                },
-                            );
+                            c.completed
+                                .insert(id, Completed::read(id, reads, p.invoked_at, now));
                         }
                     }
                 }
@@ -218,15 +211,8 @@ impl<const P: u8, const GOSSIP: bool> NaiveNode<P, GOSSIP> {
                                 let Some(p) = c.pending.remove(&id) else {
                                     continue;
                                 };
-                                c.completed.insert(
-                                    id,
-                                    Completed {
-                                        id,
-                                        reads: Vec::new(),
-                                        invoked_at: p.invoked_at,
-                                        completed_at: now,
-                                    },
-                                );
+                                c.completed
+                                    .insert(id, Completed::write(id, p.invoked_at, now));
                             }
                         }
                     }

@@ -25,7 +25,7 @@
 //! on a plain sharded topology reads hit masters and validation never
 //! fires.
 
-use crate::common::{Completed, LamportClock, MvStore, ProtocolNode, Topology, Version};
+use crate::common::{Completed, Gather, LamportClock, MvStore, ProtocolNode, Topology, Version};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::HashMap;
@@ -87,16 +87,9 @@ pub enum Msg {
     },
 }
 
-/// In-flight ROT at the client.
-#[derive(Clone, Debug)]
-struct PendingRot {
-    keys: Vec<Key>,
-    got: HashMap<Key, (Value, u64)>,
-    meta: Vec<Item>,
-    awaiting: usize,
-    retries: u32,
-    invoked_at: u64,
-}
+/// In-flight ROT at the client: the gather (newest version per key),
+/// beside the returned items' key-lists and the re-reads spent.
+type PendingRead = (Gather<(Value, u64)>, Vec<Item>, u32);
 
 /// Occult client: per-key causal high-water marks.
 #[derive(Clone, Debug)]
@@ -105,7 +98,7 @@ pub struct ClientState {
     /// Causal timestamp: the newest version (per key) this client has
     /// observed or written.
     causal: HashMap<Key, u64>,
-    rots: HashMap<TxId, PendingRot>,
+    rots: HashMap<TxId, PendingRead>,
     /// In-flight write transactions: id → (written keys, invoked_at).
     wtxs: HashMap<TxId, (Vec<Key>, u64)>,
     completed: HashMap<TxId, Completed>,
@@ -145,9 +138,9 @@ pub enum OccultNode {
     Server(ServerState),
 }
 
-/// Retry budget before a ROT gives up retrying slaves and targets the
-/// masters outright (it converges well before this in practice).
-const MAX_RETRIES: u32 = 8;
+/// Re-reads of stale keys at their masters a ROT may spend before it
+/// answers with what it has (it converges well before this in practice).
+const MAX_REREADS: u32 = 8;
 
 impl OccultNode {
     /// The replica a client prefers for a key: the last (most remote)
@@ -185,20 +178,11 @@ impl OccultNode {
             match env.msg {
                 Msg::InvokeRot { id, keys } => {
                     let awaiting = Self::send_reads(c, ctx, id, &keys, false);
-                    c.rots.insert(
-                        id,
-                        PendingRot {
-                            keys,
-                            got: HashMap::new(),
-                            meta: Vec::new(),
-                            awaiting,
-                            retries: 0,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.rots
+                        .insert(id, (Gather::new(keys, awaiting, ctx.now()), Vec::new(), 0));
                 }
                 Msg::ReadResp { id, items } => {
-                    let Some(p) = c.rots.get_mut(&id) else {
+                    let Some((p, meta, _)) = c.rots.get_mut(&id) else {
                         continue;
                     };
                     for it in &items {
@@ -207,9 +191,8 @@ impl OccultNode {
                             p.got.insert(it.key, (it.value, it.ts));
                         }
                     }
-                    p.meta.extend(items);
-                    p.awaiting -= 1;
-                    if p.awaiting == 0 {
+                    meta.extend(items);
+                    if p.arrived() {
                         Self::validate_rot(c, id, ctx);
                     }
                 }
@@ -228,15 +211,8 @@ impl OccultNode {
                             let slot = c.causal.entry(k).or_insert(0);
                             *slot = (*slot).max(ts);
                         }
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: Vec::new(),
-                                invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed
+                            .insert(id, Completed::write(id, invoked_at, ctx.now()));
                     }
                 }
                 _ => {}
@@ -248,7 +224,7 @@ impl OccultNode {
     /// and transactional fracture against the key-list metadata. Any
     /// miss triggers a retry of the lagging keys at their masters.
     fn validate_rot(c: &mut ClientState, id: TxId, ctx: &mut Ctx<Msg>) {
-        let Some(p) = c.rots.get_mut(&id) else {
+        let Some((p, meta, retries)) = c.rots.get_mut(&id) else {
             return;
         };
         // Required floor per key: the client's causal timestamp and the
@@ -257,7 +233,7 @@ impl OccultNode {
         let mut required: HashMap<Key, u64> = HashMap::new();
         for &k in &p.keys {
             let mut need = c.causal.get(&k).copied().unwrap_or(0);
-            for it in &p.meta {
+            for it in meta.iter() {
                 if it.tx_keys.contains(&k) {
                     need = need.max(it.ts);
                 }
@@ -270,35 +246,25 @@ impl OccultNode {
             .copied()
             .filter(|k| p.got.get(k).map_or(0, |&(_, ts)| ts) < required[k])
             .collect();
-        if !stale.is_empty() && p.retries < MAX_RETRIES {
-            p.retries += 1;
-            let _ = p;
+        if !stale.is_empty() && *retries < MAX_REREADS {
+            *retries += 1;
             let awaiting = Self::send_reads(c, ctx, id, &stale, true);
-            if let Some(p) = c.rots.get_mut(&id) {
+            if let Some((p, _, _)) = c.rots.get_mut(&id) {
                 p.awaiting = awaiting;
             }
             return;
         }
         // Done: record what we saw in the causal timestamp and respond.
-        let Some(p) = c.rots.remove(&id) else {
+        let Some((p, _, _)) = c.rots.remove(&id) else {
             return;
         };
-        let mut reads = Vec::with_capacity(p.keys.len());
-        for &k in &p.keys {
-            let (v, ts) = p.got.get(&k).copied().unwrap_or((Value::BOTTOM, 0));
+        let done = p.finish(id, ctx.now(), |k, r| {
+            let (v, ts) = r.copied().unwrap_or((Value::BOTTOM, 0));
             let slot = c.causal.entry(k).or_insert(0);
             *slot = (*slot).max(ts);
-            reads.push((k, v));
-        }
-        c.completed.insert(
-            id,
-            Completed {
-                id,
-                reads,
-                invoked_at: p.invoked_at,
-                completed_at: ctx.now(),
-            },
-        );
+            v
+        });
+        c.completed.insert(id, done);
     }
 
     fn server_step(s: &mut ServerState, ctx: &mut Ctx<Msg>) {

@@ -27,7 +27,8 @@
 //!
 //! Run `repro daggers` to see the audit call it out.
 
-use crate::common::{Completed, LamportClock, MvStore, ProtocolNode, Topology, Version};
+use crate::common::tx::read_your_writes;
+use crate::common::{Completed, Gather, LamportClock, MvStore, ProtocolNode, Topology, Version};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::HashMap;
@@ -68,15 +69,6 @@ pub enum Msg {
     WtxAck { id: TxId, ts: u64 },
 }
 
-/// In-flight ROT at the client.
-#[derive(Clone, Debug)]
-struct PendingRot {
-    keys: Vec<Key>,
-    got: HashMap<Key, (Value, u64)>,
-    awaiting: usize,
-    invoked_at: u64,
-}
-
 /// Pinned-snapshot client.
 #[derive(Clone, Debug)]
 pub struct ClientState {
@@ -85,7 +77,7 @@ pub struct ClientState {
     pinned: u64,
     /// Own writes above the pin, for read-your-writes.
     cache: HashMap<Key, (Value, u64)>,
-    rots: HashMap<TxId, PendingRot>,
+    rots: HashMap<TxId, Gather<(Value, u64)>>,
     wtxs: HashMap<TxId, (Vec<(Key, Value)>, u64)>,
     completed: HashMap<TxId, Completed>,
 }
@@ -124,20 +116,11 @@ impl PinnedNode {
             match env.msg {
                 Msg::InvokeRot { id, keys } => {
                     let at = c.pinned;
-                    let groups = c.topo.group_by_primary(&keys);
-                    let awaiting = groups.len();
-                    for (server, ks) in groups {
+                    let mut p = Gather::new(keys, 0, ctx.now());
+                    for (server, ks) in p.by_primary(&c.topo) {
                         ctx.send(server, Msg::ReadAt { id, keys: ks, at });
                     }
-                    c.rots.insert(
-                        id,
-                        PendingRot {
-                            keys,
-                            got: HashMap::new(),
-                            awaiting,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.rots.insert(id, p);
                 }
                 Msg::ReadAtResp { id, reads } => {
                     let Some(p) = c.rots.get_mut(&id) else {
@@ -146,34 +129,13 @@ impl PinnedNode {
                     for (k, v, ts) in reads {
                         p.got.insert(k, (v, ts));
                     }
-                    p.awaiting -= 1;
-                    if p.awaiting == 0 {
+                    if p.arrived() {
                         let Some(p) = c.rots.remove(&id) else {
                             continue;
                         };
-                        let reads = p
-                            .keys
-                            .iter()
-                            .map(|&k| {
-                                let (mut v, ts) =
-                                    p.got.get(&k).copied().unwrap_or((Value::BOTTOM, 0));
-                                if let Some(&(cv, cts)) = c.cache.get(&k) {
-                                    if cts > ts {
-                                        v = cv;
-                                    }
-                                }
-                                (k, v)
-                            })
-                            .collect();
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads,
-                                invoked_at: p.invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        let done =
+                            p.finish(id, ctx.now(), |k, r| read_your_writes(r, c.cache.get(&k)));
+                        c.completed.insert(id, done);
                     }
                 }
                 Msg::InvokeWtx { id, writes } => {
@@ -197,15 +159,8 @@ impl PinnedNode {
                         for (k, v) in writes {
                             c.cache.insert(k, (v, ts));
                         }
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: Vec::new(),
-                                invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed
+                            .insert(id, Completed::write(id, invoked_at, ctx.now()));
                     }
                 }
                 _ => {}

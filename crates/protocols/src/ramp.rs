@@ -24,7 +24,7 @@
 //!   the sibling key-lists and, on a fracture, round 2 fetches the
 //!   missing sibling versions by exact timestamp.
 
-use crate::common::{Completed, LamportClock, MvStore, ProtocolNode, Topology, Version};
+use crate::common::{Completed, Gather, LamportClock, MvStore, ProtocolNode, Topology, Version};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::HashMap;
@@ -78,15 +78,9 @@ pub enum Msg {
     },
 }
 
-/// In-flight ROT at the client.
-#[derive(Clone, Debug)]
-struct PendingRot {
-    keys: Vec<Key>,
-    got: HashMap<Key, (Value, u64)>,
-    meta: Vec<RampItem>,
-    awaiting: usize,
-    invoked_at: u64,
-}
+/// In-flight ROT at the client: the gather, beside its round-1 items'
+/// key-lists.
+type PendingRead = (Gather<(Value, u64)>, Vec<RampItem>);
 
 /// In-flight write transaction at the client.
 #[derive(Clone, Debug)]
@@ -103,7 +97,7 @@ struct PendingWtx {
 pub struct ClientState {
     topo: Topology,
     clock: LamportClock,
-    rots: HashMap<TxId, PendingRot>,
+    rots: HashMap<TxId, PendingRead>,
     wtxs: HashMap<TxId, PendingWtx>,
     completed: HashMap<TxId, Completed>,
 }
@@ -135,21 +129,11 @@ impl RampNode {
         for env in ctx.recv() {
             match env.msg {
                 Msg::InvokeRot { id, keys } => {
-                    let groups = c.topo.group_by_primary(&keys);
-                    let awaiting = groups.len();
-                    for (server, ks) in groups {
+                    let mut p = Gather::new(keys, 0, ctx.now());
+                    for (server, ks) in p.by_primary(&c.topo) {
                         ctx.send(server, Msg::Read1 { id, keys: ks });
                     }
-                    c.rots.insert(
-                        id,
-                        PendingRot {
-                            keys,
-                            got: HashMap::new(),
-                            meta: Vec::new(),
-                            awaiting,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.rots.insert(id, (p, Vec::new()));
                 }
                 Msg::InvokeWtx { id, writes } => {
                     let ts = c.clock.tick();
@@ -205,20 +189,13 @@ impl RampNode {
                             let Some(w) = c.wtxs.remove(&id) else {
                                 continue;
                             };
-                            c.completed.insert(
-                                id,
-                                Completed {
-                                    id,
-                                    reads: Vec::new(),
-                                    invoked_at: w.invoked_at,
-                                    completed_at: ctx.now(),
-                                },
-                            );
+                            c.completed
+                                .insert(id, Completed::write(id, w.invoked_at, ctx.now()));
                         }
                     }
                 }
                 Msg::Read1Resp { id, items } => {
-                    let Some(p) = c.rots.get_mut(&id) else {
+                    let Some((p, meta)) = c.rots.get_mut(&id) else {
                         continue;
                     };
                     for it in &items {
@@ -228,20 +205,18 @@ impl RampNode {
                         c.clock.witness(it.ts);
                         p.got.insert(it.key, (it.value, it.ts));
                     }
-                    p.meta.extend(items);
-                    p.awaiting -= 1;
-                    if p.awaiting == 0 {
+                    meta.extend(items);
+                    if p.arrived() {
                         Self::after_round_one(c, id, ctx);
                     }
                 }
                 Msg::Read2Resp { id, key, value, ts } => {
-                    let Some(p) = c.rots.get_mut(&id) else {
+                    let Some((p, _)) = c.rots.get_mut(&id) else {
                         continue;
                     };
                     c.clock.witness(ts);
                     p.got.insert(key, (value, ts));
-                    p.awaiting -= 1;
-                    if p.awaiting == 0 {
+                    if p.arrived() {
                         Self::complete_rot(c, id, ctx.now());
                     }
                 }
@@ -254,11 +229,11 @@ impl RampNode {
     /// any returned transaction that wrote it; fetch siblings where the
     /// optimistic read lags.
     fn after_round_one(c: &mut ClientState, id: TxId, ctx: &mut Ctx<Msg>) {
-        let Some(p) = c.rots.get_mut(&id) else {
+        let Some((p, meta)) = c.rots.get_mut(&id) else {
             return;
         };
         let mut latest: HashMap<Key, u64> = HashMap::new();
-        for it in &p.meta {
+        for it in meta.iter() {
             for &k in &it.tx_keys {
                 let slot = latest.entry(k).or_insert(0);
                 *slot = (*slot).max(it.ts);
@@ -284,23 +259,11 @@ impl RampNode {
     }
 
     fn complete_rot(c: &mut ClientState, id: TxId, now: u64) {
-        let Some(p) = c.rots.remove(&id) else {
+        let Some((p, _)) = c.rots.remove(&id) else {
             return;
         };
-        let reads = p
-            .keys
-            .iter()
-            .map(|&k| (k, p.got.get(&k).map_or(Value::BOTTOM, |&(v, _)| v)))
-            .collect();
-        c.completed.insert(
-            id,
-            Completed {
-                id,
-                reads,
-                invoked_at: p.invoked_at,
-                completed_at: now,
-            },
-        );
+        let done = p.finish(id, now, |_, r| r.map_or(Value::BOTTOM, |&(v, _)| v));
+        c.completed.insert(id, done);
     }
 
     fn server_step(s: &mut ServerState, ctx: &mut Ctx<Msg>) {

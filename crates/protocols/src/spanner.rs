@@ -24,7 +24,7 @@
 //!   `t_safe = min(local clock, min prepared ts − 1)` has passed
 //!   `s_read`; otherwise it parks the read — that is the blocking.
 
-use crate::common::{Completed, MvStore, ProtocolNode, Topology, TrueTime, Version, MAX_RETRIES};
+use crate::common::{Completed, MvStore, ProtocolNode, Topology, TrueTime, Version};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId, Time, MICROS};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -325,15 +325,8 @@ impl SpannerNode {
                             .iter()
                             .map(|&k| (k, p.got.get(&k).copied().unwrap_or(Value::BOTTOM)))
                             .collect();
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads,
-                                invoked_at: p.invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed
+                            .insert(id, Completed::read(id, reads, p.invoked_at, ctx.now()));
                     }
                 }
                 Msg::InvokeWtx { id, writes } => {
@@ -354,19 +347,11 @@ impl SpannerNode {
                     );
                     Self::arm_retry(c, id, 0, ctx);
                 }
-                Msg::WtxAck { id, ts } => {
-                    let _ = ts;
+                Msg::WtxAck { id, .. } => {
                     // `remove` makes a duplicated ack a no-op.
                     if let Some(pw) = c.wtxs.remove(&id) {
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: Vec::new(),
-                                invoked_at: pw.invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed
+                            .insert(id, Completed::write(id, pw.invoked_at, ctx.now()));
                     }
                 }
                 Msg::RetryTick { id, attempt } => {
@@ -412,13 +397,9 @@ impl SpannerNode {
     /// Arm (or re-arm, with exponential backoff) the per-transaction
     /// retry timer. No-op when retries are disabled or exhausted.
     fn arm_retry(c: &ClientState, id: TxId, attempt: u32, ctx: &mut Ctx<Msg>) {
-        if c.topo.retry_after == 0 || attempt >= MAX_RETRIES {
-            return;
+        if let Some(delay) = c.topo.retry_delay(attempt) {
+            ctx.set_timer(delay, Msg::RetryTick { id, attempt });
         }
-        ctx.set_timer(
-            c.topo.retry_after << attempt,
-            Msg::RetryTick { id, attempt },
-        );
     }
 
     fn server_step(s: &mut ServerState, ctx: &mut Ctx<Msg>) {

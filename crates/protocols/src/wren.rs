@@ -19,7 +19,8 @@
 //! and broadcasts it on a timer; GSS = the minimum LST heard from every
 //! server. LSTs are monotonic, hence so is the GSS.
 
-use crate::common::{Completed, HybridClock, MvStore, ProtocolNode, Topology, Version};
+use crate::common::tx::read_your_writes;
+use crate::common::{Completed, Gather, HybridClock, MvStore, ProtocolNode, Topology, Version};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId, Time, MICROS};
 use std::collections::HashMap;
@@ -74,16 +75,6 @@ pub enum Msg {
     WtxAck { id: TxId, ts: u64 },
 }
 
-/// In-flight ROT at the client.
-#[derive(Clone, Debug)]
-struct PendingRot {
-    keys: Vec<Key>,
-    snapshot: u64,
-    got: HashMap<Key, (Value, u64)>,
-    awaiting: usize,
-    invoked_at: u64,
-}
-
 /// Wren client: write cache for read-your-writes + snapshot floor for
 /// monotonicity.
 #[derive(Clone, Debug)]
@@ -95,7 +86,8 @@ pub struct ClientState {
     dep_ts: u64,
     /// Highest snapshot used so far (monotonic reads across ROTs).
     last_snapshot: u64,
-    rots: HashMap<TxId, PendingRot>,
+    /// In-flight ROTs, each beside the snapshot it reads at.
+    rots: HashMap<TxId, (Gather<(Value, u64)>, u64)>,
     wtxs: HashMap<TxId, (Vec<(Key, Value)>, u64)>,
     completed: HashMap<TxId, Completed>,
 }
@@ -158,70 +150,36 @@ impl WrenNode {
                     // Round 1: ask the primary of the first key for the GSS.
                     let server = c.topo.primary(keys[0]);
                     ctx.send(server, Msg::GssReq { id });
-                    c.rots.insert(
-                        id,
-                        PendingRot {
-                            keys,
-                            snapshot: 0,
-                            got: HashMap::new(),
-                            awaiting: 0,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.rots.insert(id, (Gather::new(keys, 0, ctx.now()), 0));
                 }
                 Msg::GssResp { id, gss } => {
-                    let Some(p) = c.rots.get_mut(&id) else {
+                    let Some((p, snapshot)) = c.rots.get_mut(&id) else {
                         continue;
                     };
                     // Snapshot floor keeps reads monotonic across ROTs.
                     let at = gss.max(c.last_snapshot);
                     c.last_snapshot = at;
-                    p.snapshot = at;
-                    let groups = c.topo.group_by_primary(&p.keys);
-                    p.awaiting = groups.len();
-                    for (server, ks) in groups {
+                    *snapshot = at;
+                    for (server, ks) in p.by_primary(&c.topo) {
                         ctx.send(server, Msg::ReadAt { id, keys: ks, at });
                     }
                 }
                 Msg::ReadAtResp { id, reads } => {
-                    let Some(p) = c.rots.get_mut(&id) else {
+                    let Some((p, _)) = c.rots.get_mut(&id) else {
                         continue;
                     };
                     for (k, v, ts) in reads {
                         p.got.insert(k, (v, ts));
                     }
-                    p.awaiting -= 1;
-                    if p.awaiting == 0 {
-                        let Some(p) = c.rots.remove(&id) else {
+                    if p.arrived() {
+                        let Some((p, snap)) = c.rots.remove(&id) else {
                             continue;
                         };
-                        let mut out = Vec::with_capacity(p.keys.len());
-                        for &k in &p.keys {
-                            let (mut v, mut ts) =
-                                p.got.get(&k).copied().unwrap_or((Value::BOTTOM, 0));
-                            // Read-your-writes: merge the client cache
-                            // where it is newer than the snapshot value.
-                            if let Some(&(cv, cts)) = c.cache.get(&k) {
-                                if cts > ts {
-                                    v = cv;
-                                    ts = cts;
-                                }
-                            }
-                            out.push((k, v));
-                            let _ = ts;
-                        }
+                        let done =
+                            p.finish(id, ctx.now(), |k, r| read_your_writes(r, c.cache.get(&k)));
                         // Prune cache entries now covered by the snapshot.
-                        let snap = p.snapshot;
                         c.cache.retain(|_, &mut (_, ts)| ts > snap);
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: out,
-                                invoked_at: p.invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed.insert(id, done);
                     }
                 }
                 Msg::InvokeWtx { id, writes } => {
@@ -242,15 +200,8 @@ impl WrenNode {
                         for (k, v) in writes {
                             c.cache.insert(k, (v, ts));
                         }
-                        c.completed.insert(
-                            id,
-                            Completed {
-                                id,
-                                reads: Vec::new(),
-                                invoked_at,
-                                completed_at: ctx.now(),
-                            },
-                        );
+                        c.completed
+                            .insert(id, Completed::write(id, invoked_at, ctx.now()));
                     }
                 }
                 _ => {}

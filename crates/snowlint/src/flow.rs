@@ -38,6 +38,8 @@
 //! the CI-diffed `results/LINT_report.json` alone. The same graph feeds
 //! a determinism taint pass (ambient randomness/clocks reachable from
 //! handlers) and a dead-arm check (consumed variants nothing emits).
+//! Since the closure stops at the module, [`check_common`] keeps sends,
+//! timers and completions out of the shared `common/` helpers.
 
 use crate::graph::{Arm, Derived, DestClass, Emission, HandlerGraph, Role};
 use crate::lexer::{Hint, Lexed, TokKind, Token};
@@ -67,6 +69,9 @@ pub const RULE_FLOW_TAINT: &str = "flow-taint";
 pub const RULE_FLOW_HINT: &str = "flow-hint";
 /// Rule: `msg_is_request` diverges from what clients send to servers.
 pub const RULE_FLOW_REQUESTS: &str = "flow-requests";
+/// Rule: a shared `common/` helper sends, arms a timer or records a
+/// completion, out of the flow pass's sight.
+pub const RULE_COMMON_EFFECT: &str = "flow-common-effect";
 
 /// Destination idents that name a server-class process (matched
 /// case-insensitively against the first `ctx.send` argument).
@@ -950,6 +955,49 @@ pub fn check_protocol(
         timer_only,
         derived,
     })
+}
+
+/// The guard at the flow pass's module boundary. snowflow closes each
+/// handler over its own module's call graph and sees nothing else, so a
+/// `ctx.send`, `ctx.set_timer` or `completed.insert` inside a
+/// `crates/protocols/src/common/` helper would be a hop or a completion
+/// no derived tuple counts. Non-test code there may have none of them;
+/// `#[cfg(test)]` items (test actors) are skipped whole.
+pub fn check_common(path: &str, lx: &Lexed, out: &mut Vec<Finding>) {
+    let toks = &lx.tokens;
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
+    let mut i = 0;
+    while i < toks.len() {
+        if toks[i].is_ident("cfg") && (text(i + 1), text(i + 2), text(i + 3)) == ("(", "test", ")")
+        {
+            // Skip the attributed item: up to its `;`, or over its block.
+            let item = (i + 4..toks.len()).find(|&j| matches!(text(j), "{" | ";"));
+            i = match item {
+                Some(j) if text(j) == "{" => block_end(toks, j).unwrap_or(toks.len()),
+                Some(j) => j,
+                None => toks.len(),
+            };
+        } else if toks[i].kind == TokKind::Ident && text(i + 1) == "." {
+            let (what, kind) = match (text(i), text(i + 2)) {
+                ("ctx", "send") => ("ctx.send", "emission"),
+                ("ctx", "set_timer") => ("ctx.set_timer", "emission"),
+                ("completed", "insert") => ("completed.insert", "completion"),
+                _ => ("", ""),
+            };
+            if !what.is_empty() {
+                let why = format!(
+                    "`{what}` in a shared helper: snowflow closes handlers over their own \
+                     module only, so this {kind} is invisible to every derived SNOW tuple"
+                );
+                let help = "return the state the caller needs and keep every send, timer \
+                            and `completed.insert` in the protocol module";
+                let t = &toks[i];
+                let f = Finding::error(RULE_COMMON_EFFECT, path, t.line, t.col, why);
+                out.push(f.with_help(help.into()));
+            }
+        }
+        i += 1;
+    }
 }
 
 #[cfg(test)]

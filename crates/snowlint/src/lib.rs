@@ -61,13 +61,17 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", "results", "node_modules"];
 /// Workspace-relative directory prefixes never scanned.
 const SKIP_PREFIXES: &[&str] = &["crates/snowlint/fixtures"];
 
+/// The protocols' shared substrate: no SNOW tuple of its own, and no
+/// sends, timers or completions outside tests ([`flow::check_common`]).
+const PROTOCOL_COMMON: &str = "crates/protocols/src/common/";
+
 /// Is this workspace-relative path a protocol module, whose handlers
 /// the flow pass derives a SNOW tuple from?
 fn is_protocol_module(rel: &str) -> bool {
     rel.starts_with("crates/protocols/src/")
         && rel.ends_with(".rs")
         && rel != "crates/protocols/src/lib.rs"
-        && !rel.starts_with("crates/protocols/src/common/")
+        && !rel.starts_with(PROTOCOL_COMMON)
 }
 
 /// Walk up from `CARGO_MANIFEST_DIR` (or the current directory) to the
@@ -227,6 +231,8 @@ pub fn check_workspace_with(root: &Path, opts: &CheckOptions) -> Report {
             robustness::check_protocol(&rel, &lx, &mut findings);
             scan.flow = flow::check_protocol(&rel, &lx, &table, &mut findings);
             scan.is_protocol = true;
+        } else if rel.starts_with(PROTOCOL_COMMON) {
+            flow::check_common(&rel, &lx, &mut findings);
         }
         scan.findings = findings;
         scan.allows = lx.allows;

@@ -28,6 +28,7 @@ pub const RULE_CODES: &[(&str, &str)] = &[
     ("flow-taint", "SL036"),
     ("flow-hint", "SL037"),
     ("flow-requests", "SL038"),
+    ("flow-common-effect", "SL039"),
     ("allowlist", "SL090"),
     ("unreadable-file", "SL091"),
 ];

@@ -451,3 +451,20 @@ fn bad_flow_dead_arm_fires_on_the_unreachable_arm() {
     expect_marked(&out, &src, path, &[(flow::RULE_FLOW_DEAD_ARM, "dead-arm")]);
     expect_count(&out, 1, "exactly the marked violation");
 }
+
+#[test]
+fn bad_common_effect_fires_on_each_hidden_effect_outside_tests() {
+    let src = fixture("bad_common_effect.rs");
+    let path = "crates/protocols/src/common/bad_common_effect.rs";
+    let mut out = Vec::new();
+    flow::check_common(path, &lex(&src), &mut out);
+
+    let rule = flow::RULE_COMMON_EFFECT;
+    let marked = [(rule, "completion"), (rule, "send"), (rule, "timer")];
+    expect_marked(&out, &src, path, &marked);
+    expect_count(
+        &out,
+        3,
+        "the marked effects, none in comments, strings or test items",
+    );
+}
