@@ -48,7 +48,7 @@ impl DebugFold {
             "the reference needs every event"
         );
         for i in self.folded..trace.len() {
-            self.fold(trace.event_at(i));
+            self.fold(&trace.event_at(i));
         }
         self.folded = trace.len();
         self.h

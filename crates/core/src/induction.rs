@@ -178,13 +178,13 @@ fn indirect_in_continuation<N: ProtocolNode>(
     f.run_restricted_until_within(solo, LOOKAHEAD, |_| false);
     let evs = f.trace.since(mark);
     let Some(d) = evs.iter().position(
-        |e| matches!(e, TraceEvent::Deliver { id, to, .. } if *id == candidate && *to == cw),
+        |e| matches!(e, TraceEvent::Deliver { id, to, .. } if id == candidate && to == cw),
     ) else {
         return false;
     };
-    evs[d..]
+    evs.slice(d..)
         .iter()
-        .any(|e| matches!(e, TraceEvent::Send { from, to, .. } if *from == cw && *to == p_other))
+        .any(|e| matches!(e, TraceEvent::Send { from, to, .. } if from == cw && to == p_other))
 }
 
 /// Run Theorem 1 against protocol `N` on the paper's minimal deployment
@@ -281,38 +281,38 @@ pub(crate) fn run_theorem_on<N: ProtocolNode>(
                     } = w.trace.event_at(scan)
                     {
                         let sender_ok = if general {
-                            servers.contains(from)
+                            servers.contains(&from)
                         } else {
-                            *from == p_k
+                            from == p_k
                         };
                         if sender_ok {
                             let direct_ok = if general {
-                                servers.contains(to) && to != from
+                                servers.contains(&to) && to != from
                             } else {
-                                *to == p_other
+                                to == p_other
                             };
                             if direct_ok {
                                 found = Some(ForcedMsg {
-                                    from: *from,
-                                    to: *to,
+                                    from,
+                                    to,
                                     indirect: false,
                                     desc: format!("{msg:?}"),
                                 });
                                 return true;
                             }
-                            if *to == cw_pid {
+                            if to == cw_pid {
                                 // Indirect: after cw receives it, cw must
                                 // message a *different* server.
                                 let targets: Vec<ProcessId> = if general {
-                                    servers.iter().copied().filter(|s| s != from).collect()
+                                    servers.iter().copied().filter(|&s| s != from).collect()
                                 } else {
                                     vec![p_other]
                                 };
                                 if targets.iter().any(|&t| {
-                                    indirect_in_continuation(w, *id, cw_pid, t, &solo_for_pred)
+                                    indirect_in_continuation(w, id, cw_pid, t, &solo_for_pred)
                                 }) {
                                     found = Some(ForcedMsg {
-                                        from: *from,
+                                        from,
                                         to: cw_pid,
                                         indirect: true,
                                         desc: format!("{msg:?}"),

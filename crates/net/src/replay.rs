@@ -79,6 +79,7 @@ where
     // replayed actors never sent: divergence.
     let mut cursors = vec![0usize; recording.logs.len()];
     let mut replayed: HashMap<(ProcessId, ProcessId), u64> = HashMap::new();
+    let mut need = Vec::new();
     let mut steps = 0usize;
     loop {
         let mut progressed = false;
@@ -88,7 +89,7 @@ where
                 continue;
             };
             exhausted = false;
-            if !step_executable(&world, log.pid, &step.inputs, &replayed) {
+            if !step_executable(&world, log.pid, &step.inputs, &replayed, &mut need) {
                 continue;
             }
             for input in &step.inputs {
@@ -172,28 +173,37 @@ where
 
 /// All of a step's recorded deliveries are satisfiable right now: per
 /// link, the seqs continue the replayed count and that many messages
-/// are actually in flight.
+/// are actually in flight. `need` is scratch space reused across
+/// attempts: the step's senders and how many messages it takes from
+/// each.
 fn step_executable<A: cbf_sim::Actor>(
     world: &World<A>,
     pid: ProcessId,
     inputs: &[StepInput],
     replayed: &HashMap<(ProcessId, ProcessId), u64>,
+    need: &mut Vec<(ProcessId, u64)>,
 ) -> bool {
-    let mut need: HashMap<ProcessId, u64> = HashMap::new();
+    need.clear();
     for input in inputs {
         if let StepInput::Deliver { from, seq } = *input {
             let already = replayed.get(&(from, pid)).copied().unwrap_or(0);
-            let offset = need.entry(from).or_insert(0);
-            if seq != already + *offset {
+            let k = match need.iter().position(|&(f, _)| f == from) {
+                Some(k) => k,
+                None => {
+                    need.push((from, 0));
+                    need.len() - 1
+                }
+            };
+            if seq != already + need[k].1 {
                 // check_no_aliasing guarantees this cannot happen for a
                 // well-formed recording; treat defensively as blocked.
                 return false;
             }
-            *offset += 1;
+            need[k].1 += 1;
         }
     }
-    need.into_iter()
-        .all(|(from, n)| world.in_flight_on(from, pid).len() as u64 >= n)
+    need.iter()
+        .all(|&(from, n)| world.in_flight_count_on(from, pid) as u64 >= n)
 }
 
 /// The full oracle check: replay twice, demand identical digests

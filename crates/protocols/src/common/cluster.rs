@@ -9,7 +9,9 @@ use cbf_model::history::TxRecord;
 use cbf_model::{
     check_causal, ClientId, History, Key, PropertyProfile, RotAudit, TxId, Value, WtxAudit,
 };
-use cbf_sim::{LatencyModel, ProcessId, SimConfig, Time, Trace, TraceEvent, World, SECONDS};
+use cbf_sim::{
+    LatencyModel, ProcessId, SimConfig, Time, Trace, TraceEvent, TraceView, World, SECONDS,
+};
 use std::sync::{Arc, OnceLock};
 
 /// Outcome of one read-only transaction.
@@ -422,20 +424,21 @@ pub fn count_rounds<N: ProtocolNode>(
     topo: &Topology,
 ) -> u32 {
     let mut rounds = 0u32;
-    let mut last_client_step: Option<usize> = None;
-    let mut counted_step: Option<usize> = None;
-    for (i, ev) in trace.since(mark).iter().enumerate() {
+    // Client steps seen so far, and the one whose requests were last
+    // counted (0: none yet), so a step's requests count once.
+    let mut client_steps = 0u32;
+    let mut counted_step = 0u32;
+    for ev in trace.since(mark) {
         match ev {
-            TraceEvent::Step { pid, .. } if *pid == client => last_client_step = Some(i),
+            TraceEvent::Step { pid, .. } if pid == client => client_steps += 1,
             TraceEvent::Send { from, to, msg, .. }
-                if *from == client
-                    && topo.is_server(*to)
+                if from == client
+                    && topo.is_server(to)
                     && N::msg_is_request(msg)
-                    && last_client_step.is_some()
-                    && counted_step != last_client_step =>
+                    && counted_step < client_steps =>
             {
                 rounds += 1;
-                counted_step = last_client_step;
+                counted_step = client_steps;
             }
             _ => {}
         }
@@ -457,9 +460,9 @@ pub fn audit_rot<N: ProtocolNode>(
 
     let mut server_msgs = 0u32;
     let mut max_values = 0u32;
-    for ev in &events {
+    for ev in events {
         if let TraceEvent::Send { from, to, msg, .. } = ev {
-            if topo.is_server(*from) && *to == client {
+            if topo.is_server(from) && to == client {
                 server_msgs += 1;
                 max_values = max_values.max(N::msg_values(msg));
             }
@@ -470,7 +473,7 @@ pub fn audit_rot<N: ProtocolNode>(
         rounds,
         server_msgs,
         max_values_per_msg: max_values,
-        blocked: detect_blocking::<N>(&events, client, topo),
+        blocked: detect_blocking::<N>(events, client, topo),
         latency: done.completed_at.saturating_sub(done.invoked_at),
     }
 }
@@ -481,7 +484,7 @@ pub fn audit_rot<N: ProtocolNode>(
 /// step; if that step's contiguous sends do not include a message to the
 /// client but a later one does, the server deferred — it blocked.
 fn detect_blocking<N: ProtocolNode>(
-    events: &[TraceEvent<N::Msg>],
+    events: TraceView<'_, N::Msg>,
     client: ProcessId,
     topo: &Topology,
 ) -> bool {
@@ -491,20 +494,21 @@ fn detect_blocking<N: ProtocolNode>(
         .filter_map(|ev| match ev {
             TraceEvent::Send {
                 id, from, to, msg, ..
-            } if *from == client && topo.is_server(*to) && N::msg_is_request(msg) => Some(*id),
+            } if from == client && topo.is_server(to) && N::msg_is_request(msg) => Some(id),
             _ => None,
         })
         .collect();
 
-    for (i, ev) in events.iter().enumerate() {
+    for (i, ev) in (0..).zip(events) {
         let TraceEvent::Deliver { id, to: server, .. } = ev else {
             continue;
         };
-        if !request_ids.contains(id) {
+        if !request_ids.contains(&id) {
             continue;
         }
         // First step of this server after the delivery.
-        let Some(step_idx) = events[i + 1..]
+        let Some(step_idx) = events
+            .slice(i + 1..)
             .iter()
             .position(|e| matches!(e, TraceEvent::Step { pid, .. } if pid == server))
             .map(|off| i + 1 + off)
@@ -513,10 +517,10 @@ fn detect_blocking<N: ProtocolNode>(
         };
         // Sends are recorded contiguously after their step.
         let mut responded_in_step = false;
-        for e in &events[step_idx + 1..] {
+        for e in events.slice(step_idx + 1..) {
             match e {
                 TraceEvent::Send { from, to, .. } if from == server => {
-                    if *to == client {
+                    if to == client {
                         responded_in_step = true;
                     }
                 }
@@ -527,8 +531,8 @@ fn detect_blocking<N: ProtocolNode>(
             continue;
         }
         // Any later message to the client means the response was deferred.
-        let responded_later = events[step_idx + 1..].iter().any(
-            |e| matches!(e, TraceEvent::Send { from, to, .. } if from == server && *to == client),
+        let responded_later = events.slice(step_idx + 1..).iter().any(
+            |e| matches!(e, TraceEvent::Send { from, to, .. } if from == server && to == client),
         );
         if responded_later {
             return true;

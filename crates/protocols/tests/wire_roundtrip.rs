@@ -5,7 +5,8 @@
 //! leans on when it feeds socket bytes into `Wire::from_bytes`.
 //!
 //! Four alphabets get per-variant proptest strategies; all 14 get the
-//! trace-driven case at the bottom, which needs no strategy: the
+//! garbage case and the trace-driven case at the bottom, neither of
+//! which needs a strategy: garbage is arbitrary bytes, and the traced
 //! messages are whatever the protocol sends under a seeded workload.
 //!
 //! The `Msg` enums deliberately do not implement `PartialEq` (they are
@@ -246,14 +247,38 @@ proptest! {
     }
 
     /// Arbitrary garbage must decode to Ok or Err — never panic, never
-    /// allocate absurdly. (Running the decoder at all is the assertion;
-    /// proptest catches panics.)
+    /// allocate absurdly — in all 14 alphabets. (Running the decoder at
+    /// all is the assertion; proptest catches panics.)
     #[test]
     fn garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = cops::Msg::from_bytes(&bytes);
-        let _ = cops_snow::Msg::from_bytes(&bytes);
-        let _ = eiger::Msg::from_bytes(&bytes);
-        let _ = spanner::Msg::from_bytes(&bytes);
+        use cbf_protocols::*;
+        decode_garbage::<calvin::Msg>(&bytes);
+        decode_garbage::<contrarian::Msg>(&bytes);
+        decode_garbage::<cops::Msg>(&bytes);
+        decode_garbage::<cops_rw::Msg>(&bytes);
+        decode_garbage::<cops_snow::Msg>(&bytes);
+        decode_garbage::<cure::Msg>(&bytes);
+        decode_garbage::<eiger::Msg>(&bytes);
+        decode_garbage::<gentlerain::Msg>(&bytes);
+        decode_garbage::<naive::Msg>(&bytes);
+        decode_garbage::<occult::Msg>(&bytes);
+        decode_garbage::<pinned::Msg>(&bytes);
+        decode_garbage::<ramp::Msg>(&bytes);
+        decode_garbage::<spanner::Msg>(&bytes);
+        decode_garbage::<wren::Msg>(&bytes);
+    }
+}
+
+/// Decode `bytes`, then the same bytes with the first one folded into
+/// the low tag range, so most cases get past the tag into a variant's
+/// field decoders instead of stopping at `BadTag`.
+fn decode_garbage<M: Wire>(bytes: &[u8]) {
+    let _ = M::from_bytes(bytes);
+    if let Some((first, rest)) = bytes.split_first() {
+        let mut tagged = Vec::with_capacity(bytes.len());
+        tagged.push(first % 32);
+        tagged.extend_from_slice(rest);
+        let _ = M::from_bytes(&tagged);
     }
 }
 

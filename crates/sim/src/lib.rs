@@ -55,7 +55,7 @@ pub use actor::{Actor, Ctx, Envelope, Payload};
 pub use fault::{Crash, FaultPlan, Partition};
 pub use latency::{LatencyKind, LatencyModel};
 pub use sink::{CountingSink, FnSink, SegmentSink};
-pub use trace::{Trace, TraceEvent, TraceView, SEAL_CAP};
+pub use trace::{Segment, Trace, TraceEvent, TraceIter, TraceView, SEAL_CAP};
 pub use types::{
     Link, MsgId, ProcessId, RunOutcome, ServiceModel, ServiceStats, SimConfig, Time, MICROS,
     MILLIS, SECONDS,

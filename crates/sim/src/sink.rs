@@ -20,18 +20,18 @@
 
 #![deny(unsafe_code)]
 
-use crate::trace::TraceEvent;
+use crate::trace::Segment;
 
 /// Consumes sealed trace segments as the simulation produces them.
 ///
 /// Implementors receive every recorded event exactly once, in record
-/// order, in slices of exactly [`crate::SEAL_CAP`] events (only a final
-/// explicit flush may be shorter — see `Trace::drain_all` in the trace
-/// module). The slice is borrowed: a sink that needs the events beyond
-/// the call must copy them (or forward them into a channel).
+/// order, in segments of exactly [`crate::SEAL_CAP`] events (only the
+/// final flush, `Trace::drain_rest`, may be shorter). The segment is
+/// borrowed: a sink that needs the events beyond the call must copy out
+/// what it keeps.
 pub trait SegmentSink<M> {
     /// Accept one sealed segment, in record order.
-    fn consume(&mut self, events: &[TraceEvent<M>]);
+    fn consume(&mut self, events: Segment<'_, M>);
 }
 
 /// A sink that counts what passed through and otherwise drops it: the
@@ -46,62 +46,60 @@ pub struct CountingSink {
 }
 
 impl<M> SegmentSink<M> for CountingSink {
-    fn consume(&mut self, events: &[TraceEvent<M>]) {
+    fn consume(&mut self, events: Segment<'_, M>) {
         self.segments += 1;
         self.events += events.len();
     }
 }
 
-/// A sink that forwards each segment's events into any `FnMut` — the
-/// glue between trace recycling and a channel sender (the bounded
-/// channel of the streaming pipeline lives in harness code; this
-/// adapter keeps the sim crate free of any channel policy).
+/// A sink that hands each segment to any `FnMut` — the glue between
+/// trace recycling and code that extracts what it needs from each
+/// segment (into a channel, say: the bounded channel of the streaming
+/// pipeline lives in harness code; this adapter keeps the sim crate
+/// free of any channel policy).
 pub struct FnSink<F>(pub F);
 
-impl<M: Clone, F: FnMut(Vec<TraceEvent<M>>)> SegmentSink<M> for FnSink<F> {
-    fn consume(&mut self, events: &[TraceEvent<M>]) {
-        (self.0)(events.to_vec());
+impl<M, F: FnMut(Segment<'_, M>)> SegmentSink<M> for FnSink<F> {
+    fn consume(&mut self, events: Segment<'_, M>) {
+        (self.0)(events);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{Trace, TraceEvent};
     use crate::types::ProcessId;
+
+    /// A trace of `n` steps whose times count up from 0, drained into
+    /// `sink` as whole segments.
+    fn drain_steps<S: SegmentSink<u32>>(n: u64, sink: &mut S) {
+        let mut t: Trace<u32> = Trace::new(true);
+        for i in 0..n {
+            t.push(TraceEvent::Step {
+                at: i,
+                pid: ProcessId(0),
+            });
+        }
+        t.drain_rest(sink);
+    }
 
     #[test]
     fn counting_sink_counts() {
         let mut s = CountingSink::default();
-        let seg: Vec<TraceEvent<u32>> = (0..4)
-            .map(|i| TraceEvent::Step {
-                at: i,
-                pid: ProcessId(0),
-            })
-            .collect();
-        SegmentSink::<u32>::consume(&mut s, &seg);
-        SegmentSink::<u32>::consume(&mut s, &seg[..2]);
+        drain_steps(crate::SEAL_CAP as u64 + 2, &mut s);
         assert_eq!(s.segments, 2);
-        assert_eq!(s.events, 6);
+        assert_eq!(s.events, crate::SEAL_CAP + 2);
     }
 
     #[test]
     fn fn_sink_forwards_in_order() {
         let mut got: Vec<u64> = Vec::new();
-        {
-            let mut s = FnSink(|events: Vec<TraceEvent<u32>>| {
-                got.extend(events.iter().map(|e| e.at()));
-            });
-            for chunk in [[0u64, 1], [2, 3]] {
-                let seg: Vec<TraceEvent<u32>> = chunk
-                    .iter()
-                    .map(|&i| TraceEvent::Step {
-                        at: i,
-                        pid: ProcessId(0),
-                    })
-                    .collect();
-                s.consume(&seg);
-            }
-        }
-        assert_eq!(got, vec![0, 1, 2, 3]);
+        let mut s = FnSink(|events: Segment<'_, u32>| {
+            got.extend(events.iter().map(|e| e.at()));
+        });
+        drain_steps(crate::SEAL_CAP as u64 + 4, &mut s);
+        let want: Vec<u64> = (0..crate::SEAL_CAP as u64 + 4).collect();
+        assert_eq!(got, want);
     }
 }

@@ -483,7 +483,7 @@ impl<A: Actor> World<A> {
             id,
             from,
             to,
-            msg: msg.clone(),
+            msg: &msg,
         });
         self.stats.per_process[from.index()].sent += 1;
         // Nemesis: one fate roll per send, drawn from the plan's own
@@ -642,11 +642,21 @@ impl<A: Actor> World<A> {
 
     /// In-transit messages on the directed link `src → dst`.
     pub fn in_flight_on(&self, src: ProcessId, dst: ProcessId) -> Vec<MsgId> {
+        self.on_link(src, dst).collect()
+    }
+
+    /// Number of messages in flight on `src → dst` — the length of
+    /// [`World::in_flight_on`], counted without collecting.
+    pub fn in_flight_count_on(&self, src: ProcessId, dst: ProcessId) -> usize {
+        self.on_link(src, dst).count()
+    }
+
+    /// The in-flight messages on `src → dst`, MsgId-ascending.
+    fn on_link(&self, src: ProcessId, dst: ProcessId) -> impl Iterator<Item = MsgId> + '_ {
         self.in_flight
             .iter()
-            .filter(|(_, f)| f.from == src && f.to == dst)
+            .filter(move |(_, f)| f.from == src && f.to == dst)
             .map(|(id, _)| *id)
-            .collect()
     }
 
     /// Inspect one in-flight message.
@@ -686,9 +696,9 @@ impl<A: Actor> World<A> {
     /// which during replay means the recorded order references a message
     /// the replayed actors never sent (a divergence).
     pub fn deliver_next_on(&mut self, src: ProcessId, dst: ProcessId) -> Option<MsgId> {
-        // `in_flight_on` returns MsgId-ascending order; ids are minted in
+        // The link's messages come MsgId-ascending; ids are minted in
         // send order, so the head is the oldest undelivered message.
-        let id = self.in_flight_on(src, dst).into_iter().next()?;
+        let id = self.on_link(src, dst).next()?;
         self.do_deliver(id)?;
         Some(id)
     }
@@ -743,7 +753,7 @@ impl<A: Actor> World<A> {
             self.trace.push(TraceEvent::Inject {
                 at: self.now,
                 pid,
-                msg: msg.clone(),
+                msg: &msg,
             });
         }
         let id = self.fresh_msg_id();
@@ -767,7 +777,7 @@ impl<A: Actor> World<A> {
             self.trace.push(TraceEvent::Inject {
                 at: self.now,
                 pid,
-                msg: msg.clone(),
+                msg: &msg,
             });
         }
         let id = self.fresh_msg_id();
@@ -1483,7 +1493,11 @@ mod tests {
                 .events()
                 .iter()
                 .filter_map(|ev| match ev {
-                    TraceEvent::Deliver { id, to, .. } if *to == ProcessId(1) => Some(id.0),
+                    TraceEvent::Deliver {
+                        id,
+                        to: ProcessId(1),
+                        ..
+                    } => Some(id.0),
                     _ => None,
                 })
                 .collect::<Vec<_>>()

@@ -158,7 +158,7 @@ fn special_cased_schedule_keeps_its_digest() {
     w.release(C, SERVER);
     assert_eq!(w.run_until_quiescent(), RunOutcome::Quiescent);
 
-    let has = |f: fn(&TraceEvent<Msg>) -> bool| w.trace.iter().any(f);
+    let has = |f: fn(TraceEvent<Msg>) -> bool| w.trace.iter().any(f);
     assert!(has(|e| matches!(e, TraceEvent::Duplicate { .. })));
     assert!(has(|e| matches!(e, TraceEvent::Drop { .. })));
     assert!(w.stats().timers_coalesced > 0);
