@@ -624,10 +624,7 @@ fn chaos() -> Result<(), String> {
 
     let rows: Vec<ChaosRow> = chaos_table(7);
     print!("{}", render_chaos_table(&rows));
-    let report = cbf_bench::chaos::ChaosReport {
-        rows,
-        memory: cbf_bench::memstats::MemStats::sample(),
-    };
+    let report = cbf_bench::chaos::ChaosReport { rows };
     save_json("BENCH_chaos", &report)?;
     let rows = report.rows;
 

@@ -130,16 +130,12 @@ pub fn chaos_cell<N: ProtocolNode>(
     (row, cluster)
 }
 
-/// The chaos artifact: the sweep rows plus the process memory sample
-/// every bench JSON now carries (see [`crate::memstats`]).
+/// The chaos artifact: the sweep rows under a schema tag. Every field is
+/// a pure function of the seed, so two runs write identical files.
 #[derive(Clone, Debug)]
 pub struct ChaosReport {
     /// The sweep, in fixed cell order.
     pub rows: Vec<ChaosRow>,
-    /// Peak/current RSS sampled after the sweep. The only
-    /// run-to-run-varying fields of the artifact — replay comparisons
-    /// must filter them out.
-    pub memory: crate::memstats::MemStats,
 }
 
 /// The full sweep: every rate × crash cell for each retry-hardened

@@ -215,11 +215,8 @@ impl ToJson for crate::load::SwarmTier {
 impl ToJson for crate::load::LoadReport {
     fn to_json(&self, indent: usize) -> String {
         Obj::new()
-            .str("schema", "snowbound-load-v2")
-            .raw(
-                "memory",
-                crate::memstats::MemStats::sample().to_json(indent + 1),
-            )
+            // v3 drops v2's process RSS sample: the artifact is pinned.
+            .str("schema", "snowbound-load-v3")
             .raw("cells", self.cells.to_json(indent + 1))
             .raw("tiers", self.tiers.to_json(indent + 1))
             .render(indent)
@@ -285,9 +282,8 @@ impl ToJson for crate::chaos::ChaosRow {
 impl ToJson for crate::chaos::ChaosReport {
     fn to_json(&self, indent: usize) -> String {
         Obj::new()
-            // v2 wraps the row array with the shared memory sample.
-            .str("schema", "snowbound-chaos-v2")
-            .raw("memory", self.memory.to_json(indent + 1))
+            // v3 drops v2's process RSS sample: the artifact is pinned.
+            .str("schema", "snowbound-chaos-v3")
             .raw("rows", self.rows.to_json(indent + 1))
             .render(indent)
     }

@@ -5,8 +5,8 @@
 //! lifetime) and the *current* RSS (`VmRSS`, the number that must stay
 //! flat for the bounded-memory claim) — plus the checker's own resident
 //! state sizes. This module is the one place they are read and
-//! rendered so `BENCH_chaos.json`, `BENCH_load.json` and
-//! `BENCH_soak.json` all speak the same schema.
+//! rendered. Only `BENCH_soak.json` carries them: its plateau gate reads
+//! RSS, while the pinned chaos and load artifacts must not vary by run.
 //!
 //! Peak RSS is a process-lifetime maximum, so it is only a *proxy* for
 //! any single exhibit's footprint; current RSS sampled over time is the

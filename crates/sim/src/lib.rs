@@ -60,4 +60,4 @@ pub use types::{
     Link, MsgId, ProcessId, RunOutcome, ServiceModel, ServiceStats, SimConfig, Time, MICROS,
     MILLIS, SECONDS,
 };
-pub use world::{forks_taken, Flight, ProcStats, World, WorldStats};
+pub use world::{forks_taken, Choice, Flight, ProcStats, World, WorldStats};

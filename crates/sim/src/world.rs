@@ -7,18 +7,18 @@
 //! "value `x` is visible in `C` iff every legal continuation…") become
 //! executable: fork the world and run the continuation.
 //!
-//! Three execution regimes are provided:
+//! Four execution regimes are provided:
 //!
-//! * **automatic** ([`World::run_until_quiescent`] and friends): events are
-//!   processed in virtual-time order, with latencies drawn from the seeded
-//!   [`LatencyModel`] — this is the "friendly" scheduler used for measuring
-//!   protocol latency;
-//! * **restricted** ([`World::run_restricted`]): like automatic, but only a
-//!   chosen set of processes take steps — this implements the paper's
-//!   "*transaction T executes solo*";
-//! * **manual** ([`World::deliver_now`], [`World::step_now`],
-//!   [`World::hold`]): the adversary picks every delivery and step — this
-//!   is what the theorem machinery in `cbf-core` drives.
+//! * **automatic** ([`World::run_until_quiescent`] and friends): events in
+//!   virtual-time order, latencies from the seeded [`LatencyModel`];
+//! * **restricted** ([`World::run_restricted_until_within`]): only a chosen
+//!   set of processes take steps — the paper's "*T executes solo*". With
+//!   [`World::hold`], this is what the theorem machinery in `cbf-core` drives;
+//! * **chosen** ([`World::enabled`], [`World::take`]): the adversary names
+//!   every next action; [`World::run_chaotic`] is a seeded walk over them;
+//! * **manual** ([`World::deliver_now`], [`World::step_now_at`],
+//!   [`World::deliver_next_on`]): by hand, outside the queue — how
+//!   `cbf-net` replays a recorded socket run.
 
 use crate::actor::{Actor, Ctx, Envelope, Payload};
 use crate::latency::LatencyModel;
@@ -88,11 +88,36 @@ enum FaultEv {
     },
 }
 
+/// One action the adversary may take next (see [`World::enabled`]). Timers
+/// and due steps are named by their queue `seq`: unique, and kept by forks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Choice {
+    /// Deliver this in-flight message and step its destination.
+    Deliver(MsgId),
+    /// Fire the queued timer with this sequence number.
+    Timer(u64),
+    /// Run the queued due step with this sequence number.
+    Due(u64),
+    /// Step this process, whose income buffer is non-empty.
+    Step(ProcessId),
+}
+
 #[derive(Clone, Debug)]
 struct QueuedEvent<M> {
     time: Time,
     seq: u64,
     kind: EvKind<M>,
+}
+
+impl<M> QueuedEvent<M> {
+    /// The adversary's name for a queued timer or due step.
+    fn choice(&self) -> Option<Choice> {
+        match self.kind {
+            EvKind::Timer(..) => Some(Choice::Timer(self.seq)),
+            EvKind::StepDue(_) => Some(Choice::Due(self.seq)),
+            EvKind::Deliver(_) | EvKind::Fault(_) => None,
+        }
+    }
 }
 
 // Min-heap ordering on (time, seq): BinaryHeap is a max-heap, so compare
@@ -703,11 +728,6 @@ impl<A: Actor> World<A> {
         Some(id)
     }
 
-    /// Number of messages sitting in `pid`'s income buffer.
-    pub fn inbox_len(&self, pid: ProcessId) -> usize {
-        self.inboxes[pid.index()].len()
-    }
-
     /// Freeze the directed link `src → dst`: messages on it stay in
     /// transit until [`World::release`] (automatic scheduler only; the
     /// adversary's [`World::deliver_now`] overrides holds).
@@ -739,26 +759,13 @@ impl<A: Actor> World<A> {
         self.release(b, a);
     }
 
-    /// Whether the directed link is currently held.
-    pub fn is_held(&self, src: ProcessId, dst: ProcessId) -> bool {
-        self.held.contains(&Link::new(src, dst))
-    }
-
     /// Inject an external request (a transaction invocation from the
     /// application) into `pid`'s income buffer and schedule a step. The
     /// paper models invocations as external inputs to the client's state
     /// machine; this is that input.
     pub fn inject(&mut self, pid: ProcessId, msg: A::Msg) {
-        if self.config.trace_injects {
-            self.trace.push(TraceEvent::Inject {
-                at: self.now,
-                pid,
-                msg: &msg,
-            });
-        }
-        let id = self.fresh_msg_id();
-        self.inboxes[pid.index()].push(Envelope { from: pid, id, msg });
-        self.push_event(self.now, EvKind::StepDue(pid));
+        self.inject_no_step(pid, msg);
+        self.kick(pid);
     }
 
     /// Schedule a computation step for `pid` at the current virtual time.
@@ -978,16 +985,6 @@ impl<A: Actor> World<A> {
         self.run_core(Some(&set), None, None)
     }
 
-    /// Restricted run with a predicate.
-    pub fn run_restricted_until(
-        &mut self,
-        allowed: &[ProcessId],
-        mut pred: impl FnMut(&Self) -> bool,
-    ) -> RunOutcome {
-        let set: BTreeSet<ProcessId> = allowed.iter().copied().collect();
-        self.run_core(Some(&set), None, Some(&mut pred))
-    }
-
     /// Restricted run with a predicate and a virtual-time horizon.
     pub fn run_restricted_until_within(
         &mut self,
@@ -1001,93 +998,95 @@ impl<A: Actor> World<A> {
     }
 
     // ------------------------------------------------------------------
-    // Chaotic (schedule-exploring) scheduling
+    // Chosen scheduling: the adversary names each action
     // ------------------------------------------------------------------
 
-    /// Empty the event queue in schedule order into the chaotic
-    /// adversary's own pools: it dispatches timers and due steps at will.
-    fn absorb_queue(
-        &mut self,
-        timers: &mut Vec<(Time, ProcessId, A::Msg)>,
-        due: &mut Vec<(Time, ProcessId)>,
-    ) {
-        // `Ord` is reversed (time, seq), so ascending order is latest first.
-        let drained = std::mem::take(&mut self.queue).into_sorted_vec();
-        for ev in drained.into_iter().rev() {
-            match ev.kind {
-                EvKind::Deliver(..) => {} // represented by in_flight
-                EvKind::Timer(p, m) => timers.push((ev.time, p, m)),
-                EvKind::StepDue(p) => due.push((ev.time, p)),
-                // The chaotic adversary is its own nemesis: scheduled
-                // fault-plan actions are kept for later automatic runs.
-                EvKind::Fault(f) => self.push_event(ev.time, EvKind::Fault(f)),
+    /// The actions the adversary may take next, into `out` (cleared first):
+    /// in-flight messages by id (held links excluded), queued timers, then
+    /// due steps, by `seq`, then processes with mail, by id.
+    pub fn enabled(&self, out: &mut Vec<Choice>) {
+        out.clear();
+        let free = self.in_flight.iter().filter(|(_, f)| !self.on_held(f));
+        out.extend(free.map(|(id, _)| Choice::Deliver(*id)));
+        let queued = out.len();
+        out.extend(self.queue.iter().filter_map(QueuedEvent::choice));
+        out[queued..].sort_unstable();
+        for (i, inbox) in self.inboxes.iter().enumerate() {
+            if !inbox.is_empty() {
+                out.push(Choice::Step(ProcessId(i as u32)));
             }
         }
     }
 
-    /// Run under a random adversary: at each point, uniformly choose among
-    /// every enabled action (deliver any in-flight message, fire any
-    /// pending timer, step any process with mail). Explores schedules the
-    /// latency model would never produce; used by the safety property
-    /// tests. Deterministic in `seed`.
+    /// Take one action listed by [`World::enabled`]: advance the clock one
+    /// past now or the event's due time, then step the receiver (after a
+    /// [`TraceEvent::TimerFire`] for a timer). The event leaves the queue (a
+    /// delivered message's `Deliver` too); one not enabled is a `false` no-op.
+    pub fn take(&mut self, choice: Choice) -> bool {
+        let (pid, timer) = match choice {
+            Choice::Deliver(id) => {
+                if self.in_flight.get(&id).is_none_or(|f| self.on_held(f)) {
+                    return false;
+                }
+                self.queue
+                    .retain(|e| !matches!(e.kind, EvKind::Deliver(d) if d == id));
+                self.now += 1;
+                (self.do_deliver(id).expect("checked in flight"), None)
+            }
+            Choice::Timer(_) | Choice::Due(_) => {
+                let Some(ev) = self.unqueue(choice) else {
+                    return false;
+                };
+                self.now = self.now.max(ev.time) + 1;
+                match ev.kind {
+                    EvKind::Timer(pid, msg) => (pid, Some(msg)),
+                    EvKind::StepDue(pid) => (pid, None),
+                    EvKind::Deliver(_) | EvKind::Fault(_) => unreachable!("not a timed choice"),
+                }
+            }
+            Choice::Step(pid) => {
+                if self.inboxes.get(pid.index()).is_none_or(Vec::is_empty) {
+                    return false;
+                }
+                self.now += 1;
+                (pid, None)
+            }
+        };
+        if let Some(msg) = timer {
+            self.trace.push(TraceEvent::TimerFire { at: self.now, pid });
+            let id = self.fresh_msg_id();
+            self.inboxes[pid.index()].push(Envelope { from: pid, id, msg });
+        }
+        self.do_step(pid);
+        self.stats.events += 1;
+        true
+    }
+
+    fn on_held(&self, f: &Flight<A::Msg>) -> bool {
+        self.held.contains(&Link::new(f.from, f.to))
+    }
+
+    /// Remove the queued event that `choice` names, if there is one.
+    fn unqueue(&mut self, choice: Choice) -> Option<QueuedEvent<A::Msg>> {
+        let i = self.queue.iter().position(|e| e.choice() == Some(choice))?;
+        let mut evs = std::mem::take(&mut self.queue).into_vec();
+        let ev = evs.swap_remove(i);
+        self.queue = evs.into();
+        Some(ev)
+    }
+
+    /// Run under a random adversary: up to `max_actions` times, take one of
+    /// [`World::enabled`]'s actions uniformly, deterministically in `seed`.
+    /// Explores schedules the latency model would never produce.
     pub fn run_chaotic(&mut self, seed: u64, max_actions: u64) -> RunOutcome {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut timers: Vec<(Time, ProcessId, A::Msg)> = Vec::new();
-        let mut due: Vec<(Time, ProcessId)> = Vec::new();
-        self.absorb_queue(&mut timers, &mut due);
-        for actions in 0..max_actions {
-            // Enabled actions. 0..d: deliver in-flight message i (held
-            // links excluded); d..d+t: fire timer; d+t..d+t+s: due step;
-            // then: step process with mail.
-            let deliverable: Vec<MsgId> = self
-                .in_flight
-                .iter()
-                .filter(|(_, f)| !self.held.contains(&Link::new(f.from, f.to)))
-                .map(|(id, _)| *id)
-                .collect();
-            let mailful: Vec<ProcessId> = (0..self.actors.len())
-                .map(|i| ProcessId(i as u32))
-                .filter(|p| !self.inboxes[p.index()].is_empty())
-                .collect();
-            let total = deliverable.len() + timers.len() + due.len() + mailful.len();
-            if total == 0 {
-                let _ = actions;
-                // Nothing enabled: quiescent (up to held links).
-                return RunOutcome::Quiescent;
+        let mut choices = Vec::new();
+        for _ in 0..max_actions {
+            self.enabled(&mut choices);
+            if choices.is_empty() {
+                return RunOutcome::Quiescent; // up to held links
             }
-            let pick = rng.gen_range(0..total);
-            self.stats.events += 1;
-            if pick < deliverable.len() {
-                let id = deliverable[pick];
-                self.now += 1;
-                if let Some(dst) = self.do_deliver(id) {
-                    self.do_step(dst);
-                }
-            } else if pick < deliverable.len() + timers.len() {
-                let (t, pid, msg) = timers.swap_remove(pick - deliverable.len());
-                self.now = self.now.max(t) + 1;
-                self.trace.push(TraceEvent::TimerFire { at: self.now, pid });
-                let id = self.fresh_msg_id();
-                self.inboxes[pid.index()].push(Envelope { from: pid, id, msg });
-                self.do_step(pid);
-            } else if pick < deliverable.len() + timers.len() + due.len() {
-                let (t, pid) = due.swap_remove(pick - deliverable.len() - timers.len());
-                self.now = self.now.max(t) + 1;
-                self.do_step(pid);
-            } else {
-                let pid = mailful[pick - deliverable.len() - timers.len() - due.len()];
-                self.now += 1;
-                self.do_step(pid);
-            }
-            // Absorb any timers/step-dues generated by this action.
-            self.absorb_queue(&mut timers, &mut due);
-        }
-        // Put leftovers back for any subsequent automatic run.
-        for (t, p, m) in timers {
-            self.push_event(t.max(self.now), EvKind::Timer(p, m));
-        }
-        for (t, p) in due {
-            self.push_event(t.max(self.now), EvKind::StepDue(p));
+            self.take(choices[rng.gen_range(0..choices.len())]);
         }
         RunOutcome::EventLimit
     }
@@ -1419,6 +1418,97 @@ mod tests {
         // Chaotic schedules deliver everything too: empty network at the
         // end of a fault-free run.
         assert_eq!(w.undelivered_count(), 0);
+    }
+
+    fn client_got(w: &World<Node>) -> usize {
+        match w.actor(ProcessId(1)) {
+            Node::Client { got, .. } => got.len(),
+            Node::Server { .. } => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn chaotic_run_cut_short_leaves_its_messages_queued() {
+        let mut w = two_node_world();
+        for i in 0..10 {
+            w.inject_no_step(ProcessId(1), Msg::Ping(i));
+        }
+        assert_eq!(w.run_chaotic(7, 2), RunOutcome::EventLimit);
+        assert!(w.undelivered_count() > 0);
+        assert_eq!(w.run_until_quiescent(), RunOutcome::Quiescent);
+        assert_eq!(w.undelivered_count(), 0);
+        assert_eq!(client_got(&w), 10);
+    }
+
+    #[test]
+    fn release_after_chaotic_run_delivers_what_the_hold_kept() {
+        let mut w = two_node_world();
+        w.hold(ProcessId(1), ProcessId(0));
+        for i in 0..10 {
+            w.inject_no_step(ProcessId(1), Msg::Ping(i));
+        }
+        assert_eq!(w.run_chaotic(7, 1_000), RunOutcome::Quiescent);
+        assert_eq!(w.undelivered_count(), 10);
+        w.release(ProcessId(1), ProcessId(0));
+        assert_eq!(w.run_until_quiescent(), RunOutcome::Quiescent);
+        assert_eq!(w.undelivered_count(), 0);
+        assert_eq!(client_got(&w), 10);
+    }
+
+    #[test]
+    fn enabled_choices_are_taken_alike_on_forks() {
+        let (server, client) = (ProcessId(0), ProcessId(1));
+        let mut w = two_node_world();
+        w.inject(client, Msg::Ping(1));
+        w.inject_no_step(client, Msg::Ping(2));
+        let mut choices = Vec::new();
+        w.enabled(&mut choices);
+        let [Choice::Due(due), Choice::Step(p)] = choices[..] else {
+            panic!("expected a due step and a mailful client, got {choices:?}");
+        };
+        assert_eq!(p, client);
+
+        // Not enabled: wrong kind for the seq, unknown ids, no mail.
+        let digest = w.trace.digest();
+        for c in [
+            Choice::Timer(due),
+            Choice::Due(due + 100),
+            Choice::Deliver(MsgId(99)),
+            Choice::Step(server),
+            Choice::Step(ProcessId(7)),
+        ] {
+            assert!(!w.take(c), "{c:?} is not enabled");
+        }
+        assert_eq!((w.trace.digest(), w.stats().events), (digest, 0));
+
+        // The due step drains the client's mail: two pings to the server.
+        assert!(w.take(Choice::Due(due)));
+        w.enabled(&mut choices);
+        let sent: Vec<MsgId> = w.in_flight_on(client, server);
+        assert_eq!(
+            choices,
+            sent.iter()
+                .map(|&id| Choice::Deliver(id))
+                .collect::<Vec<_>>()
+        );
+        let (mut a, mut b) = (w.fork(), w.fork());
+        assert!(a.take(choices[1]) && b.take(choices[1]));
+        assert_eq!(a.trace.digest(), b.trace.digest());
+        assert_ne!(a.trace.digest(), w.trace.digest());
+        assert!(
+            !a.take(choices[1]),
+            "a delivered message is no longer enabled"
+        );
+
+        // A held link's messages are never enabled; its queued deliveries
+        // survive until release.
+        w.hold(client, server);
+        w.enabled(&mut choices);
+        assert!(choices.is_empty());
+        assert!(!w.take(Choice::Deliver(sent[0])));
+        w.release(client, server);
+        assert_eq!(w.run_until_quiescent(), RunOutcome::Quiescent);
+        assert_eq!(client_got(&w), 2);
     }
 
     #[test]

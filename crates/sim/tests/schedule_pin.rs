@@ -8,6 +8,10 @@
 //! The digest was repinned once since, when the trace fold moved from
 //! each payload's `Debug` text to its `Payload` bytes; the schedule
 //! values below it did not move.
+//!
+//! A second pin holds `run_chaotic`'s walk over `World::enabled` on two
+//! seeds, recorded when that walk replaced the adversary's private timer
+//! and due-step pools, so a later change to the choice order is deliberate.
 
 use cbf_sim::{
     Actor, Ctx, FaultPlan, LatencyKind, LatencyModel, MsgId, Payload, ProcessId, RunOutcome,
@@ -165,4 +169,35 @@ fn special_cased_schedule_keeps_its_digest() {
     assert_eq!([A, B, C].map(|p| w.actor(p).pongs), [1921, 1247, 215]);
     assert_eq!(w.stats().events, 154);
     assert_eq!(w.trace.digest(), 3289276254418055051);
+}
+
+#[test]
+fn chaotic_schedules_keep_their_digests() {
+    let run = |seed: u64| {
+        let mut w = World::new(
+            vec![Node { ticks: 0, pongs: 0 }; 4],
+            LatencyModel::new(
+                LatencyKind::Uniform {
+                    lo: 10_000,
+                    hi: 90_000,
+                },
+                17,
+            ),
+            SimConfig::default(),
+        );
+        // Pongs to A wait on a held link through the whole chaotic run.
+        w.hold(SERVER, A);
+        for i in 0..8 {
+            w.inject([A, B, C][i as usize % 3], Msg::Ping(i));
+        }
+        assert_eq!(w.run_chaotic(seed, 100_000), RunOutcome::Quiescent);
+        let held = w.undelivered_count();
+        w.release(SERVER, A);
+        assert_eq!(w.run_until_quiescent(), RunOutcome::Quiescent);
+        assert_eq!(w.undelivered_count(), 0);
+        let pongs = [A, B, C].map(|p| w.actor(p).pongs);
+        (held, pongs, w.stats().events, w.trace.digest())
+    };
+    assert_eq!(run(1), (3, [9, 12, 7], 92, 10997288549289798427));
+    assert_eq!(run(2), (3, [9, 12, 7], 92, 7710478027483159516));
 }
