@@ -31,4 +31,4 @@ pub use clock::{HybridClock, LamportClock, TrueTime};
 pub use cluster::{audit_rot, count_rounds, Cluster, InFlightTx, RotResult, WtxResult};
 pub use store::{MvStore, Version};
 pub use topology::{Topology, MAX_RETRIES};
-pub use tx::Gather;
+pub use tx::{Gather, Tally};

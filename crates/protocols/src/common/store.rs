@@ -39,6 +39,14 @@ impl MvStore {
         versions.insert(pos, v);
     }
 
+    /// Apply a committed write set: every `(key, value)` of transaction
+    /// `id`, at timestamp `ts`.
+    pub fn commit(&mut self, id: TxId, ts: u64, writes: impl IntoIterator<Item = (Key, Value)>) {
+        for (key, value) in writes {
+            self.insert(key, Version { value, ts, tx: id });
+        }
+    }
+
     /// The newest version of `key`.
     pub fn latest(&self, key: Key) -> Option<&Version> {
         self.data.get(&key).and_then(|v| v.last())
@@ -131,6 +139,22 @@ mod tests {
         let found = s.latest_matching(Key(0), |x| x.ts < 30).unwrap();
         assert_eq!(found.value, Value(2));
         assert!(s.latest_matching(Key(0), |_| false).is_none());
+    }
+
+    #[test]
+    fn commit_inserts_the_write_set_at_one_timestamp() {
+        let mut s = MvStore::new();
+        s.insert(Key(0), v(1, 30));
+        s.commit(TxId(9), 20, [(Key(0), Value(5)), (Key(1), Value(6))]);
+        let at = |k| s.latest_at(Key(k), 20).cloned();
+        let version = |value| Version {
+            value: Value(value),
+            ts: 20,
+            tx: TxId(9),
+        };
+        assert_eq!(at(0), Some(version(5)));
+        assert_eq!(at(1), Some(version(6)));
+        assert_eq!(s.latest(Key(0)).unwrap().ts, 30, "kept in timestamp order");
     }
 
     #[test]

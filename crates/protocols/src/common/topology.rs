@@ -1,7 +1,7 @@
 //! Cluster layout: which process is a server, which is a client, and
 //! which server(s) store which object.
 
-use cbf_model::{ClientId, Key};
+use cbf_model::{ClientId, Key, Value};
 use cbf_sim::ProcessId;
 
 /// Maximum client retry attempts when [`Topology::retry_after`] is set.
@@ -170,13 +170,57 @@ impl Topology {
             .collect()
     }
 
-    /// Group `keys` by their primary server (for request fan-out).
-    pub fn group_by_primary(&self, keys: &[Key]) -> Vec<(ProcessId, Vec<Key>)> {
-        let mut groups: std::collections::BTreeMap<ProcessId, Vec<Key>> = Default::default();
-        for &k in keys {
-            groups.entry(self.primary(k)).or_default().push(k);
+    /// The last server storing `key` (the tail of [`Topology::replicas`]):
+    /// its most remote copy, a non-primary whenever the key is replicated.
+    pub fn last_replica(&self, key: Key) -> ProcessId {
+        ProcessId((self.primary(key).0 + self.replication - 1) % self.num_servers)
+    }
+
+    /// Group `items` by the server `server_of` assigns each one's key,
+    /// servers ascending and each group in input order: the one fan-out
+    /// grouping behind every read and write request.
+    pub fn group_by<T: Keyed>(
+        items: &[T],
+        server_of: impl Fn(Key) -> ProcessId,
+    ) -> Vec<(ProcessId, Vec<T>)> {
+        let mut groups: Vec<(ProcessId, Vec<T>)> = Vec::new();
+        for &item in items {
+            let server = server_of(item.key());
+            let i = match groups.iter().position(|&(s, _)| s == server) {
+                Some(i) => i,
+                None => {
+                    groups.push((server, Vec::new()));
+                    groups.len() - 1
+                }
+            };
+            groups[i].1.push(item);
         }
-        groups.into_iter().collect()
+        groups.sort_unstable_by_key(|&(s, _)| s);
+        groups
+    }
+
+    /// Group `items` by their key's primary server (for request fan-out).
+    pub fn group_by_primary<T: Keyed>(&self, items: &[T]) -> Vec<(ProcessId, Vec<T>)> {
+        Self::group_by(items, |k| self.primary(k))
+    }
+}
+
+/// What a fan-out groups: a bare key (a read) or a `(key, value)` write,
+/// placed by its key.
+pub trait Keyed: Copy {
+    /// The key that places this item.
+    fn key(&self) -> Key;
+}
+
+impl Keyed for Key {
+    fn key(&self) -> Key {
+        *self
+    }
+}
+
+impl Keyed for (Key, Value) {
+    fn key(&self) -> Key {
+        self.0
     }
 }
 
@@ -226,6 +270,41 @@ mod tests {
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0], (ProcessId(0), vec![Key(0), Key(2)]));
         assert_eq!(groups[1], (ProcessId(1), vec![Key(1), Key(3)]));
+    }
+
+    #[test]
+    fn writes_group_like_their_keys_and_keep_input_order() {
+        let t = Topology::sharded(3, 1, 9);
+        let writes = [(Key(5), Value(1)), (Key(0), Value(2)), (Key(2), Value(3))];
+        let groups = t.group_by_primary(&writes);
+        assert_eq!(
+            groups,
+            [
+                (ProcessId(0), vec![(Key(0), Value(2))]),
+                (ProcessId(2), vec![(Key(5), Value(1)), (Key(2), Value(3))]),
+            ]
+        );
+        let keys: Vec<Key> = writes.iter().map(|&(k, _)| k).collect();
+        let by_key: Vec<ProcessId> = t.group_by_primary(&keys).iter().map(|g| g.0).collect();
+        assert_eq!(by_key, [ProcessId(0), ProcessId(2)]);
+    }
+
+    #[test]
+    fn last_replica_is_the_tail_of_replicas() {
+        for t in [
+            Topology::minimal(1),
+            Topology::sharded(3, 1, 9),
+            Topology::partially_replicated(3, 1, 6, 2),
+            Topology::partially_replicated(5, 1, 10, 4),
+        ] {
+            for k in (0..t.num_keys).map(Key) {
+                assert_eq!(
+                    Some(&t.last_replica(k)),
+                    t.replicas(k).last(),
+                    "{t:?} {k:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Client bookkeeping the protocol modules share: the read-only
-//! [`Gather`] and the [`Completed`] constructors.
+//! Transaction bookkeeping the protocol modules share: the read-only
+//! [`Gather`], the two-phase-commit [`Tally`] and the [`Completed`]
+//! constructors.
 //!
 //! Pure state only: nothing here sends, arms a timer or records a
 //! completion. snowflow derives a protocol's SNOW tuple from the sends
@@ -73,6 +74,75 @@ impl<T> Gather<T> {
     }
 }
 
+/// One two-phase-commit fan-out: its participants, which of them have
+/// answered, and the running maximum of their proposals. A repeat
+/// answer, or one from outside the fan-out, changes nothing, so a
+/// duplicated response can never end the phase early.
+#[derive(Clone, Debug)]
+pub struct Tally {
+    /// Each participant, ascending, beside whether it answered.
+    parts: Vec<(ProcessId, bool)>,
+    /// Participants yet to answer.
+    left: usize,
+    /// The largest proposal answered so far (0 before any).
+    max: u64,
+}
+
+impl Tally {
+    /// A tally over `participants` (sorted, repeats folded), none of
+    /// them answered yet.
+    pub fn new(participants: impl IntoIterator<Item = ProcessId>) -> Self {
+        let mut parts: Vec<(ProcessId, bool)> =
+            participants.into_iter().map(|p| (p, false)).collect();
+        parts.sort_unstable();
+        parts.dedup();
+        Tally {
+            left: parts.len(),
+            parts,
+            max: 0,
+        }
+    }
+
+    /// Count `from`'s answer carrying `proposed`: `true` exactly once,
+    /// when the last distinct participant answers.
+    pub fn answer(&mut self, from: ProcessId, proposed: u64) -> bool {
+        match self.parts.iter_mut().find(|(p, _)| *p == from) {
+            Some((_, seen @ false)) => {
+                *seen = true;
+                self.left -= 1;
+                self.max = self.max.max(proposed);
+                self.left == 0
+            }
+            _ => false,
+        }
+    }
+
+    /// Has participant `p` answered this phase?
+    pub fn answered(&self, p: ProcessId) -> bool {
+        self.parts.contains(&(p, true))
+    }
+
+    /// The largest proposal answered so far: the commit timestamp input.
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// The participants, ascending.
+    pub fn participants(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.parts.iter().map(|&(p, _)| p)
+    }
+
+    /// Start the next phase over the same participants: nobody has
+    /// answered it and nothing is proposed.
+    pub fn restart(&mut self) {
+        for (_, seen) in &mut self.parts {
+            *seen = false;
+        }
+        self.left = self.parts.len();
+        self.max = 0;
+    }
+}
+
 /// Read-your-writes over a client's write cache: the snapshot `read` of a
 /// key (`None` is ⊥ at ts 0) unless the client's own `cached` write of
 /// it is newer.
@@ -139,6 +209,66 @@ mod tests {
         assert_eq!(g.by_primary(&topo), topo.group_by_primary(&g.keys));
         let lasts: Vec<bool> = (0..2).map(|_| g.arrived()).collect();
         assert_eq!(lasts, [false, true], "one response per primary server");
+    }
+
+    fn pids(ps: &[u32]) -> Vec<ProcessId> {
+        ps.iter().map(|&p| ProcessId(p)).collect()
+    }
+
+    #[test]
+    fn the_last_distinct_answer_finishes_exactly_once() {
+        let mut t = Tally::new(pids(&[0, 1, 2]));
+        let lasts: Vec<bool> = [(2, 5), (0, 9), (1, 7)]
+            .iter()
+            .map(|&(p, ts)| t.answer(ProcessId(p), ts))
+            .collect();
+        assert_eq!(lasts, [false, false, true]);
+        // Finished: a late repeat reports nothing a second time.
+        assert!(!t.answer(ProcessId(1), 7));
+        assert_eq!(t.participants().collect::<Vec<_>>(), pids(&[0, 1, 2]));
+        // Participants are kept sorted and a repeated one counts once.
+        let mut t = Tally::new(pids(&[2, 0, 2]));
+        assert_eq!(t.participants().collect::<Vec<_>>(), pids(&[0, 2]));
+        assert!(!t.answer(ProcessId(2), 0));
+        assert!(t.answer(ProcessId(0), 0));
+    }
+
+    #[test]
+    fn a_duplicate_or_foreign_answer_changes_nothing() {
+        let mut t = Tally::new(pids(&[0, 1]));
+        assert!(!t.answer(ProcessId(0), 4));
+        assert!(!t.answer(ProcessId(0), 4), "a duplicate is not the last");
+        assert!(!t.answer(ProcessId(7), 99), "not a participant");
+        assert_eq!(t.max(), 4, "ignored answers propose nothing");
+        assert!(t.answered(ProcessId(0)));
+        assert!(!t.answered(ProcessId(1)) && !t.answered(ProcessId(7)));
+        assert!(t.answer(ProcessId(1), 3));
+    }
+
+    #[test]
+    fn max_is_the_largest_proposal_in_any_order() {
+        let props = [(0, 12), (1, 30), (2, 7)];
+        for rot in 0..props.len() {
+            let mut t = Tally::new(pids(&[0, 1, 2]));
+            assert_eq!(t.max(), 0, "nothing proposed yet");
+            for &(p, ts) in props.iter().cycle().skip(rot).take(props.len()) {
+                t.answer(ProcessId(p), ts);
+            }
+            assert_eq!(t.max(), props.iter().map(|&(_, ts)| ts).max().unwrap());
+        }
+    }
+
+    #[test]
+    fn restart_counts_the_next_phase_afresh() {
+        let mut t = Tally::new(pids(&[3, 5]));
+        assert!(!t.answer(ProcessId(3), 8));
+        assert!(t.answer(ProcessId(5), 2));
+        t.restart();
+        assert_eq!(t.max(), 0);
+        assert!(!t.answered(ProcessId(3)) && !t.answered(ProcessId(5)));
+        assert!(!t.answer(ProcessId(5), 0));
+        assert!(!t.answer(ProcessId(5), 0), "a duplicate in the new phase");
+        assert!(t.answer(ProcessId(3), 0));
     }
 
     #[test]

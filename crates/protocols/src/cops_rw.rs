@@ -31,7 +31,7 @@
 //! Each client owns its log — causal consistency does not require
 //! clients to agree on the order of concurrent transactions.
 
-use crate::common::{Completed, Gather, LamportClock, ProtocolNode, Topology};
+use crate::common::{Completed, Gather, LamportClock, ProtocolNode, Tally, Topology};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::{HashMap, HashSet};
@@ -79,8 +79,9 @@ pub enum Msg {
     FatWriteAck { id: TxId },
 }
 
-/// In-flight write: `(record, awaiting, invoked_at)`.
-type PendingWtx = (TxDep, usize, u64);
+/// In-flight write: `(record, the written servers' ack tally,
+/// invoked_at)`.
+type PendingWrite = (TxDep, Tally, u64);
 
 /// COPS-RW client: the session log and its folded store.
 #[derive(Clone, Debug)]
@@ -96,7 +97,7 @@ pub struct ClientState {
     /// In-flight ROTs, each beside the fat items returned so far (the
     /// values come from the folded store, not from the responses).
     rots: HashMap<TxId, (Gather<()>, Vec<FatItem>)>,
-    wtxs: HashMap<TxId, PendingWtx>,
+    wtxs: HashMap<TxId, PendingWrite>,
     completed: HashMap<TxId, Completed>,
 }
 
@@ -166,14 +167,8 @@ impl CopsRwNode {
                     // The dependency payload: the client's entire session
                     // log — the "prohibitively big amount of data".
                     let deps = c.log.clone();
-                    let mut servers: Vec<ProcessId> = record
-                        .writes
-                        .iter()
-                        .map(|&(k, _)| c.topo.primary(k))
-                        .collect();
-                    servers.sort_unstable();
-                    servers.dedup();
-                    for &server in &servers {
+                    let tally = Tally::new(record.writes.iter().map(|&(k, _)| c.topo.primary(k)));
+                    for server in tally.participants() {
                         ctx.send(
                             server,
                             Msg::FatWrite {
@@ -182,24 +177,21 @@ impl CopsRwNode {
                             },
                         );
                     }
-                    c.wtxs.insert(id, (record, servers.len(), ctx.now()));
+                    c.wtxs.insert(id, (record, tally, ctx.now()));
                 }
                 Msg::FatWriteAck { id } => {
-                    let finished = {
-                        let Some(w) = c.wtxs.get_mut(&id) else {
-                            continue;
-                        };
-                        w.1 -= 1;
-                        w.1 == 0
+                    let Some((_, tally, _)) = c.wtxs.get_mut(&id) else {
+                        continue;
                     };
-                    if finished {
-                        let Some((record, _, invoked_at)) = c.wtxs.remove(&id) else {
-                            continue;
-                        };
-                        c.absorb(&record);
-                        c.completed
-                            .insert(id, Completed::write(id, invoked_at, ctx.now()));
+                    if !tally.answer(env.from, 0) {
+                        continue;
                     }
+                    let Some((record, _, invoked_at)) = c.wtxs.remove(&id) else {
+                        continue;
+                    };
+                    c.absorb(&record);
+                    c.completed
+                        .insert(id, Completed::write(id, invoked_at, ctx.now()));
                 }
                 _ => {}
             }

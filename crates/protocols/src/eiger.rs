@@ -27,7 +27,7 @@
 //!
 //! No server ever defers a response: non-blocking throughout.
 
-use crate::common::{Completed, LamportClock, MvStore, ProtocolNode, Topology, Version};
+use crate::common::{Completed, LamportClock, MvStore, ProtocolNode, Tally, Topology};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -106,13 +106,9 @@ pub enum Msg {
     RetryTick { id: TxId, attempt: u32 },
 }
 
-/// In-flight write-only transaction at the client (kept for resend).
-#[derive(Clone, Debug)]
-struct PendingWtx {
-    writes: Vec<(Key, Value)>,
-    dep_ts: u64,
-    invoked_at: u64,
-}
+/// In-flight write-only transaction at the client, kept for resend:
+/// `(writes, dep_ts, invoked_at)`.
+type PendingWrite = (Vec<(Key, Value)>, u64, u64);
 
 /// Which round a ROT is currently in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,22 +145,14 @@ pub struct ClientState {
     /// Highest commit/snapshot timestamp observed (the causal context).
     dep_ts: u64,
     rots: HashMap<TxId, PendingRot>,
-    wtxs: HashMap<TxId, PendingWtx>,
+    wtxs: HashMap<TxId, PendingWrite>,
     completed: HashMap<TxId, Completed>,
 }
 
-/// Coordinator-side state of one 2PC instance. `responded` (a set, not
-/// a counter) makes duplicated proposals idempotent; `per_server` and
-/// `dep_ts` are kept so a client retry can re-drive lost `Prepare`s.
-#[derive(Clone, Debug)]
-struct CoordTx {
-    client: ProcessId,
-    participants: Vec<ProcessId>,
-    per_server: BTreeMap<ProcessId, Vec<(Key, Value)>>,
-    dep_ts: u64,
-    proposals: Vec<u64>,
-    responded: BTreeSet<ProcessId>,
-}
+/// Coordinator-side state of one 2PC instance: the prepare tally beside
+/// its client, and the per-participant writes and `dep_ts` a client
+/// retry re-drives lost `Prepare`s from.
+type Coordinated = (Tally, ProcessId, Vec<(ProcessId, Vec<(Key, Value)>)>, u64);
 
 /// A pending (prepared) transaction at a participant.
 #[derive(Clone, Debug)]
@@ -181,7 +169,7 @@ pub struct ServerState {
     store: MvStore,
     clock: LamportClock,
     prepared: HashMap<TxId, PreparedTx>,
-    coordinating: HashMap<TxId, CoordTx>,
+    coordinating: HashMap<TxId, Coordinated>,
     /// Commit decisions, kept for round-3 checks.
     decisions: HashMap<TxId, u64>,
 }
@@ -232,21 +220,14 @@ impl EigerNode {
                             dep_ts,
                         },
                     );
-                    c.wtxs.insert(
-                        id,
-                        PendingWtx {
-                            writes,
-                            dep_ts,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.wtxs.insert(id, (writes, dep_ts, ctx.now()));
                     Self::arm_retry(c, id, 0, ctx);
                 }
                 Msg::WtxAck { id, ts } => {
-                    if let Some(w) = c.wtxs.remove(&id) {
+                    if let Some((_, _, invoked_at)) = c.wtxs.remove(&id) {
                         c.dep_ts = c.dep_ts.max(ts);
                         c.completed
-                            .insert(id, Completed::write(id, w.invoked_at, ctx.now()));
+                            .insert(id, Completed::write(id, invoked_at, ctx.now()));
                     }
                 }
                 Msg::Read1Resp {
@@ -365,15 +346,15 @@ impl EigerNode {
                             }
                         }
                     }
-                    if let Some(pw) = c.wtxs.get(&id) {
+                    if let Some((writes, dep_ts, _)) = c.wtxs.get(&id) {
                         live = true;
-                        let coordinator = c.topo.primary(pw.writes[0].0);
+                        let coordinator = c.topo.primary(writes[0].0);
                         ctx.send(
                             coordinator,
                             Msg::WtxReq {
                                 id,
-                                writes: pw.writes.clone(),
-                                dep_ts: pw.dep_ts,
+                                writes: writes.clone(),
+                                dep_ts: *dep_ts,
                             },
                         );
                     }
@@ -492,15 +473,15 @@ impl EigerNode {
                         continue;
                     }
                     let me = ctx.me();
-                    if let Some(co) = s.coordinating.get(&id) {
-                        for (&server, ws) in &co.per_server {
-                            if !co.responded.contains(&server) {
+                    if let Some((tally, _, groups, dep_ts)) = s.coordinating.get(&id) {
+                        for &(server, ref ws) in groups {
+                            if !tally.answered(server) {
                                 ctx.send(
                                     server,
                                     Msg::Prepare {
                                         id,
                                         writes: ws.clone(),
-                                        dep_ts: co.dep_ts,
+                                        dep_ts: *dep_ts,
                                         coordinator: me,
                                     },
                                 );
@@ -512,26 +493,11 @@ impl EigerNode {
                     // Fan out prepares, grouping writes by primary; the
                     // coordinator participates via the network like
                     // everyone else, keeping one code path.
-                    let mut per_server: BTreeMap<ProcessId, Vec<(Key, Value)>> = Default::default();
-                    for &(k, v) in &writes {
-                        per_server
-                            .entry(s.topo.primary(k))
-                            .or_default()
-                            .push((k, v));
-                    }
-                    let participants: Vec<ProcessId> = per_server.keys().copied().collect();
-                    s.coordinating.insert(
-                        id,
-                        CoordTx {
-                            client: env.from,
-                            participants,
-                            per_server: per_server.clone(),
-                            dep_ts,
-                            proposals: Vec::new(),
-                            responded: BTreeSet::new(),
-                        },
-                    );
-                    for (server, ws) in per_server {
+                    let groups = s.topo.group_by_primary(&writes);
+                    let tally = Tally::new(groups.iter().map(|&(p, _)| p));
+                    s.coordinating
+                        .insert(id, (tally, env.from, groups.clone(), dep_ts));
+                    for (server, ws) in groups {
                         ctx.send(
                             server,
                             Msg::Prepare {
@@ -575,29 +541,22 @@ impl EigerNode {
                     ctx.send(coordinator, Msg::PrepareResp { id, proposed });
                 }
                 Msg::PrepareResp { id, proposed } => {
-                    let finished = {
-                        let Some(co) = s.coordinating.get_mut(&id) else {
-                            continue;
-                        };
-                        // Duplicate proposal from this participant: ignore.
-                        if !co.responded.insert(env.from) {
-                            continue;
-                        }
-                        co.proposals.push(proposed);
-                        co.responded.len() == co.participants.len()
+                    let Some((tally, ..)) = s.coordinating.get_mut(&id) else {
+                        continue;
                     };
-                    if finished {
-                        let Some(co) = s.coordinating.remove(&id) else {
-                            continue;
-                        };
-                        let ts = co.proposals.iter().copied().max().unwrap_or(0);
-                        s.clock.witness(ts);
-                        s.decisions.insert(id, ts);
-                        for part in &co.participants {
-                            ctx.send(*part, Msg::Commit { id, ts });
-                        }
-                        ctx.send(co.client, Msg::WtxAck { id, ts });
+                    if !tally.answer(env.from, proposed) {
+                        continue;
                     }
+                    let Some((tally, client, ..)) = s.coordinating.remove(&id) else {
+                        continue;
+                    };
+                    let ts = tally.max();
+                    s.clock.witness(ts);
+                    s.decisions.insert(id, ts);
+                    for part in tally.participants() {
+                        ctx.send(part, Msg::Commit { id, ts });
+                    }
+                    ctx.send(client, Msg::WtxAck { id, ts });
                 }
                 Msg::Commit { id, ts } => {
                     // `remove` makes a duplicated commit a no-op; the
@@ -606,16 +565,7 @@ impl EigerNode {
                     if let Some(p) = s.prepared.remove(&id) {
                         s.clock.witness(ts);
                         s.decisions.insert(id, ts);
-                        for (k, v) in p.writes {
-                            s.store.insert(
-                                k,
-                                Version {
-                                    value: v,
-                                    ts,
-                                    tx: id,
-                                },
-                            );
-                        }
+                        s.store.commit(id, ts, p.writes);
                     }
                 }
                 Msg::Read1 { id, keys } => {

@@ -26,7 +26,7 @@
 //! Reads are genuinely fast: one round, one value per stored object,
 //! served in the receiving step.
 
-use crate::common::{Completed, ProtocolNode, Topology};
+use crate::common::{Completed, ProtocolNode, Tally, Topology};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::HashMap;
@@ -59,22 +59,18 @@ pub enum Msg {
     Gossip,
 }
 
-/// In-flight transaction bookkeeping at a client.
-#[derive(Clone, Debug)]
-struct Pending {
-    reads: Vec<(Key, Value)>,
-    awaiting: usize,
-    /// Servers participating in the write (phase fan-out targets).
-    participants: Vec<ProcessId>,
-    round: u8,
-    invoked_at: u64,
-}
+/// In-flight read at a client: `(values so far, responses outstanding,
+/// invoked_at)`.
+type PendingRead = (Vec<(Key, Value)>, usize, u64);
 
 /// Client state machine.
 #[derive(Clone, Debug)]
 pub struct ClientState {
     topo: Topology,
-    pending: HashMap<TxId, Pending>,
+    rots: HashMap<TxId, PendingRead>,
+    /// In-flight writes: the tally of the servers participating in the
+    /// write (restarted every phase), the phase it counts, invoked_at.
+    wtxs: HashMap<TxId, (Tally, u8, u64)>,
     completed: HashMap<TxId, Completed>,
 }
 
@@ -124,16 +120,7 @@ impl<const P: u8, const GOSSIP: bool> NaiveNode<P, GOSSIP> {
                     for (server, ks) in groups {
                         ctx.send(server, Msg::ReadReq { id, keys: ks });
                     }
-                    c.pending.insert(
-                        id,
-                        Pending {
-                            reads: Vec::new(),
-                            awaiting,
-                            participants: Vec::new(),
-                            round: 0,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.rots.insert(id, (Vec::new(), awaiting, ctx.now()));
                 }
                 Msg::InvokeWtx { id, writes } => {
                     // Phase 1 carries the writes to every server storing
@@ -145,8 +132,7 @@ impl<const P: u8, const GOSSIP: bool> NaiveNode<P, GOSSIP> {
                             per_server.entry(r).or_default().push((k, v));
                         }
                     }
-                    let participants: Vec<ProcessId> = per_server.keys().copied().collect();
-                    let awaiting = participants.len();
+                    let tally = Tally::new(per_server.keys().copied());
                     for (server, ws) in per_server {
                         ctx.send(
                             server,
@@ -157,64 +143,53 @@ impl<const P: u8, const GOSSIP: bool> NaiveNode<P, GOSSIP> {
                             },
                         );
                     }
-                    c.pending.insert(
-                        id,
-                        Pending {
-                            reads: Vec::new(),
-                            awaiting,
-                            participants,
-                            round: 1,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.wtxs.insert(id, (tally, 1, ctx.now()));
                 }
                 Msg::ReadResp { id, reads } => {
                     let now = ctx.now();
-                    if let Some(p) = c.pending.get_mut(&id) {
-                        p.reads.extend(reads);
-                        p.awaiting -= 1;
-                        if p.awaiting == 0 {
-                            let Some(p) = c.pending.remove(&id) else {
+                    if let Some((got, awaiting, _)) = c.rots.get_mut(&id) {
+                        got.extend(reads);
+                        *awaiting -= 1;
+                        if *awaiting == 0 {
+                            let Some((mut reads, _, invoked_at)) = c.rots.remove(&id) else {
                                 continue;
                             };
-                            let mut reads = p.reads;
                             reads.sort_by_key(|(k, _)| *k);
                             c.completed
-                                .insert(id, Completed::read(id, reads, p.invoked_at, now));
+                                .insert(id, Completed::read(id, reads, invoked_at, now));
                         }
                     }
                 }
                 Msg::PhaseAck { id, round } => {
-                    let now = ctx.now();
-                    if let Some(p) = c.pending.get_mut(&id) {
-                        if round != p.round {
-                            continue; // stale ack from an earlier phase
+                    let Some((tally, phase, _)) = c.wtxs.get_mut(&id) else {
+                        continue;
+                    };
+                    // An ack of an earlier phase is stale; a repeat counts
+                    // once.
+                    if round != *phase || !tally.answer(env.from, 0) {
+                        continue;
+                    }
+                    if *phase < P {
+                        // Next coordination phase.
+                        *phase += 1;
+                        tally.restart();
+                        let round = *phase;
+                        for server in tally.participants() {
+                            ctx.send(
+                                server,
+                                Msg::Phase {
+                                    id,
+                                    round,
+                                    writes: Vec::new(),
+                                },
+                            );
                         }
-                        p.awaiting -= 1;
-                        if p.awaiting == 0 {
-                            if p.round < P {
-                                // Next coordination phase.
-                                p.round += 1;
-                                p.awaiting = p.participants.len();
-                                let round = p.round;
-                                for server in p.participants.clone() {
-                                    ctx.send(
-                                        server,
-                                        Msg::Phase {
-                                            id,
-                                            round,
-                                            writes: Vec::new(),
-                                        },
-                                    );
-                                }
-                            } else {
-                                let Some(p) = c.pending.remove(&id) else {
-                                    continue;
-                                };
-                                c.completed
-                                    .insert(id, Completed::write(id, p.invoked_at, now));
-                            }
-                        }
+                    } else {
+                        let Some((.., invoked_at)) = c.wtxs.remove(&id) else {
+                            continue;
+                        };
+                        c.completed
+                            .insert(id, Completed::write(id, invoked_at, ctx.now()));
                     }
                 }
                 _ => {}
@@ -295,7 +270,8 @@ impl<const P: u8, const GOSSIP: bool> ProtocolNode for NaiveNode<P, GOSSIP> {
     fn client(topo: &Topology, _id: ProcessId) -> Self {
         NaiveNode::Client(ClientState {
             topo: topo.clone(),
-            pending: HashMap::new(),
+            rots: HashMap::new(),
+            wtxs: HashMap::new(),
             completed: HashMap::new(),
         })
     }

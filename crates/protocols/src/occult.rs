@@ -25,7 +25,9 @@
 //! on a plain sharded topology reads hit masters and validation never
 //! fires.
 
-use crate::common::{Completed, Gather, LamportClock, MvStore, ProtocolNode, Topology, Version};
+use crate::common::{
+    Completed, Gather, LamportClock, MvStore, ProtocolNode, Tally, Topology, Version,
+};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::HashMap;
@@ -104,15 +106,6 @@ pub struct ClientState {
     completed: HashMap<TxId, Completed>,
 }
 
-/// Coordinator-side 2PC state.
-#[derive(Clone, Debug)]
-struct CoordTx {
-    client: ProcessId,
-    participants: Vec<ProcessId>,
-    proposals: Vec<u64>,
-    awaiting: usize,
-}
-
 /// A prepared transaction at a master: `(proposal, writes, tx_keys)`.
 type PreparedTx = (u64, Vec<(Key, Value)>, Vec<Key>);
 
@@ -126,7 +119,8 @@ pub struct ServerState {
     meta: HashMap<(Key, u64), Vec<Key>>,
     clock: LamportClock,
     pending: HashMap<TxId, PreparedTx>,
-    coordinating: HashMap<TxId, CoordTx>,
+    /// Coordinator side: each 2PC's prepare tally beside its client.
+    coordinating: HashMap<TxId, (Tally, ProcessId)>,
 }
 
 /// An Occult node.
@@ -143,13 +137,9 @@ pub enum OccultNode {
 const MAX_REREADS: u32 = 8;
 
 impl OccultNode {
-    /// The replica a client prefers for a key: the last (most remote)
-    /// replica — a slave whenever the key is replicated.
-    fn preferred_replica(topo: &Topology, k: Key) -> ProcessId {
-        // snowlint: allow(handler-unwrap): replicas() is never empty — replication >= 1 by construction, independent of any message state
-        *topo.replicas(k).last().unwrap()
-    }
-
+    /// Send a read of `keys` to each key's master, or else to the
+    /// replica a client prefers: the last (most remote) one, a slave
+    /// whenever the key is replicated. Returns the number of requests.
     fn send_reads(
         c: &ClientState,
         ctx: &mut Ctx<Msg>,
@@ -157,17 +147,15 @@ impl OccultNode {
         keys: &[Key],
         to_master: bool,
     ) -> usize {
-        let mut per_server: std::collections::BTreeMap<ProcessId, Vec<Key>> = Default::default();
-        for &k in keys {
-            let server = if to_master {
+        let groups = Topology::group_by(keys, |k| {
+            if to_master {
                 c.topo.primary(k)
             } else {
-                Self::preferred_replica(&c.topo, k)
-            };
-            per_server.entry(server).or_default().push(k);
-        }
-        let n = per_server.len();
-        for (server, ks) in per_server {
+                c.topo.last_replica(k)
+            }
+        });
+        let n = groups.len();
+        for (server, ks) in groups {
             ctx.send(server, Msg::Read { id, keys: ks });
         }
         n
@@ -295,26 +283,11 @@ impl OccultNode {
                 Msg::WtxReq { id, writes, dep_ts } => {
                     s.clock.witness(dep_ts);
                     let tx_keys: Vec<Key> = writes.iter().map(|&(k, _)| k).collect();
-                    let mut per_server: std::collections::BTreeMap<ProcessId, Vec<(Key, Value)>> =
-                        Default::default();
-                    for &(k, v) in &writes {
-                        per_server
-                            .entry(s.topo.primary(k))
-                            .or_default()
-                            .push((k, v));
-                    }
-                    let participants: Vec<ProcessId> = per_server.keys().copied().collect();
-                    s.coordinating.insert(
-                        id,
-                        CoordTx {
-                            client: env.from,
-                            participants: participants.clone(),
-                            proposals: Vec::new(),
-                            awaiting: participants.len(),
-                        },
-                    );
+                    let groups = s.topo.group_by_primary(&writes);
+                    let tally = Tally::new(groups.iter().map(|&(p, _)| p));
+                    s.coordinating.insert(id, (tally, env.from));
                     let me = ctx.me();
-                    for (server, ws) in per_server {
+                    for (server, ws) in groups {
                         ctx.send(
                             server,
                             Msg::Prepare {
@@ -340,38 +313,26 @@ impl OccultNode {
                     ctx.send(coordinator, Msg::PrepareResp { id, proposed });
                 }
                 Msg::PrepareResp { id, proposed } => {
-                    let finished = {
-                        let Some(co) = s.coordinating.get_mut(&id) else {
-                            continue;
-                        };
-                        co.proposals.push(proposed);
-                        co.awaiting -= 1;
-                        co.awaiting == 0
+                    let Some((tally, _)) = s.coordinating.get_mut(&id) else {
+                        continue;
                     };
-                    if finished {
-                        let Some(co) = s.coordinating.remove(&id) else {
-                            continue;
-                        };
-                        let ts = co.proposals.iter().copied().max().unwrap_or(0);
-                        s.clock.witness(ts);
-                        for part in &co.participants {
-                            ctx.send(*part, Msg::Commit { id, ts });
-                        }
-                        ctx.send(co.client, Msg::WtxAck { id, ts });
+                    if !tally.answer(env.from, proposed) {
+                        continue;
                     }
+                    let Some((tally, client)) = s.coordinating.remove(&id) else {
+                        continue;
+                    };
+                    let ts = tally.max();
+                    s.clock.witness(ts);
+                    for part in tally.participants() {
+                        ctx.send(part, Msg::Commit { id, ts });
+                    }
+                    ctx.send(client, Msg::WtxAck { id, ts });
                 }
                 Msg::Commit { id, ts } => {
                     if let Some((_, writes, tx_keys)) = s.pending.remove(&id) {
                         s.clock.witness(ts);
-                        for (k, v) in writes {
-                            s.store.insert(
-                                k,
-                                Version {
-                                    value: v,
-                                    ts,
-                                    tx: id,
-                                },
-                            );
+                        for &(k, v) in &writes {
                             s.meta.insert((k, ts), tx_keys.clone());
                             // Asynchronous replication to this key's
                             // slaves — writes never wait for it.
@@ -390,6 +351,7 @@ impl OccultNode {
                                 }
                             }
                         }
+                        s.store.commit(id, ts, writes);
                     }
                 }
                 Msg::Replicate {

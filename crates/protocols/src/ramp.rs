@@ -24,7 +24,7 @@
 //!   the sibling key-lists and, on a fracture, round 2 fetches the
 //!   missing sibling versions by exact timestamp.
 
-use crate::common::{Completed, Gather, LamportClock, MvStore, ProtocolNode, Topology, Version};
+use crate::common::{Completed, Gather, LamportClock, MvStore, ProtocolNode, Tally, Topology};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId};
 use std::collections::HashMap;
@@ -82,15 +82,10 @@ pub enum Msg {
 /// key-lists.
 type PendingRead = (Gather<(Value, u64)>, Vec<RampItem>);
 
-/// In-flight write transaction at the client.
-#[derive(Clone, Debug)]
-struct PendingWtx {
-    participants: Vec<ProcessId>,
-    ts: u64,
-    awaiting: usize,
-    committing: bool,
-    invoked_at: u64,
-}
+/// In-flight write transaction at the client: the participants' tally
+/// (restarted for the commit phase), the write timestamp, whether the
+/// commit phase has begun, and the invocation time.
+type PendingWrite = (Tally, u64, bool, u64);
 
 /// RAMP client.
 #[derive(Clone, Debug)]
@@ -98,7 +93,7 @@ pub struct ClientState {
     topo: Topology,
     clock: LamportClock,
     rots: HashMap<TxId, PendingRead>,
-    wtxs: HashMap<TxId, PendingWtx>,
+    wtxs: HashMap<TxId, PendingWrite>,
     completed: HashMap<TxId, Completed>,
 }
 
@@ -138,16 +133,9 @@ impl RampNode {
                 Msg::InvokeWtx { id, writes } => {
                     let ts = c.clock.tick();
                     let tx_keys: Vec<Key> = writes.iter().map(|&(k, _)| k).collect();
-                    let mut per_server: std::collections::BTreeMap<ProcessId, Vec<(Key, Value)>> =
-                        Default::default();
-                    for &(k, v) in &writes {
-                        per_server
-                            .entry(c.topo.primary(k))
-                            .or_default()
-                            .push((k, v));
-                    }
-                    let participants: Vec<ProcessId> = per_server.keys().copied().collect();
-                    for (server, ws) in per_server {
+                    let groups = c.topo.group_by_primary(&writes);
+                    let tally = Tally::new(groups.iter().map(|&(p, _)| p));
+                    for (server, ws) in groups {
                         ctx.send(
                             server,
                             Msg::Prepare {
@@ -158,41 +146,35 @@ impl RampNode {
                             },
                         );
                     }
-                    c.wtxs.insert(
-                        id,
-                        PendingWtx {
-                            awaiting: participants.len(),
-                            participants,
-                            ts,
-                            committing: false,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.wtxs.insert(id, (tally, ts, false, ctx.now()));
                 }
                 Msg::PrepareAck { id } => {
-                    if let Some(w) = c.wtxs.get_mut(&id) {
-                        w.awaiting -= 1;
-                        if w.awaiting == 0 && !w.committing {
-                            w.committing = true;
-                            w.awaiting = w.participants.len();
-                            let ts = w.ts;
-                            for server in w.participants.clone() {
-                                ctx.send(server, Msg::Commit { id, ts });
-                            }
-                        }
+                    let Some((tally, ts, committing, _)) = c.wtxs.get_mut(&id) else {
+                        continue;
+                    };
+                    // Commit only once every participant has prepared.
+                    if *committing || !tally.answer(env.from, 0) {
+                        continue;
+                    }
+                    *committing = true;
+                    tally.restart();
+                    let ts = *ts;
+                    for server in tally.participants() {
+                        ctx.send(server, Msg::Commit { id, ts });
                     }
                 }
                 Msg::CommitAck { id } => {
-                    if let Some(w) = c.wtxs.get_mut(&id) {
-                        w.awaiting -= 1;
-                        if w.awaiting == 0 {
-                            let Some(w) = c.wtxs.remove(&id) else {
-                                continue;
-                            };
-                            c.completed
-                                .insert(id, Completed::write(id, w.invoked_at, ctx.now()));
-                        }
+                    let Some((tally, _, committing, _)) = c.wtxs.get_mut(&id) else {
+                        continue;
+                    };
+                    if !*committing || !tally.answer(env.from, 0) {
+                        continue;
                     }
+                    let Some((.., invoked_at)) = c.wtxs.remove(&id) else {
+                        continue;
+                    };
+                    c.completed
+                        .insert(id, Completed::write(id, invoked_at, ctx.now()));
                 }
                 Msg::Read1Resp { id, items } => {
                     let Some((p, meta)) = c.rots.get_mut(&id) else {
@@ -281,17 +263,10 @@ impl RampNode {
                 Msg::Commit { id, ts } => {
                     if let Some((pts, writes, tx_keys)) = s.prepared.remove(&id) {
                         debug_assert_eq!(pts, ts);
-                        for (k, v) in writes {
-                            s.store.insert(
-                                k,
-                                Version {
-                                    value: v,
-                                    ts,
-                                    tx: id,
-                                },
-                            );
+                        for &(k, _) in &writes {
                             s.meta.insert((k, ts), tx_keys.clone());
                         }
+                        s.store.commit(id, ts, writes);
                     }
                     ctx.send(env.from, Msg::CommitAck { id });
                 }

@@ -24,10 +24,10 @@
 //!   `t_safe = min(local clock, min prepared ts − 1)` has passed
 //!   `s_read`; otherwise it parks the read — that is the blocking.
 
-use crate::common::{Completed, MvStore, ProtocolNode, Topology, TrueTime, Version};
+use crate::common::{Completed, MvStore, ProtocolNode, Tally, Topology, TrueTime};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId, Time, MICROS};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// The advertised TrueTime uncertainty bound ε (virtual ns).
 pub const EPSILON: u64 = 250 * MICROS;
@@ -91,30 +91,25 @@ struct ParkedRead {
     at: u64,
 }
 
-/// Coordinator-side 2PC state. `responded` (a set, not a counter) makes
-/// duplicated prepare responses idempotent; `per_server` is kept so a
-/// client retry can re-drive lost `Prepare` messages.
-#[derive(Clone, Debug)]
-struct CoordTx {
-    client: ProcessId,
-    participants: Vec<ProcessId>,
-    per_server: BTreeMap<ProcessId, Vec<(Key, Value)>>,
-    prepare_ts: Vec<u64>,
-    responded: BTreeSet<ProcessId>,
-}
+/// Coordinator-side 2PC state: the prepare tally beside its client, and
+/// the per-participant writes a client retry re-drives lost `Prepare`s
+/// from.
+type Coordinated = (Tally, ProcessId, Vec<(ProcessId, Vec<(Key, Value)>)>);
 
-/// A commit decided but still in its commit-wait window.
+/// A commit decided but still in its commit-wait window, beside its
+/// finished prepare tally.
 #[derive(Clone, Debug)]
 struct WaitingCommit {
     client: ProcessId,
-    participants: Vec<ProcessId>,
+    tally: Tally,
     ts: u64,
 }
 
-/// A released commit being re-driven until every participant acks.
+/// A released commit being re-driven until every participant acks: its
+/// tally, restarted to count the commit acks.
 #[derive(Clone, Debug)]
 struct CommitDrive {
-    unacked: BTreeSet<ProcessId>,
+    acks: Tally,
     ts: u64,
     sent_at: Time,
 }
@@ -129,7 +124,7 @@ pub struct ServerState {
     high_water: u64,
     /// Prepared, undecided transactions: tx → (prepare ts, writes).
     prepared: HashMap<TxId, (u64, Vec<(Key, Value)>)>,
-    coordinating: HashMap<TxId, CoordTx>,
+    coordinating: HashMap<TxId, Coordinated>,
     commit_waits: HashMap<TxId, WaitingCommit>,
     parked: Vec<ParkedRead>,
     poll_armed: bool,
@@ -153,7 +148,9 @@ pub struct ClientState {
     topo: Topology,
     tt: TrueTime,
     rots: HashMap<TxId, PendingRot>,
-    wtxs: HashMap<TxId, PendingWtx>,
+    /// In-flight write transactions, kept for resend: `(writes,
+    /// invoked_at)`.
+    wtxs: HashMap<TxId, (Vec<(Key, Value)>, u64)>,
     completed: HashMap<TxId, Completed>,
 }
 
@@ -166,13 +163,6 @@ struct PendingRot {
     at: u64,
     got: HashMap<Key, Value>,
     waiting: BTreeSet<ProcessId>,
-    invoked_at: u64,
-}
-
-/// In-flight write transaction at the client (kept for resend).
-#[derive(Clone, Debug)]
-struct PendingWtx {
-    writes: Vec<(Key, Value)>,
     invoked_at: u64,
 }
 
@@ -230,16 +220,17 @@ impl ServerState {
             .collect();
         ready.sort_unstable();
         for id in ready {
-            let Some(w) = self.commit_waits.remove(&id) else {
+            let Some(mut w) = self.commit_waits.remove(&id) else {
                 continue;
             };
-            for part in &w.participants {
-                ctx.send(*part, Msg::Commit { id, ts: w.ts });
+            for part in w.tally.participants() {
+                ctx.send(part, Msg::Commit { id, ts: w.ts });
             }
+            w.tally.restart();
             self.committing.insert(
                 id,
                 CommitDrive {
-                    unacked: w.participants.iter().copied().collect(),
+                    acks: w.tally,
                     ts: w.ts,
                     sent_at: now,
                 },
@@ -259,8 +250,10 @@ impl ServerState {
         for id in overdue {
             if let Some(d) = self.committing.get_mut(&id) {
                 d.sent_at = now;
-                for part in d.unacked.iter().copied().collect::<Vec<_>>() {
-                    ctx.send(part, Msg::Commit { id, ts: d.ts });
+                for part in d.acks.participants() {
+                    if !d.acks.answered(part) {
+                        ctx.send(part, Msg::Commit { id, ts: d.ts });
+                    }
                 }
             }
         }
@@ -338,20 +331,14 @@ impl SpannerNode {
                             writes: writes.clone(),
                         },
                     );
-                    c.wtxs.insert(
-                        id,
-                        PendingWtx {
-                            writes,
-                            invoked_at: ctx.now(),
-                        },
-                    );
+                    c.wtxs.insert(id, (writes, ctx.now()));
                     Self::arm_retry(c, id, 0, ctx);
                 }
                 Msg::WtxAck { id, .. } => {
                     // `remove` makes a duplicated ack a no-op.
-                    if let Some(pw) = c.wtxs.remove(&id) {
+                    if let Some((_, invoked_at)) = c.wtxs.remove(&id) {
                         c.completed
-                            .insert(id, Completed::write(id, pw.invoked_at, ctx.now()));
+                            .insert(id, Completed::write(id, invoked_at, ctx.now()));
                     }
                 }
                 Msg::RetryTick { id, attempt } => {
@@ -374,14 +361,14 @@ impl SpannerNode {
                             }
                         }
                     }
-                    if let Some(pw) = c.wtxs.get(&id) {
+                    if let Some((writes, _)) = c.wtxs.get(&id) {
                         live = true;
-                        let coordinator = c.topo.primary(pw.writes[0].0);
+                        let coordinator = c.topo.primary(writes[0].0);
                         ctx.send(
                             coordinator,
                             Msg::WtxReq {
                                 id,
-                                writes: pw.writes.clone(),
+                                writes: writes.clone(),
                             },
                         );
                     }
@@ -438,9 +425,9 @@ impl SpannerNode {
                         continue; // decided; ack follows after commit-wait
                     }
                     let me = ctx.me();
-                    if let Some(co) = s.coordinating.get(&id) {
-                        for (&server, ws) in &co.per_server {
-                            if !co.responded.contains(&server) {
+                    if let Some((tally, _, groups)) = s.coordinating.get(&id) {
+                        for &(server, ref ws) in groups {
+                            if !tally.answered(server) {
                                 ctx.send(
                                     server,
                                     Msg::Prepare {
@@ -453,25 +440,10 @@ impl SpannerNode {
                         }
                         continue;
                     }
-                    let mut per_server: BTreeMap<ProcessId, Vec<(Key, Value)>> = Default::default();
-                    for &(k, v) in &writes {
-                        per_server
-                            .entry(s.topo.primary(k))
-                            .or_default()
-                            .push((k, v));
-                    }
-                    let participants: Vec<ProcessId> = per_server.keys().copied().collect();
-                    s.coordinating.insert(
-                        id,
-                        CoordTx {
-                            client: env.from,
-                            participants,
-                            per_server: per_server.clone(),
-                            prepare_ts: Vec::new(),
-                            responded: BTreeSet::new(),
-                        },
-                    );
-                    for (server, ws) in per_server {
+                    let groups = s.topo.group_by_primary(&writes);
+                    let tally = Tally::new(groups.iter().map(|&(p, _)| p));
+                    s.coordinating.insert(id, (tally, env.from, groups.clone()));
+                    for (server, ws) in groups {
                         ctx.send(
                             server,
                             Msg::Prepare {
@@ -505,42 +477,30 @@ impl SpannerNode {
                     ctx.send(coordinator, Msg::PrepareResp { id, ts });
                 }
                 Msg::PrepareResp { id, ts } => {
-                    let finished = {
-                        let Some(co) = s.coordinating.get_mut(&id) else {
-                            continue;
-                        };
-                        // Duplicate response from this participant: ignore.
-                        if !co.responded.insert(env.from) {
-                            continue;
-                        }
-                        co.prepare_ts.push(ts);
-                        co.responded.len() == co.participants.len()
+                    let Some((tally, ..)) = s.coordinating.get_mut(&id) else {
+                        continue;
                     };
-                    if finished {
-                        let Some(co) = s.coordinating.remove(&id) else {
-                            continue;
-                        };
-                        let now = ctx.now();
-                        let s_commit = co
-                            .prepare_ts
-                            .iter()
-                            .copied()
-                            .max()
-                            .unwrap_or(0)
-                            .max(s.tt.now_interval(now).1)
-                            .max(s.high_water + 1);
-                        s.high_water = s_commit;
-                        // Commit-wait: hold the decision until TT.after(s).
-                        s.commit_waits.insert(
-                            id,
-                            WaitingCommit {
-                                client: co.client,
-                                participants: co.participants,
-                                ts: s_commit,
-                            },
-                        );
-                        s.arm_poll(ctx);
+                    if !tally.answer(env.from, ts) {
+                        continue;
                     }
+                    let Some((tally, client, _)) = s.coordinating.remove(&id) else {
+                        continue;
+                    };
+                    let s_commit = tally
+                        .max()
+                        .max(s.tt.now_interval(ctx.now()).1)
+                        .max(s.high_water + 1);
+                    s.high_water = s_commit;
+                    // Commit-wait: hold the decision until TT.after(s).
+                    s.commit_waits.insert(
+                        id,
+                        WaitingCommit {
+                            client,
+                            tally,
+                            ts: s_commit,
+                        },
+                    );
+                    s.arm_poll(ctx);
                 }
                 Msg::Commit { id, ts } => {
                     // Always ack (the previous ack may have been lost),
@@ -552,24 +512,14 @@ impl SpannerNode {
                     if let Some((_, writes)) = s.prepared.remove(&id) {
                         s.decided.insert(id, ts);
                         s.high_water = s.high_water.max(ts);
-                        for (k, v) in writes {
-                            s.store.insert(
-                                k,
-                                Version {
-                                    value: v,
-                                    ts,
-                                    tx: id,
-                                },
-                            );
-                        }
+                        s.store.commit(id, ts, writes);
                         // Applying a commit may unblock parked reads.
                         s.drain(ctx);
                     }
                 }
                 Msg::CommitAck { id } => {
                     if let Some(d) = s.committing.get_mut(&id) {
-                        d.unacked.remove(&env.from);
-                        if d.unacked.is_empty() {
+                        if d.acks.answer(env.from, 0) {
                             s.committing.remove(&id);
                         }
                     }

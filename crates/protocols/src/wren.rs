@@ -20,7 +20,7 @@
 //! server. LSTs are monotonic, hence so is the GSS.
 
 use crate::common::tx::read_your_writes;
-use crate::common::{Completed, Gather, HybridClock, MvStore, ProtocolNode, Topology, Version};
+use crate::common::{Completed, Gather, HybridClock, MvStore, ProtocolNode, Tally, Topology};
 use cbf_model::{ConsistencyLevel, Key, TxId, Value};
 use cbf_sim::{Actor, Ctx, ProcessId, Time, MICROS};
 use std::collections::HashMap;
@@ -92,15 +92,6 @@ pub struct ClientState {
     completed: HashMap<TxId, Completed>,
 }
 
-/// Coordinator-side 2PC state.
-#[derive(Clone, Debug)]
-struct CoordTx {
-    client: ProcessId,
-    participants: Vec<ProcessId>,
-    proposals: Vec<u64>,
-    awaiting: usize,
-}
-
 /// Wren server.
 #[derive(Clone, Debug)]
 pub struct ServerState {
@@ -109,7 +100,8 @@ pub struct ServerState {
     clock: HybridClock,
     /// Prepared, undecided transactions: tx → proposal.
     pending: HashMap<TxId, (u64, Vec<(Key, Value)>)>,
-    coordinating: HashMap<TxId, CoordTx>,
+    /// Coordinator side: each 2PC's prepare tally beside its client.
+    coordinating: HashMap<TxId, (Tally, ProcessId)>,
     /// Last LST heard per server (index by server id), own slot included.
     known_lst: Vec<u64>,
     me: ProcessId,
@@ -249,26 +241,11 @@ impl WrenNode {
                 }
                 Msg::WtxReq { id, writes, dep_ts } => {
                     s.clock.witness(dep_ts);
-                    let mut per_server: std::collections::BTreeMap<ProcessId, Vec<(Key, Value)>> =
-                        Default::default();
-                    for &(k, v) in &writes {
-                        per_server
-                            .entry(s.topo.primary(k))
-                            .or_default()
-                            .push((k, v));
-                    }
-                    let participants: Vec<ProcessId> = per_server.keys().copied().collect();
-                    s.coordinating.insert(
-                        id,
-                        CoordTx {
-                            client: env.from,
-                            participants: participants.clone(),
-                            proposals: Vec::new(),
-                            awaiting: participants.len(),
-                        },
-                    );
+                    let groups = s.topo.group_by_primary(&writes);
+                    let tally = Tally::new(groups.iter().map(|&(p, _)| p));
+                    s.coordinating.insert(id, (tally, env.from));
                     let me = ctx.me();
-                    for (server, ws) in per_server {
+                    for (server, ws) in groups {
                         ctx.send(
                             server,
                             Msg::Prepare {
@@ -294,39 +271,26 @@ impl WrenNode {
                     ctx.send(coordinator, Msg::PrepareResp { id, proposed });
                 }
                 Msg::PrepareResp { id, proposed } => {
-                    let finished = {
-                        let Some(co) = s.coordinating.get_mut(&id) else {
-                            continue;
-                        };
-                        co.proposals.push(proposed);
-                        co.awaiting -= 1;
-                        co.awaiting == 0
+                    let Some((tally, _)) = s.coordinating.get_mut(&id) else {
+                        continue;
                     };
-                    if finished {
-                        let Some(co) = s.coordinating.remove(&id) else {
-                            continue;
-                        };
-                        let ts = co.proposals.iter().copied().max().unwrap_or(0);
-                        s.clock.witness(ts);
-                        for part in &co.participants {
-                            ctx.send(*part, Msg::Commit { id, ts });
-                        }
-                        ctx.send(co.client, Msg::WtxAck { id, ts });
+                    if !tally.answer(env.from, proposed) {
+                        continue;
                     }
+                    let Some((tally, client)) = s.coordinating.remove(&id) else {
+                        continue;
+                    };
+                    let ts = tally.max();
+                    s.clock.witness(ts);
+                    for part in tally.participants() {
+                        ctx.send(part, Msg::Commit { id, ts });
+                    }
+                    ctx.send(client, Msg::WtxAck { id, ts });
                 }
                 Msg::Commit { id, ts } => {
                     if let Some((_, writes)) = s.pending.remove(&id) {
                         s.clock.witness(ts);
-                        for (k, v) in writes {
-                            s.store.insert(
-                                k,
-                                Version {
-                                    value: v,
-                                    ts,
-                                    tx: id,
-                                },
-                            );
-                        }
+                        s.store.commit(id, ts, writes);
                     }
                 }
                 _ => {}
